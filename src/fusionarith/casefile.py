@@ -307,6 +307,9 @@ def _prepare_parameters(kind: str, params: dict, path: str) -> dict:
                 rows, n, declared, unit_index=unit_index, kind=matrix_kind)
         except ValueError as exc:
             _fail(f"{path}.entries", str(exc))
+        for w, (a, b) in enumerate(rows[unit_index]):
+            if a == b == 0:
+                _fail(f"{path}.entries[{unit_index}][{w}]", f"dimension column {w} is zero")
         return {"matrix": matrix}
     if kind == "field-membership":
         allowed = {"polynomial", "conductor"}
@@ -484,7 +487,7 @@ def _run_smatrix(case: Case) -> dict:
         "formal_codegrees": [str(f) for f in formal_codegrees(matrix)],
     }
     if orth.passes:
-        verdict = verlinde_fusion(matrix)
+        verdict = verlinde_fusion(matrix, orth)
         results["verlinde_nonnegative_integral"] = verdict.nonnegative_integral
         results["verlinde_first_violation"] = (
             list(verdict.first_violation) if verdict.first_violation else None)

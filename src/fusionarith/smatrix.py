@@ -12,15 +12,24 @@ data at small rank:
 * existence of the permutation realizing sqrt(n) -> -sqrt(n) on
   character ratios.
 
+Orthogonality and Verlinde run on an exact integer kernel: the entries
+are rescaled once to integer half-pairs (A, B) over one common
+denominator L, so an entry is (A + B*sqrt(n))/(2L), and every inner
+product or Verlinde sum is accumulated as a pair of Python ints.  The
+Verlinde coefficients are symmetric in X, Y, Z, so only X <= Y <= Z is
+computed.  Field elements are built only for the per-column weights
+1/(declared_dim * d_W) and for the text of a failing value.
+
 Everything is verification of supplied data; nothing here solves for
 unknown entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .exactcore import QuadraticFieldElement
 
@@ -63,6 +72,9 @@ class CandidateSMatrix:
             raise ValueError("unit_index out of range")
         if self.kind not in ("modular", "super-modular-hat"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        for value in (self.declared_dim, *(e for row in self.entries for e in row)):
+            if not value.is_rational and value.n != self.n:
+                raise ValueError(f"mixed field generators: sqrt({value.n}) vs sqrt({self.n})")
         for i in range(size):
             for j in range(size):
                 if self.entries[i][j] != self.entries[j][i]:
@@ -104,15 +116,40 @@ class OrthogonalityReport:
     violating_pair: Optional[tuple[int, int]] = None
 
 
+def _integer_half_pairs(
+    elements: Iterable[QuadraticFieldElement],
+) -> tuple[int, list[tuple[int, int]]]:
+    """(L, pairs) with each element equal to (A + B*sqrt(n))/(2L) for its
+    pair (A, B); L is the lcm of every half-coordinate denominator."""
+    elements = list(elements)
+    scale = 1
+    for e in elements:
+        scale = math.lcm(scale, e.a.denominator, e.b.denominator)
+    return scale, [
+        (e.a.numerator * (scale // e.a.denominator), e.b.numerator * (scale // e.b.denominator))
+        for e in elements
+    ]
+
+
+def _integer_rows(matrix: CandidateSMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    size = matrix.size
+    scale, flat = _integer_half_pairs(e for row in matrix.entries for e in row)
+    return scale, [flat[i * size:(i + 1) * size] for i in range(size)]
+
+
 def check_orthogonality(matrix: CandidateSMatrix) -> OrthogonalityReport:
-    for i in range(matrix.size):
+    n = matrix.n
+    scale, rows = _integer_rows(matrix)
+    # a row inner product is (a + b*sqrt(n))/(4 L^2); the declared total
+    # (a' + b'*sqrt(n))/2 on that denominator is 2 L^2 (a', b')
+    norm = (2 * scale * scale * matrix.declared_dim.a, 2 * scale * scale * matrix.declared_dim.b)
+    for i, row_i in enumerate(rows):
         for j in range(i, matrix.size):
-            inner = sum(
-                (matrix.entries[i][k] * matrix.entries[j][k] for k in range(matrix.size)),
-                QuadraticFieldElement.from_rational(Fraction(0), matrix.n),
-            )
-            expected = matrix.declared_dim if i == j else 0
-            if inner != expected:
+            a = b = 0
+            for (p, q), (r, s) in zip(row_i, rows[j]):
+                a += p * r + n * q * s
+                b += p * s + q * r
+            if (a, b) != (norm if i == j else (0, 0)):
                 return OrthogonalityReport(False, (i, j))
     return OrthogonalityReport(True)
 
@@ -142,38 +179,55 @@ class VerlindeReport:
     first_value: Optional[str] = None
 
 
-def verlinde_fusion(matrix: CandidateSMatrix) -> VerlindeReport:
+def verlinde_fusion(
+    matrix: CandidateSMatrix, orthogonality: Optional[OrthogonalityReport] = None
+) -> VerlindeReport:
     """Coefficients sum_W s_XW s_YW s_ZW / (declared_dim * d_W), exact.
 
     Entries are real, so the conjugation on the Z slot is the identity.
     For a super-modular hat block this is the naive fusion count with
-    the halved dimension as normalizer.
+    the halved dimension as normalizer.  orthogonality is the report of
+    check_orthogonality(matrix) when the caller already holds it; the
+    check runs here otherwise, and a failing report raises ValueError.
+
+    The value is symmetric in X, Y, Z, so only X <= Y <= Z is computed,
+    in lexicographic order.  The first failing triple of the full
+    (X, Y >= X, Z) order is sorted (its sorted permutation has the same
+    value and comes no later), so it is also the first one found here.
     """
-    ortho = check_orthogonality(matrix)
-    if not ortho.passes:
-        raise ValueError(f"orthogonality fails at {ortho.violating_pair}")
+    if orthogonality is None:
+        orthogonality = check_orthogonality(matrix)
+    if not orthogonality.passes:
+        raise ValueError(f"orthogonality fails at {orthogonality.violating_pair}")
     dims = matrix.dims
     for w, d in enumerate(dims):
         if d == 0:
             raise DegenerateColumnError(f"dimension column {w} is zero")
-    size = matrix.size
-    denominators = [matrix.declared_dim * d for d in dims]
+    n, size = matrix.n, matrix.size
+    scale, rows = _integer_rows(matrix)
+    # c_W = 1/(declared_dim * d_W) = (P + Q*sqrt(n))/(2M)
+    weight_scale, weights = _integer_half_pairs(1 / (matrix.declared_dim * d) for d in dims)
+    # each term s_XW s_YW c_W s_ZW is a product of four half-pairs
+    denominator = 16 * scale**3 * weight_scale
     cube: list[list[list[int]]] = [[[0] * size for _ in range(size)] for _ in range(size)]
     for x in range(size):
         for y in range(x, size):
-            for z in range(size):
-                total = QuadraticFieldElement.from_rational(Fraction(0), matrix.n)
-                for w in range(size):
-                    term = matrix.entries[x][w] * matrix.entries[y][w] * matrix.entries[z][w]
-                    total = total + term / denominators[w]
-                ok = total.is_rational
-                if ok:
-                    frac = total.as_fraction()
-                    ok = frac.denominator == 1 and frac >= 0
-                if not ok:
-                    return VerlindeReport(False, None, (x, y, z), str(total))
-                cube[x][y][z] = int(total.as_fraction())
-                cube[y][x][z] = cube[x][y][z]
+            hoisted = []
+            for (p, q), (r, s), (u, v) in zip(rows[x], rows[y], weights):
+                e, f = p * r + n * q * s, p * s + q * r
+                hoisted.append((e * u + n * f * v, e * v + f * u))
+            for z in range(y, size):
+                a = b = 0
+                for (e, f), (p, q) in zip(hoisted, rows[z]):
+                    a += e * p + n * f * q
+                    b += e * q + f * p
+                if b or a < 0 or a % denominator:
+                    value = QuadraticFieldElement(
+                        Fraction(2 * a, denominator), Fraction(2 * b, denominator), n)
+                    return VerlindeReport(False, None, (x, y, z), str(value))
+                c = a // denominator
+                cube[x][y][z] = cube[x][z][y] = cube[y][x][z] = c
+                cube[y][z][x] = cube[z][x][y] = cube[z][y][x] = c
     tensor = FusionTensor(tuple(tuple(tuple(row) for row in plane) for plane in cube))
     return VerlindeReport(True, tensor)
 

@@ -543,3 +543,82 @@ def brute_square_summands(total: int, term_count: int, divisor_bound: int) -> se
         for combo in combinations_with_replacement(divisors, term_count)
         if sum(combo) == total - 1
     }
+
+
+# ---------------------------------------------------------------------------
+# S-matrix checks over Q(sqrt n).  An element is a pair (p, q) of
+# Fractions meaning p + q*sqrt(n); inputs are half-pairs (a, b) meaning
+# (a + b*sqrt(n))/2, as in the case files.
+
+QuadPair = tuple[Fraction, Fraction]
+
+
+def _quad(half_pair: tuple) -> QuadPair:
+    return (Fraction(half_pair[0]) / 2, Fraction(half_pair[1]) / 2)
+
+
+def _quad_mul(x: QuadPair, y: QuadPair, n: int) -> QuadPair:
+    return (x[0] * y[0] + n * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _quad_add(x: QuadPair, y: QuadPair) -> QuadPair:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _quad_inverse(x: QuadPair, n: int) -> QuadPair:
+    norm = x[0] * x[0] - n * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _quad_text(x: QuadPair, n: int) -> str:
+    """"3/2", "4/5r5", "1/2+1/2r5", "1/2-1/2r5": the scalar grammar."""
+    rat, coef = x
+    if coef == 0:
+        return str(rat)
+    if rat == 0:
+        return f"{coef}r{n}"
+    return f"{rat}{'+' if coef > 0 else '-'}{abs(coef)}r{n}"
+
+
+def orthogonality_oracle(rows: Sequence[Sequence[tuple]], n: int,
+                         declared: tuple) -> Optional[tuple[int, int]]:
+    """First (i, j) with i <= j, rows scanned in order, whose inner
+    product is not declared (i == j) or 0 (i != j); None when every pair
+    passes.  rows and declared are half-pairs."""
+    s = [[_quad(e) for e in row] for row in rows]
+    norm = _quad(declared)
+    size = len(s)
+    for i in range(size):
+        for j in range(i, size):
+            inner = (Fraction(0), Fraction(0))
+            for k in range(size):
+                inner = _quad_add(inner, _quad_mul(s[i][k], s[j][k], n))
+            if inner != (norm if i == j else (0, 0)):
+                return (i, j)
+    return None
+
+
+def verlinde_oracle(rows: Sequence[Sequence[tuple]], n: int, declared: tuple,
+                    unit_index: int = 0):
+    """(tensor, first_violation, first_value) of the naive Verlinde sums
+    N[X][Y][Z] = sum_W s_XW s_YW s_ZW / (declared * d_W), visiting every
+    (X, Y >= X, Z) in order; tensor is None exactly when some sum is not
+    a non-negative integer, and then the other two name the first one."""
+    s = [[_quad(e) for e in row] for row in rows]
+    norm = _quad(declared)
+    dims = s[unit_index]
+    size = len(s)
+    tensor = [[[0] * size for _ in range(size)] for _ in range(size)]
+    for x in range(size):
+        for y in range(x, size):
+            for z in range(size):
+                total = (Fraction(0), Fraction(0))
+                for w in range(size):
+                    term = _quad_mul(_quad_mul(s[x][w], s[y][w], n), s[z][w], n)
+                    weight = _quad_inverse(_quad_mul(norm, dims[w], n), n)
+                    total = _quad_add(total, _quad_mul(term, weight, n))
+                rat, coef = total
+                if coef != 0 or rat.denominator != 1 or rat < 0:
+                    return None, (x, y, z), _quad_text(total, n)
+                tensor[x][y][z] = tensor[y][x][z] = int(rat)
+    return tensor, None, None

@@ -17,6 +17,8 @@ from fusionarith.casefile import (
     render_reports,
     run_case,
 )
+from fusionarith.exactcore import QuadraticFieldElement
+from fusionarith.smatrix import CandidateSMatrix, DegenerateColumnError, verlinde_fusion
 
 
 def make_case(**overrides) -> str:
@@ -123,6 +125,25 @@ def test_smatrix_kind_is_validated():
               "entries": [[[2, 0]]]}
     message = failure_message(make_case(kind="smatrix-verify", parameters=params))
     assert "$.parameters.kind: unknown matrix kind 'weird'" in message
+
+
+def test_smatrix_zero_dimension_is_rejected_at_load(tmp_path, capsys):
+    params = {"n": 5, "kind": "modular", "declared_dim": "1",
+              "entries": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}
+    doc = make_case(kind="smatrix-verify", parameters=params)
+    message = failure_message(doc)
+    assert "$.parameters.entries[0][1]: dimension column 1 is zero" in message
+    target = tmp_path / "zero-dim.case.json"
+    target.write_text(doc, encoding="utf-8")
+    assert main(["validate", str(target)]) == 2
+    assert main(["run", str(target)]) == 2
+    assert "dimension column 1 is zero" in capsys.readouterr().err
+    # the matrix itself is orthogonal; direct library callers still get
+    # the engine's error
+    matrix = CandidateSMatrix.from_half_pairs(
+        params["entries"], 5, QuadraticFieldElement.parse("1", default_n=5))
+    with pytest.raises(DegenerateColumnError, match="dimension column 1 is zero"):
+        verlinde_fusion(matrix)
 
 
 def test_subcase_keys_are_validated():

@@ -1,18 +1,28 @@
 """Verification stack for candidate matrices of braiding traces."""
 from __future__ import annotations
 
-import pytest
+import json
+import re
+import time
 from fractions import Fraction
+from itertools import product
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fusionarith.casefile import load_case, run_case
 from fusionarith.exactcore import QuadraticFieldElement
 from fusionarith.smatrix import (
     CandidateSMatrix,
+    DegenerateColumnError,
     check_orthogonality,
     dimension_consistency,
     find_galois_permutation,
     formal_codegrees,
     verlinde_fusion,
 )
+from oracles import orthogonality_oracle, verlinde_oracle
 
 # 3x3 matrix over Q(sqrt2) with row norm 4: the sqrt2-dimension object
 # sits in the last slot.
@@ -34,6 +44,14 @@ DIM10_HAT = CandidateSMatrix.from_half_pairs(
     n=5,
     declared_dim=QuadraticFieldElement.parse("5", default_n=5),
     kind="super-modular-hat",
+)
+
+# [[1, phi], [phi, -1]] over Q(sqrt5) with row norm 1 + phi^2 = 2 + phi.
+FIB = CandidateSMatrix.from_half_pairs(
+    [[(2, 0), (1, 1)],
+     [(1, 1), (-2, 0)]],
+    n=5,
+    declared_dim=QuadraticFieldElement.parse("5/2+1/2r5"),
 )
 
 
@@ -196,3 +214,169 @@ def test_deterministic_reports():
     second = verlinde_fusion(DIM10_HAT)
     assert first == second
     assert formal_codegrees(DIM10_HAT) == formal_codegrees(DIM10_HAT)
+
+
+def test_construction_rejects_mixed_field_generators():
+    with pytest.raises(ValueError, match="mixed field generators"):
+        CandidateSMatrix(
+            ((QuadraticFieldElement.parse("1", default_n=2),),),
+            unit_index=0,
+            declared_dim=QuadraticFieldElement.parse("1r3"),
+            kind="modular",
+            n=2,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Orthogonality and Verlinde against the oracle, on Kronecker products of
+# the references above, relabelled, signed and Galois-conjugated.
+
+
+def _kron(left: list[list], right: list[list]) -> list[list]:
+    m = len(right)
+    size = len(left) * m
+    return [[left[i // m][j // m] * right[i % m][j % m] for j in range(size)]
+            for i in range(size)]
+
+
+def _fib_divided(k: int) -> tuple[list[list], QuadraticFieldElement]:
+    """[[1, t], [t, -1]] with t = phi/k: orthogonal with row norm 1 + t^2,
+    integral Verlinde only at k = 1 (the Fibonacci matrix)."""
+    t = QuadraticFieldElement(Fraction(1, k), Fraction(1, k), 5)
+    one = QuadraticFieldElement.from_rational(1, 5)
+    return [[one, t], [t, -one]], one + t * t
+
+
+@st.composite
+def candidate_matrices(draw):
+    """Half-pair rows, n, declared half-pair and unit index of a matrix.
+
+    Orthogonal shapes: Kronecker products of ISING_HAT (over Q(sqrt2))
+    or of DIM10_HAT and Fibonacci factors (over Q(sqrt5)), up to rank 9.
+    A Fibonacci factor may have its off-diagonal half-coordinates divided
+    by k, with declared_dim scaled to the new norm 1 + (phi/k)^2: the
+    common-denominator path, and non-integral coefficients.  Then the
+    Galois conjugation, conjugation by a +-1 diagonal fixing the unit
+    (negative coefficients), and a relabelling of simple objects.  Some
+    matrices are made non-orthogonal by scaling declared_dim alone or by
+    shifting one symmetric pair of entries.
+    """
+    if draw(st.booleans()):
+        n = 2
+        names = ["ising"] * draw(st.integers(1, 2))
+    else:
+        n = 5
+        names = draw(st.sampled_from([
+            ["fib"], ["dim10"], ["fib", "fib"], ["fib", "dim10"], ["dim10", "fib"],
+            ["fib", "fib", "fib"]]))
+    matrix = [[QuadraticFieldElement.from_rational(1, n)]]
+    declared = QuadraticFieldElement.from_rational(1, n)
+    for name in names:
+        if name == "fib":
+            factor, norm = _fib_divided(draw(st.sampled_from([1, 1, 2, 3])))
+        else:
+            reference = ISING_HAT if name == "ising" else DIM10_HAT
+            factor, norm = [list(row) for row in reference.entries], reference.declared_dim
+        matrix, declared = _kron(matrix, factor), declared * norm
+    size = len(matrix)
+    if draw(st.booleans()):
+        matrix = [[e.conjugate() for e in row] for row in matrix]
+        declared = declared.conjugate()
+    signs = [1] + draw(st.lists(st.sampled_from([1, -1]), min_size=size - 1, max_size=size - 1))
+    matrix = [[signs[i] * signs[j] * matrix[i][j] for j in range(size)] for i in range(size)]
+    order = draw(st.permutations(range(size)))  # order[new] = old index
+    matrix = [[matrix[order[i]][order[j]] for j in range(size)] for i in range(size)]
+    unit = order.index(0)
+    corruption = draw(st.sampled_from(["none", "none", "none", "scale", "shift"]))
+    if corruption == "scale":
+        declared = declared * draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4), 2]))
+    elif corruption == "shift":
+        i, j = draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+                    .filter(lambda ij: ij != (unit, unit)))
+        delta = QuadraticFieldElement(
+            Fraction(draw(st.integers(-2, 2))), Fraction(draw(st.integers(-2, 2))), n)
+        matrix[i][j] = matrix[i][j] + delta
+        if i != j:
+            matrix[j][i] = matrix[j][i] + delta
+    rows = [[(e.a, e.b) for e in row] for row in matrix]
+    return rows, n, (declared.a, declared.b), unit
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidate_matrices())
+def test_orthogonality_and_verlinde_match_the_oracle(candidate):
+    rows, n, declared, unit = candidate
+    matrix = CandidateSMatrix.from_half_pairs(
+        rows, n, QuadraticFieldElement(declared[0], declared[1], n), unit_index=unit)
+    orth = check_orthogonality(matrix)
+    pair = orthogonality_oracle(rows, n, declared)
+    assert orth.passes == (pair is None)
+    assert orth.violating_pair == pair
+    if pair is not None:
+        for held in (None, orth):
+            with pytest.raises(ValueError, match=re.escape(f"orthogonality fails at {pair}")):
+                verlinde_fusion(matrix, held)
+        return
+    if any(d == 0 for d in matrix.dims):
+        with pytest.raises(DegenerateColumnError):
+            verlinde_fusion(matrix)
+        return
+    tensor, first, value = verlinde_oracle(rows, n, declared, unit)
+    report = verlinde_fusion(matrix)
+    assert report == verlinde_fusion(matrix, orth)
+    assert report.first_violation == first
+    assert report.first_value == value
+    assert report.nonnegative_integral == (first is None)
+    if first is None:
+        assert report.tensor.coefficients == tuple(
+            tuple(tuple(row) for row in plane) for plane in tensor)
+
+
+# ---------------------------------------------------------------------------
+# Rank 16: the fourth Kronecker power of the Fibonacci matrix, end to end.
+
+# N[a][b][c] of the Fibonacci rules 1 x t = t, t x t = 1 + t
+FIB_RULES = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
+
+
+def test_fib_fourth_power_through_run_case():
+    entries = [[QuadraticFieldElement.from_rational(1, 5)]]
+    for _ in range(4):
+        entries = _kron(entries, [list(row) for row in FIB.entries])
+    declared = FIB.declared_dim * FIB.declared_dim * FIB.declared_dim * FIB.declared_dim
+    doc = {
+        "schema": 1, "name": "fib-kron16", "kind": "smatrix-verify",
+        "parameters": {
+            "n": 5, "kind": "modular", "declared_dim": str(declared),
+            "entries": [[[int(e.a), int(e.b)] for e in row] for row in entries],
+        },
+    }
+    case = load_case(json.dumps(doc))
+    start = time.perf_counter()
+    report = run_case(case)
+    tensor = verlinde_fusion(case.payload["matrix"]).tensor
+    elapsed = time.perf_counter() - start
+
+    assert report.error is None
+    results = report.results
+    assert results["orthogonal"] and results["dimension_consistent"]
+    assert results["verlinde_nonnegative_integral"]
+    for x, y, z in product(range(16), repeat=3):
+        want = 1
+        for bit in range(4):
+            want *= FIB_RULES[x >> bit & 1][y >> bit & 1][z >> bit & 1]
+        assert tensor[x][y][z] == want
+    # each factor's conjugation swaps 1 and tau, i.e. flips one index bit
+    assert results["galois_permutation"] == [x ^ 15 for x in range(16)]
+    assert results["galois_unit_image"] == 15
+    assert results["galois_unit_image_dim_square_is_one"] is False
+    factor_codegrees = [QuadraticFieldElement.parse("5/2+1/2r5"),
+                        QuadraticFieldElement.parse("5/2-1/2r5")]   # 2+phi, 3-phi
+    codegrees = []
+    for choice in product(factor_codegrees, repeat=4):
+        value = QuadraticFieldElement.from_rational(1, 5)
+        for f in choice:
+            value = value * f
+        codegrees.append(value)
+    assert results["formal_codegrees"] == [str(f) for f in sorted(codegrees)]
+    assert elapsed < 1.0
