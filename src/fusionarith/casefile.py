@@ -277,13 +277,18 @@ def _prepare_parameters(kind: str, params: dict, path: str) -> dict:
     if kind == "integer-decomposition":
         allowed = {"total", "term_counts", "divisor_bound"}
         _check_keys(params, allowed, allowed, path)
+        total = _get_int(params["total"], f"{path}.total")
+        if total < 1:
+            _fail(f"{path}.total", f"must be >= 1, got {total}")
         counts = [_get_int(v, f"{path}.term_counts[{i}]")
                   for i, v in enumerate(_get_list(params["term_counts"], f"{path}.term_counts"))]
-        return {
-            "total": _get_int(params["total"], f"{path}.total"),
-            "term_counts": tuple(counts),
-            "divisor_bound": _get_int(params["divisor_bound"], f"{path}.divisor_bound"),
-        }
+        for i, count in enumerate(counts):
+            if not total >= count >= 1:
+                _fail(f"{path}.term_counts[{i}]", f"need total >= term_count >= 1, got {total}, {count}")
+        divisor_bound = _get_int(params["divisor_bound"], f"{path}.divisor_bound")
+        if divisor_bound < 1:
+            _fail(f"{path}.divisor_bound", f"must be >= 1, got {divisor_bound}")
+        return {"total": total, "term_counts": tuple(counts), "divisor_bound": divisor_bound}
     if kind == "smatrix-verify":
         allowed = {"n", "kind", "declared_dim", "unit_index", "entries"}
         _check_keys(params, allowed, {"n", "kind", "declared_dim", "entries"}, path)

@@ -171,12 +171,20 @@ def _divisors(m: int) -> list[int]:
 
 
 def _integer_cube_ceiling(m: int) -> int:
-    c = round(m ** (1 / 3))
-    while c ** 3 > m:
-        c -= 1
-    while c ** 3 < m:
-        c += 1
-    return c
+    """Least c with c^3 >= m, for m >= 0, by integer Newton descent."""
+    if m < 0:
+        raise ValueError(f"cube ceiling needs m >= 0, got {m}")
+    if m == 0:
+        return 0
+    # 2^ceil(bits/3) is at least the real cube root; from above, Newton
+    # steps decrease strictly until they reach the floor of the root
+    c = 1 << -(-m.bit_length() // 3)
+    while True:
+        step = (2 * c + m // (c * c)) // 3
+        if step >= c:
+            break
+        c = step
+    return c if c ** 3 == m else c + 1
 
 
 def _real_triple_feasible(product: int, ratio: Fraction, smallest_bound: Fraction) -> bool:
@@ -620,13 +628,16 @@ def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> list[Certificat
     Candidates are generated already satisfying the d-number
     divisibility (a | b^2), which the certificate records, then pass
     through totally-positive, required-field, and dim-square filters.
+    a | b^2 exactly when b is a multiple of m = t * isqrt(a / t), t the
+    squarefree part of a (m is the product of p^ceil(e/2) over p^e || a),
+    so b steps over those multiples only.
     """
     certs = []
     for a in _divisors(instance.product_divides):
         b_top = math.floor(instance.trace_ratio_max * a)
-        for b in range(instance.trace_exceeds + 1, b_top + 1):
-            if (b * b) % a:
-                continue
+        t = squarefree_part(a)
+        m = t * math.isqrt(a // t)
+        for b in range((instance.trace_exceeds // m + 1) * m, b_top + 1, m):
             p = IntPolynomial((a, -b, 1))
             results = []
             for runner in (

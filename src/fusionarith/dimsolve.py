@@ -12,7 +12,10 @@ simple-object contributions:
 
 Both searches are exhaustive over explicit integer boxes and return
 canonically sorted multisets, so results are reproducible and easy to
-diff against an independent brute-force pass.
+diff against an independent brute-force pass.  The quadratic search
+runs over a table of admissible pairs built once per target: it prunes
+a branch by the smallest weights left in the table and finds the last
+term by a dictionary lookup rather than a loop.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactcore import QuadraticFieldElement, squarefree_part
 
@@ -96,9 +100,16 @@ def fp_square_constraints(instance: QuadraticTarget) -> tuple[int, int]:
 def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     """All multisets of rank_terms positive pairs reproducing the target.
 
-    Exhaustive: alpha is bounded by sqrt of the remaining quadratic
-    budget and beta by sqrt of budget/n, so the search box is finite and
-    every solution is visited exactly once in (beta, alpha) order.
+    Exhaustive over a pair table built once: every admissible (alpha,
+    beta) with weights q = alpha^2 + n*beta^2 <= A and p = alpha*beta
+    <= B, for (A, B) from fp_square_constraints, in (beta, alpha)
+    order.  A multiset is a non-decreasing run of table indices, so
+    each is visited exactly once.  A branch stops as soon as the
+    remaining budget cannot hold k more terms from the rest of the
+    table (k times the suffix minimum of q or of p exceeds it), and the
+    last term is looked up by its (q, p) instead of looped over: for
+    squarefree n, (q, p) fixes the pair, since
+    (alpha + beta*sqrt(n))^2 = q + 2p*sqrt(n).
     """
     a_total, b_total = fp_square_constraints(instance)
     n = instance.n
@@ -107,32 +118,37 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     if not instance.target.is_totally_positive():
         return []
     need_integral = instance.require_algebraic_integer
+    # n is squarefree (checked by QuadraticTarget), so the parity test of
+    # algebraic_integer_check applies as is
+    pairs = [
+        (alpha, beta)
+        for beta in range(1, math.isqrt(a_total // n) + 1)
+        for alpha in range(1, math.isqrt(a_total - n * beta * beta) + 1)
+        if alpha * beta <= b_total
+        and (not need_integral or (alpha * alpha - n * beta * beta) % 4 == 0)
+    ]
+    qs = [alpha * alpha + n * beta * beta for alpha, beta in pairs]
+    ps = [alpha * beta for alpha, beta in pairs]
+    min_q = list(accumulate(reversed(qs), min))[::-1]
+    min_p = list(accumulate(reversed(ps), min))[::-1]
+    last = {(q, p): i for i, (q, p) in enumerate(zip(qs, ps))}
     out: list[Decomposition] = []
     chosen: list[tuple[int, int]] = []
 
-    def admissible(alpha: int, beta: int) -> bool:
-        return not need_integral or algebraic_integer_check(alpha, beta, n)
-
-    def extend(a_rem: int, b_rem: int, k: int, floor: tuple[int, int]) -> None:
-        if k == 0:
-            if a_rem == 0 and b_rem == 0:
-                out.append(Decomposition(tuple(chosen)))
+    def extend(a_rem: int, b_rem: int, k: int, start: int) -> None:
+        if k == 1:
+            i = last.get((a_rem, b_rem))
+            if i is not None and i >= start:
+                out.append(Decomposition((*chosen, pairs[i])))
             return
-        if a_rem < k * (1 + n) or b_rem < k:
-            return
-        beta_max = math.isqrt(a_rem // n)
-        for beta in range(floor[0], beta_max + 1):
-            alpha_lo = floor[1] if beta == floor[0] else 1
-            alpha_max = math.isqrt(a_rem - n * beta * beta)
-            for alpha in range(alpha_lo, alpha_max + 1):
-                if alpha * beta > b_rem or not admissible(alpha, beta):
-                    continue
-                chosen.append((alpha, beta))
-                extend(a_rem - alpha * alpha - n * beta * beta,
-                       b_rem - alpha * beta, k - 1, (beta, alpha))
-                chosen.pop()
+        for i in range(start, len(pairs)):
+            if a_rem < k * min_q[i] or b_rem < k * min_p[i]:
+                break
+            chosen.append(pairs[i])
+            extend(a_rem - qs[i], b_rem - ps[i], k - 1, i)
+            chosen.pop()
 
-    extend(a_total, b_total, instance.rank_terms, (1, 1))
+    extend(a_total, b_total, instance.rank_terms, 0)
     for dec in out:
         assert dec.value(n) == instance.target
     return sorted(out, key=lambda d: d.terms)

@@ -516,6 +516,12 @@ def brute_decompositions(
     """All multisets of term_count pairs (alpha, beta) of positive integers
     with sum(alpha^2 + n*beta^2) = a_total and sum(alpha*beta) = b_total,
     found by filtering every combination from the finite pair box.
+
+    Combinations are grown one pair at a time in box order; a partial
+    combination whose sums already exceed a_total or b_total is dropped
+    with all its extensions, since every pair adds positive amounts.
+    The last pair is read off what is left: every box pair whose own
+    sums equal the remainder, found in a table of pairs by their sums.
     """
     pairs = []
     beta = 1
@@ -527,11 +533,23 @@ def brute_decompositions(
             alpha += 1
         beta += 1
     pairs.sort(key=lambda t: (t[1], t[0]))
+    by_sums: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        by_sums.setdefault((a * a + n * b * b, a * b), []).append(i)
     out: set[tuple[tuple[int, int], ...]] = set()
-    for combo in combinations_with_replacement(pairs, term_count):
-        if (sum(a * a + n * b * b for a, b in combo) == a_total
-                and sum(a * b for a, b in combo) == b_total):
-            out.add(combo)
+    partial: list[tuple[tuple[tuple[int, int], ...], int, int, int]] = [((), 0, 0, 0)]
+    while partial:
+        combo, start, a_sum, b_sum = partial.pop()
+        if len(combo) == term_count - 1:
+            for i in by_sums.get((a_total - a_sum, b_total - b_sum), ()):
+                if i >= start:
+                    out.add(combo + (pairs[i],))
+            continue
+        for i in range(start, len(pairs)):
+            a, b = pairs[i]
+            a_next, b_next = a_sum + a * a + n * b * b, b_sum + a * b
+            if a_next <= a_total and b_next <= b_total:
+                partial.append((combo + (pairs[i],), i, a_next, b_next))
     return out
 
 

@@ -146,6 +146,22 @@ def test_smatrix_zero_dimension_is_rejected_at_load(tmp_path, capsys):
         verlinde_fusion(matrix)
 
 
+@pytest.mark.parametrize("params, where", [
+    ({"total": 2, "term_counts": [3], "divisor_bound": 4}, "$.parameters.term_counts[0]"),
+    ({"total": 5, "term_counts": [2, 0], "divisor_bound": 4}, "$.parameters.term_counts[1]"),
+    ({"total": 0, "term_counts": [1], "divisor_bound": 4}, "$.parameters.total"),
+    ({"total": 5, "term_counts": [2], "divisor_bound": 0}, "$.parameters.divisor_bound"),
+])
+def test_integer_decomposition_bounds_are_rejected_at_load(tmp_path, capsys, params, where):
+    doc = make_case(kind="integer-decomposition", parameters=params)
+    assert f"{where}: " in failure_message(doc)
+    target = tmp_path / "bad-bounds.case.json"
+    target.write_text(doc, encoding="utf-8")
+    assert main(["validate", str(target)]) == 2
+    assert main(["run", str(target)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_subcase_keys_are_validated():
     params = {"global_dim": 6, "fixed_codegrees": ["6", "6"], "orbit_degree": 2,
               "decomposition_subcases": [{"n": 2, "target": "3+3r2"}]}

@@ -6,9 +6,12 @@ oracle comparisons live in the acceptance suite.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionarith.codegree_enum import (
     FILTER_CYCLOTOMIC,
@@ -31,6 +34,7 @@ from fusionarith.codegree_enum import (
     forced_coefficients,
     residual_target,
     run_filter_pipeline,
+    _integer_cube_ceiling,
 )
 from fusionarith.exactcore import IntPolynomial
 
@@ -404,6 +408,60 @@ def test_dim10_scan_cyclotomic_dim_square_witness():
 
 def test_scan_is_deterministic():
     assert enumerate_quadratic_scan(DIM10_SCAN) == enumerate_quadratic_scan(DIM10_SCAN)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 400),
+    st.integers(-3, 30),
+    st.fractions(min_value=0, max_value=3, max_denominator=6),
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 20),
+)
+def test_scan_candidates_are_exactly_the_divisibility_set(product, exceeds, ratio, field, dim):
+    inst = QuadraticScanInstance(global_dim=dim, product_divides=product, trace_exceeds=exceeds,
+                                 trace_ratio_max=ratio, required_field=field)
+    certs = enumerate_quadratic_scan(inst)
+    expected = [
+        (a, b)
+        for a in range(1, product + 1) if product % a == 0
+        for b in range(exceeds + 1, math.floor(ratio * a) + 1) if (b * b) % a == 0
+    ]
+    got = [(c.candidate.coeffs[0], -c.candidate.coeffs[1]) for c in certs]
+    survivors = [ab for ab, c in zip(got, certs) if c.survived]
+    rest = [ab for ab, c in zip(got, certs) if not c.survived]
+    # survivors first, each part in (a, b) order
+    assert got == survivors + rest
+    assert survivors == sorted(survivors) and rest == sorted(rest)
+    assert sorted(got) == expected
+
+
+# ---------------------------------------------------------------------------
+# exact cube root
+
+
+def test_integer_cube_ceiling_matches_brute_force():
+    c = 0
+    for m in range(10 ** 4 + 1):
+        while c ** 3 < m:
+            c += 1
+        assert _integer_cube_ceiling(m) == c
+
+
+@pytest.mark.parametrize("m, root", [
+    (10 ** 400 - 1, None), (10 ** 400, None), (10 ** 400 + 1, None),
+    (10 ** 402 - 1, 10 ** 134), (10 ** 402, 10 ** 134), (10 ** 402 + 1, 10 ** 134 + 1),
+], ids=["1e400-1", "1e400", "1e400+1", "1e402-1", "1e402", "1e402+1"])
+def test_integer_cube_ceiling_is_exact_past_the_float_range(m, root):
+    c = _integer_cube_ceiling(m)
+    assert (c - 1) ** 3 < m <= c ** 3
+    if root is not None:
+        assert c == root
+
+
+def test_integer_cube_ceiling_rejects_negatives():
+    with pytest.raises(ValueError, match="m >= 0"):
+        _integer_cube_ceiling(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import pytest
 from fractions import Fraction
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionarith import dimsolve
 from fusionarith.dimsolve import (
     Decomposition,
     InfeasibleTargetError,
@@ -15,7 +16,7 @@ from fusionarith.dimsolve import (
     enumerate_integer_square_decompositions,
     fp_square_constraints,
 )
-from fusionarith.exactcore import QuadraticFieldElement
+from fusionarith.exactcore import QuadraticFieldElement, squarefree_part
 from oracles import brute_decompositions, brute_square_summands
 
 
@@ -132,6 +133,40 @@ def test_results_are_sorted_and_duplicate_free():
     sols = enumerate_decompositions(inst)
     assert sols == sorted(sols, key=lambda d: d.terms)
     assert len({d.terms for d in sols}) == len(sols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 6, 7, 13)),
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_search_matches_the_combination_oracle_on_random_targets(n, terms, k, integral):
+    # the target is a sum of squares of random pairs, searched at a
+    # random term count, so both hits and empty results come up
+    a_total = sum(alpha * alpha + n * beta * beta for alpha, beta in terms)
+    b_total = sum(alpha * beta for alpha, beta in terms)
+    inst = QuadraticTarget(n, Decomposition(tuple(terms)).value(n), k,
+                           require_algebraic_integer=integral)
+    got = [d.terms for d in enumerate_decompositions(inst)]
+    assert got == sorted(brute_decompositions(n, a_total, b_total, k, require_integral=integral))
+
+
+def test_search_does_not_repeat_the_squarefree_check(monkeypatch):
+    calls = []
+
+    def counting_squarefree_part(m):
+        calls.append(m)
+        return squarefree_part(m)
+
+    monkeypatch.setattr(dimsolve, "squarefree_part", counting_squarefree_part)
+    for text, k in (("14+5r5", 5), ("56+20r5", 8)):
+        calls.clear()
+        sols = enumerate_decompositions(QuadraticTarget(5, target(text, 5), k))
+        assert sols
+        # one check when the instance is built, none inside the search
+        assert calls == [5]
 
 
 # ---------------------------------------------------------------------------
