@@ -32,6 +32,7 @@ from .exactcore import (
     IntPolynomial,
     Interval,
     UnsupportedDegreeError,
+    factor_integer,
     is_perfect_square,
     poly_discriminant,
     rational_roots,
@@ -262,22 +263,6 @@ class GaloisStructure:
         return out
 
 
-def _prime_power_parts(m: int) -> list[int]:
-    parts = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            q = 1
-            while m % d == 0:
-                m //= d
-                q *= d
-            parts.append(q)
-        d += 1 if d == 2 else 2
-    if m > 1:
-        parts.append(m)
-    return parts
-
-
 def cyclotomic_galois_structure(modulus: int) -> GaloisStructure:
     """Cyclic factor orders of (Z/N)^x in primary decomposition.
 
@@ -287,25 +272,10 @@ def cyclotomic_galois_structure(modulus: int) -> GaloisStructure:
     """
     if modulus < 3:
         raise ValueError("modulus must be at least 3")
-    n = modulus
     orders: list[int] = []
-    two = 0
-    while n % 2 == 0:
-        n //= 2
-        two += 1
-    if two == 2:
-        orders.append(2)
-    elif two >= 3:
-        orders.extend([2, 2 ** (two - 2)])
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            orders.extend(_prime_power_parts(d ** (k - 1) * (d - 1)))
-        d += 2
-    if n > 1:
-        orders.extend(_prime_power_parts(n - 1))
+    for p, k in factor_integer(modulus):
+        if p == 2:
+            orders.extend([2, 2 ** (k - 2)] if k >= 3 else [2] * (k - 1))
+        else:
+            orders.extend(q ** e for q, e in factor_integer(p ** (k - 1) * (p - 1)))
     return GaloisStructure(tuple(sorted(orders)))

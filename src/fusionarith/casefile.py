@@ -11,6 +11,12 @@ All numbers in case files are exact strings: integers, fractions like
 "4/7", or real quadratic scalars like "14+5r5" (14 + 5*sqrt(5)).
 Durations are kept off the rendered payload for determinism; the CLI
 prints timing to stderr only.
+
+Every case kind, and every mode of the class-equation kind, is one
+entry of the _CASE_KINDS table: its parameter spec, the hook that turns
+the parsed parameters into engine inputs, its run function, its text
+renderer and its expected keys.  load_case, run_case and render_report
+each look the entry up once and know nothing else about the kinds.
 """
 
 from __future__ import annotations
@@ -20,23 +26,24 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import __version__
-from .algint import cyclotomic_galois_structure, in_cyclic_cubic_field
+from .algint import _CUBIC_FIELDS, cyclotomic_galois_structure, in_cyclic_cubic_field
 from .codegree_enum import (
     Certificate,
     ClassEquationInstance,
     DimensionPairInstance,
+    InfeasibleInstanceError,
     QuadraticScanInstance,
     admissible_products,
     enumerate_candidates,
     enumerate_dimension_pairs,
     enumerate_quadratic_scan,
+    residual_target,
 )
 from .dimsolve import (
     QuadraticTarget,
@@ -54,15 +61,6 @@ from .smatrix import (
 )
 
 SCHEMA_VERSION = 1
-
-KINDS = (
-    "class-equation",
-    "dim-decomposition",
-    "integer-decomposition",
-    "smatrix-verify",
-    "field-membership",
-    "galois-structure",
-)
 
 _TOP_LEVEL_KEYS = {"schema", "name", "kind", "parameters", "expected", "notes"}
 
@@ -129,13 +127,76 @@ def _get_int_pair(value: Any, path: str) -> tuple[int, int]:
     return (_get_int(pair[0], f"{path}[0]"), _get_int(pair[1], f"{path}[1]"))
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _list_of(getter: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
+    def get(value: Any, path: str) -> tuple:
+        return tuple(getter(v, f"{path}[{i}]") for i, v in enumerate(_get_list(value, path)))
+    return get
+
+
+def _int_range(lo: int, hi: Optional[int] = None) -> Callable[[Any, str], int]:
+    """Getter for an integer in lo..hi, with no upper end when hi is None."""
+    def get(value: Any, path: str) -> int:
+        v = _get_int(value, path)
+        if hi is None and v < lo:
+            _fail(path, f"must be >= {lo}, got {v}")
+        if hi is not None and not lo <= v <= hi:
+            _fail(path, f"must be in {lo}..{hi}, got {v}")
+        return v
+    return get
+
+
+def _get_conductor(value: Any, path: str) -> int:
+    conductor = _get_int(value, path)
+    if conductor not in _CUBIC_FIELDS:
+        supported = ", ".join(str(c) for c in sorted(_CUBIC_FIELDS))
+        _fail(path, f"unsupported conductor {conductor}; supported: {supported}")
+    return conductor
+
+
+def _get_matrix_kind(value: Any, path: str) -> str:
+    matrix_kind = _get_str(value, path)
+    if matrix_kind not in ("modular", "super-modular-hat"):
+        _fail(path, f"unknown matrix kind {matrix_kind!r}")
+    return matrix_kind
+
+
+def _get_term_counts(value: Any, path: str, total: int) -> tuple[int, ...]:
+    counts = _list_of(_get_int)(value, path)
+    for i, count in enumerate(counts):
+        if not total >= count >= 1:
+            _fail(f"{path}[{i}]", f"need total >= term_count >= 1, got {total}, {count}")
+    return counts
+
+
+def _check_keys(obj: dict, allowed, required, path: str) -> None:
     for key in obj:
         if key not in allowed:
             _fail(f"{path}.{key}", "unknown key")
     for key in required:
         if key not in obj:
             _fail(f"{path}.{key}", "missing required key")
+
+
+# A spec maps each key to (getter, required, *earlier keys): the getter
+# is called with the raw value, its JSON path and the parsed values of
+# the earlier keys it names.
+Spec = dict[str, tuple]
+
+
+def _build(spec: Spec, build: Callable[[dict, str], Any], params: dict, path: str) -> Any:
+    """Check params against spec, parse the present keys in spec order,
+    then build; a ValueError from the build is reported at path."""
+    _check_keys(params, spec, [key for key, (_, required, *_) in spec.items() if required], path)
+    values = {}
+    for key, (getter, _, *reads) in spec.items():
+        if key in params:
+            values[key] = getter(params[key], f"{path}.{key}", *(values[k] for k in reads))
+    try:
+        return build(values, path)
+    except CaseFormatError:
+        raise
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 @dataclass(frozen=True)
@@ -150,254 +211,6 @@ class Case:
     expected: Optional[dict]
     notes: tuple[str, ...]
     source: str
-
-
-def _prepare_subcases(raw: Any, path: str) -> tuple[QuadraticTarget, ...]:
-    subcases = []
-    for i, entry in enumerate(_get_list(raw, path)):
-        sub_path = f"{path}[{i}]"
-        obj = _get_object(entry, sub_path)
-        _check_keys(obj, {"n", "target", "rank_terms"}, {"n", "target", "rank_terms"}, sub_path)
-        n = _get_int(obj["n"], f"{sub_path}.n")
-        try:
-            subcases.append(QuadraticTarget(
-                n=n,
-                target=_get_scalar(obj["target"], f"{sub_path}.target", default_n=n),
-                rank_terms=_get_int(obj["rank_terms"], f"{sub_path}.rank_terms"),
-            ))
-        except ValueError as exc:
-            if isinstance(exc, CaseFormatError):
-                raise
-            _fail(sub_path, str(exc))
-    return tuple(subcases)
-
-
-def _prepare_class_equation(params: dict, path: str) -> dict:
-    mode = params.get("mode", "codegree")
-    if mode == "codegree":
-        allowed = {"mode", "global_dim", "fixed_codegrees", "orbit_degree",
-                   "product_divides", "root_lower_bounds", "product_feasibility",
-                   "membership_conductor", "excluded_quadratic_subfields",
-                   "scan_range", "decomposition_subcases"}
-        _check_keys(params, allowed, {"global_dim", "fixed_codegrees", "orbit_degree"}, path)
-        kwargs: dict[str, Any] = {
-            "global_dim": _get_int(params["global_dim"], f"{path}.global_dim"),
-            "fixed_codegrees": tuple(
-                _get_fraction(v, f"{path}.fixed_codegrees[{i}]")
-                for i, v in enumerate(_get_list(params["fixed_codegrees"], f"{path}.fixed_codegrees"))
-            ),
-            "orbit_degree": _get_int(params["orbit_degree"], f"{path}.orbit_degree"),
-        }
-        if "product_divides" in params:
-            kwargs["product_divides"] = _get_int(params["product_divides"], f"{path}.product_divides")
-        if "root_lower_bounds" in params:
-            kwargs["root_lower_bounds"] = tuple(
-                _get_fraction(v, f"{path}.root_lower_bounds[{i}]")
-                for i, v in enumerate(_get_list(params["root_lower_bounds"], f"{path}.root_lower_bounds"))
-            )
-        if "product_feasibility" in params:
-            kwargs["product_feasibility"] = _get_str(params["product_feasibility"], f"{path}.product_feasibility")
-        if "membership_conductor" in params:
-            kwargs["membership_conductor"] = _get_int(params["membership_conductor"], f"{path}.membership_conductor")
-        if "excluded_quadratic_subfields" in params:
-            kwargs["excluded_quadratic_subfields"] = tuple(
-                _get_int_pair(v, f"{path}.excluded_quadratic_subfields[{i}]")
-                for i, v in enumerate(_get_list(params["excluded_quadratic_subfields"],
-                                                f"{path}.excluded_quadratic_subfields"))
-            )
-        if "scan_range" in params:
-            kwargs["scan_range"] = _get_int_pair(params["scan_range"], f"{path}.scan_range")
-        try:
-            instance = ClassEquationInstance(**kwargs)
-        except ValueError as exc:
-            _fail(path, str(exc))
-        payload = {"mode": mode, "instance": instance}
-        if "decomposition_subcases" in params:
-            payload["subcases"] = _prepare_subcases(
-                params["decomposition_subcases"], f"{path}.decomposition_subcases")
-        return payload
-    if mode == "sum-scan":
-        allowed = {"mode", "global_dim", "product_divides", "trace_exceeds",
-                   "trace_ratio_max", "required_field", "dim_square_mode",
-                   "cyclotomic_modulus"}
-        required = {"global_dim", "product_divides", "trace_exceeds",
-                    "trace_ratio_max", "required_field"}
-        _check_keys(params, allowed, required, path)
-        kwargs = {
-            "global_dim": _get_int(params["global_dim"], f"{path}.global_dim"),
-            "product_divides": _get_int(params["product_divides"], f"{path}.product_divides"),
-            "trace_exceeds": _get_int(params["trace_exceeds"], f"{path}.trace_exceeds"),
-            "trace_ratio_max": _get_fraction(params["trace_ratio_max"], f"{path}.trace_ratio_max"),
-            "required_field": _get_int(params["required_field"], f"{path}.required_field"),
-        }
-        if "dim_square_mode" in params:
-            kwargs["dim_square_mode"] = _get_str(params["dim_square_mode"], f"{path}.dim_square_mode")
-        if "cyclotomic_modulus" in params:
-            kwargs["cyclotomic_modulus"] = _get_int(params["cyclotomic_modulus"], f"{path}.cyclotomic_modulus")
-        try:
-            return {"mode": mode, "instance": QuadraticScanInstance(**kwargs)}
-        except ValueError as exc:
-            _fail(path, str(exc))
-    if mode == "dimension-pair":
-        _check_keys(params, {"mode", "trace", "constant_range"}, {"trace", "constant_range"}, path)
-        try:
-            return {"mode": mode, "instance": DimensionPairInstance(
-                trace=_get_int(params["trace"], f"{path}.trace"),
-                constant_range=_get_int_pair(params["constant_range"], f"{path}.constant_range"),
-            )}
-        except ValueError as exc:
-            if isinstance(exc, CaseFormatError):
-                raise
-            _fail(path, str(exc))
-    _fail(f"{path}.mode", f"unknown mode {mode!r}")
-
-
-def _prepare_parameters(kind: str, params: dict, path: str) -> dict:
-    if kind == "class-equation":
-        return _prepare_class_equation(params, path)
-    if kind == "dim-decomposition":
-        allowed = {"n", "target", "term_counts", "require_algebraic_integer"}
-        _check_keys(params, allowed, {"n", "target", "term_counts"}, path)
-        n = _get_int(params["n"], f"{path}.n")
-        target = _get_scalar(params["target"], f"{path}.target", default_n=n)
-        counts = [_get_int(v, f"{path}.term_counts[{i}]")
-                  for i, v in enumerate(_get_list(params["term_counts"], f"{path}.term_counts"))]
-        require = params.get("require_algebraic_integer", True)
-        if "require_algebraic_integer" in params:
-            require = _get_bool(require, f"{path}.require_algebraic_integer")
-        try:
-            targets = tuple(
-                QuadraticTarget(n=n, target=target, rank_terms=c,
-                                require_algebraic_integer=require)
-                for c in counts
-            )
-        except ValueError as exc:
-            _fail(path, str(exc))
-        return {"targets": targets, "term_counts": tuple(counts)}
-    if kind == "integer-decomposition":
-        allowed = {"total", "term_counts", "divisor_bound"}
-        _check_keys(params, allowed, allowed, path)
-        total = _get_int(params["total"], f"{path}.total")
-        if total < 1:
-            _fail(f"{path}.total", f"must be >= 1, got {total}")
-        counts = [_get_int(v, f"{path}.term_counts[{i}]")
-                  for i, v in enumerate(_get_list(params["term_counts"], f"{path}.term_counts"))]
-        for i, count in enumerate(counts):
-            if not total >= count >= 1:
-                _fail(f"{path}.term_counts[{i}]", f"need total >= term_count >= 1, got {total}, {count}")
-        divisor_bound = _get_int(params["divisor_bound"], f"{path}.divisor_bound")
-        if divisor_bound < 1:
-            _fail(f"{path}.divisor_bound", f"must be >= 1, got {divisor_bound}")
-        return {"total": total, "term_counts": tuple(counts), "divisor_bound": divisor_bound}
-    if kind == "smatrix-verify":
-        allowed = {"n", "kind", "declared_dim", "unit_index", "entries"}
-        _check_keys(params, allowed, {"n", "kind", "declared_dim", "entries"}, path)
-        n = _get_int(params["n"], f"{path}.n")
-        matrix_kind = _get_str(params["kind"], f"{path}.kind")
-        if matrix_kind not in ("modular", "super-modular-hat"):
-            _fail(f"{path}.kind", f"unknown matrix kind {matrix_kind!r}")
-        declared = _get_scalar(params["declared_dim"], f"{path}.declared_dim", default_n=n)
-        unit_index = 0
-        if "unit_index" in params:
-            unit_index = _get_int(params["unit_index"], f"{path}.unit_index")
-        rows = []
-        for i, raw_row in enumerate(_get_list(params["entries"], f"{path}.entries")):
-            row = [
-                _get_int_pair(v, f"{path}.entries[{i}][{j}]")
-                for j, v in enumerate(_get_list(raw_row, f"{path}.entries[{i}]"))
-            ]
-            rows.append([(a, b) for a, b in row])
-        try:
-            matrix = CandidateSMatrix.from_half_pairs(
-                rows, n, declared, unit_index=unit_index, kind=matrix_kind)
-        except ValueError as exc:
-            _fail(f"{path}.entries", str(exc))
-        for w, (a, b) in enumerate(rows[unit_index]):
-            if a == b == 0:
-                _fail(f"{path}.entries[{unit_index}][{w}]", f"dimension column {w} is zero")
-        return {"matrix": matrix}
-    if kind == "field-membership":
-        allowed = {"polynomial", "conductor"}
-        _check_keys(params, allowed, allowed, path)
-        coeffs = tuple(
-            _get_int(v, f"{path}.polynomial[{i}]")
-            for i, v in enumerate(_get_list(params["polynomial"], f"{path}.polynomial"))
-        )
-        try:
-            poly = IntPolynomial(coeffs)
-        except ValueError as exc:
-            _fail(f"{path}.polynomial", str(exc))
-        return {"polynomial": poly,
-                "conductor": _get_int(params["conductor"], f"{path}.conductor")}
-    # galois-structure
-    allowed = {"moduli"}
-    _check_keys(params, allowed, allowed, path)
-    moduli = tuple(
-        _get_int(v, f"{path}.moduli[{i}]")
-        for i, v in enumerate(_get_list(params["moduli"], f"{path}.moduli"))
-    )
-    return {"moduli": moduli}
-
-
-_EXPECTED_KEYS = {
-    "class-equation": {"admissible_products", "certificate_count", "survivors",
-                       "decomposition_subcases"},
-    "dim-decomposition": {"solutions"},
-    "integer-decomposition": {"solutions"},
-    "smatrix-verify": {"orthogonal", "dimension_consistent", "formal_codegrees",
-                       "verlinde_nonnegative_integral", "galois_found",
-                       "galois_permutation", "galois_unit_image_dim_square_is_one"},
-    "field-membership": {"member"},
-    "galois-structure": {"structures"},
-}
-
-
-def load_case(data: bytes | str, source: str = "<case>") -> Case:
-    """Parse and validate one case document.
-
-    Raises CaseFormatError on any schema problem; the message starts
-    with the source label and the JSON path of the offending key.
-    """
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise CaseFormatError(f"{source}: not valid JSON: {exc}") from exc
-    try:
-        obj = _get_object(doc, "$")
-        _check_keys(obj, _TOP_LEVEL_KEYS, {"schema", "name", "kind", "parameters"}, "$")
-        schema = _get_int(obj["schema"], "$.schema")
-        if schema != SCHEMA_VERSION:
-            _fail("$.schema", f"unsupported schema version {schema}")
-        name = _get_str(obj["name"], "$.name")
-        if not name:
-            _fail("$.name", "name must be nonempty")
-        kind = _get_str(obj["kind"], "$.kind")
-        if kind not in KINDS:
-            _fail("$.kind", f"unknown kind {kind!r}")
-        parameters = _get_object(obj["parameters"], "$.parameters")
-        payload = _prepare_parameters(kind, parameters, "$.parameters")
-        expected = None
-        if "expected" in obj:
-            expected = _get_object(obj["expected"], "$.expected")
-            for key in expected:
-                if key not in _EXPECTED_KEYS[kind]:
-                    _fail(f"$.expected.{key}", "unknown key")
-        notes = ()
-        if "notes" in obj:
-            notes = tuple(_get_str(v, f"$.notes[{i}]")
-                          for i, v in enumerate(_get_list(obj["notes"], "$.notes")))
-    except CaseFormatError as exc:
-        raise CaseFormatError(f"{source}: {exc}") from None
-    return Case(name, kind, parameters, payload, expected, notes, source)
-
-
-def load_case_file(path: str) -> Case:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise CaseFormatError(f"{path}: cannot read: {exc}") from exc
-    return load_case(data, source=os.path.basename(path))
 
 
 @dataclass(frozen=True)
@@ -431,135 +244,386 @@ class Report:
         }
 
 
-def _certificate_payload(cert: Certificate) -> dict:
-    return {
-        "candidate": str(cert.candidate),
-        "coefficients": list(cert.candidate.coeffs),
-        "filters": [
-            {"name": r.name, "passed": r.passed, "witness": r.witness}
-            for r in cert.filter_results
-        ],
-        "survived": cert.survived,
+# ---------------------------------------------------------------------------
+# the case-kind table
+
+
+class _CaseKind:
+    """One case kind, or one mode of the class-equation kind.
+
+    load_case checks the parameters against spec and passes the parsed
+    values to build, which returns the payload that run takes.  run
+    calls the engines through this module's names, so tracing that
+    rebinds those names still sees each call.  render gives the text
+    lines of a report's results.  An expected key in extract is compared
+    with extract[key](results), any other with results.get(key).
+    """
+
+    spec: Spec = {}
+    expected: frozenset[str] = frozenset()
+    extract: dict[str, Callable[[dict], Any]] = {}
+
+    def build(self, values: dict, path: str) -> dict:
+        return values
+
+
+def _solutions(found) -> list:
+    return [[list(term) for term in dec.terms] for dec in found]
+
+
+class _ClassEquation(_CaseKind):
+    """The class-equation modes; each sets mode, its instance class and run."""
+
+    expected = frozenset({"admissible_products", "certificate_count", "survivors",
+                          "decomposition_subcases"})
+    extract = {"decomposition_subcases": lambda results: [
+        sc["solutions"] for sc in results.get("decomposition_subcases", [])]}
+
+    def build(self, values: dict, path: str) -> dict:
+        values.pop("mode", None)
+        return {"instance": self.instance(**values)}
+
+    def scan_results(self, certs: list[Certificate]) -> dict:
+        survivors = [str(c.candidate) for c in certs if c.survived]
+        return {
+            "mode": self.mode,
+            "certificates": [
+                {"candidate": str(c.candidate),
+                 "coefficients": list(c.candidate.coeffs),
+                 "filters": [{"name": r.name, "passed": r.passed, "witness": r.witness}
+                             for r in c.filter_results],
+                 "survived": c.survived}
+                for c in certs
+            ],
+            "certificate_count": len(certs),
+            "survivors": survivors,
+            "survivor_count": len(survivors),
+        }
+
+    def render(self, results: dict) -> list[str]:
+        lines = []
+        if "admissible_products" in results:
+            lines.append("admissible products: "
+                         + ", ".join(str(p) for p in results["admissible_products"]))
+        for cert in results["certificates"]:
+            status = "SURVIVES" if cert["survived"] else next(
+                f["name"] for f in cert["filters"] if not f["passed"])
+            lines.append(f"{cert['candidate']}  {status}")
+        for sub in results.get("decomposition_subcases", ()):
+            lines.append(f"subcase target={sub['target']} terms={sub['rank_terms']}: "
+                         f"{len(sub['solutions'])} solutions")
+        lines.append(f"survivors: {results['survivor_count']}")
+        return lines
+
+
+def _get_subcase(value: Any, path: str) -> QuadraticTarget:
+    spec = {"n": (_get_int, True), "target": (_get_scalar, True, "n"),
+            "rank_terms": (_get_int, True)}
+    return _build(spec, lambda values, _: QuadraticTarget(**values),
+                  _get_object(value, path), path)
+
+
+class _Codegree(_ClassEquation):
+    mode = "codegree"
+    instance = ClassEquationInstance
+    spec = {
+        "mode": (_get_str, False),
+        "global_dim": (_get_int, True),
+        "fixed_codegrees": (_list_of(_get_fraction), True),
+        "orbit_degree": (_int_range(1, 3), True),
+        "product_divides": (_get_int, False),
+        "root_lower_bounds": (_list_of(_get_fraction), False),
+        "product_feasibility": (_get_str, False),
+        "membership_conductor": (_get_conductor, False),
+        "excluded_quadratic_subfields": (_list_of(_get_int_pair), False),
+        "scan_range": (_get_int_pair, False),
+        "decomposition_subcases": (_list_of(_get_subcase), False),
     }
 
+    def build(self, values: dict, path: str) -> dict:
+        subcases = values.pop("decomposition_subcases", None)
+        payload = super().build(values, path)
+        try:
+            residual_target(payload["instance"])
+        except InfeasibleInstanceError as exc:
+            _fail(f"{path}.fixed_codegrees", str(exc))
+        if subcases is not None:
+            payload["subcases"] = subcases
+        return payload
 
-def _decomposition_results(targets, counts) -> dict:
-    solutions = {}
-    total = 0
-    for target, count in zip(targets, counts):
-        found = enumerate_decompositions(target)
-        solutions[str(count)] = [[list(term) for term in dec.terms] for dec in found]
-        total += len(found)
-    return {"solutions": solutions, "survivor_count": total}
-
-
-def _run_class_equation(case: Case) -> dict:
-    mode = case.payload["mode"]
-    instance = case.payload["instance"]
-    results: dict[str, Any] = {"mode": mode}
-    if mode == "codegree":
-        results["admissible_products"] = admissible_products(instance)
-        certs = enumerate_candidates(instance)
-    elif mode == "sum-scan":
-        certs = enumerate_quadratic_scan(instance)
-    else:
-        certs = enumerate_dimension_pairs(instance)
-    results["certificates"] = [_certificate_payload(c) for c in certs]
-    results["certificate_count"] = len(certs)
-    results["survivors"] = [str(c.candidate) for c in certs if c.survived]
-    results["survivor_count"] = len(results["survivors"])
-    if "subcases" in case.payload:
-        sub_results = []
-        for target in case.payload["subcases"]:
-            found = enumerate_decompositions(target)
-            sub_results.append({
-                "n": target.n,
-                "target": str(target.target),
-                "rank_terms": target.rank_terms,
-                "solutions": [[list(term) for term in dec.terms] for dec in found],
-            })
-        results["decomposition_subcases"] = sub_results
-    return results
+    def run(self, payload: dict) -> dict:
+        instance = payload["instance"]
+        products = admissible_products(instance)
+        results = self.scan_results(enumerate_candidates(instance))
+        results["admissible_products"] = products
+        if "subcases" in payload:
+            results["decomposition_subcases"] = [
+                {"n": target.n, "target": str(target.target), "rank_terms": target.rank_terms,
+                 "solutions": _solutions(enumerate_decompositions(target))}
+                for target in payload["subcases"]
+            ]
+        return results
 
 
-def _run_smatrix(case: Case) -> dict:
-    matrix = case.payload["matrix"]
-    orth = check_orthogonality(matrix)
-    results: dict[str, Any] = {
-        "orthogonal": orth.passes,
-        "orthogonality_violation": list(orth.violating_pair) if orth.violating_pair else None,
-        "dimension_consistent": dimension_consistency(matrix),
-        "formal_codegrees": [str(f) for f in formal_codegrees(matrix)],
+class _SumScan(_ClassEquation):
+    mode = "sum-scan"
+    instance = QuadraticScanInstance
+    spec = {
+        "mode": (_get_str, False),
+        "global_dim": (_get_int, True),
+        "product_divides": (_get_int, True),
+        "trace_exceeds": (_get_int, True),
+        "trace_ratio_max": (_get_fraction, True),
+        "required_field": (_get_int, True),
+        "dim_square_mode": (_get_str, False),
+        "cyclotomic_modulus": (_get_int, False),
     }
-    if orth.passes:
-        verdict = verlinde_fusion(matrix, orth)
-        results["verlinde_nonnegative_integral"] = verdict.nonnegative_integral
-        results["verlinde_first_violation"] = (
-            list(verdict.first_violation) if verdict.first_violation else None)
-    else:
-        results["verlinde_nonnegative_integral"] = False
-        results["verlinde_first_violation"] = None
-    galois = find_galois_permutation(matrix)
-    results["galois_found"] = galois.found
-    if galois.found:
-        results["galois_permutation"] = list(galois.permutation.mapping)
-        results["galois_unit_image"] = galois.permutation.unit_image
-        results["galois_unit_image_dim_square_is_one"] = (
-            galois.permutation.unit_image_dim_square_is_one)
-    else:
-        results["galois_permutation"] = None
-        results["galois_unit_image"] = None
-        results["galois_unit_image_dim_square_is_one"] = None
-        results["galois_absence_reason"] = galois.reason
-    return results
+
+    def run(self, payload: dict) -> dict:
+        return self.scan_results(enumerate_quadratic_scan(payload["instance"]))
 
 
-def _run_case_inner(case: Case) -> dict:
-    if case.kind == "class-equation":
-        return _run_class_equation(case)
-    if case.kind == "dim-decomposition":
-        return _decomposition_results(case.payload["targets"], case.payload["term_counts"])
-    if case.kind == "integer-decomposition":
-        solutions = {}
-        total = 0
-        for count in case.payload["term_counts"]:
-            found = enumerate_integer_square_decompositions(
-                case.payload["total"], count, case.payload["divisor_bound"])
-            solutions[str(count)] = [list(sol) for sol in found]
-            total += len(found)
-        return {"solutions": solutions, "survivor_count": total}
-    if case.kind == "smatrix-verify":
-        return _run_smatrix(case)
-    if case.kind == "field-membership":
-        member = in_cyclic_cubic_field(case.payload["polynomial"], case.payload["conductor"])
-        return {"polynomial": str(case.payload["polynomial"]),
-                "conductor": case.payload["conductor"],
-                "member": member}
-    # galois-structure
-    structures = {
-        str(modulus): list(cyclotomic_galois_structure(modulus).factor_orders)
-        for modulus in case.payload["moduli"]
-    }
-    return {"structures": structures}
+class _DimensionPair(_ClassEquation):
+    mode = "dimension-pair"
+    instance = DimensionPairInstance
+    spec = {"mode": (_get_str, False), "trace": (_get_int, True),
+            "constant_range": (_get_int_pair, True)}
+
+    def run(self, payload: dict) -> dict:
+        return self.scan_results(enumerate_dimension_pairs(payload["instance"]))
 
 
-def _expected_matches(case: Case, results: dict) -> bool:
-    assert case.expected is not None
-    for key, wanted in case.expected.items():
-        if key == "decomposition_subcases":
-            actual = [sc["solutions"] for sc in results.get("decomposition_subcases", [])]
+class _Decomposition(_CaseKind):
+    """Both decomposition kinds: solutions listed per term count."""
+
+    expected = frozenset({"solutions"})
+
+    def run(self, payload: dict) -> dict:
+        found = self.solve(payload)
+        return {"solutions": {str(count): solutions for count, solutions in found},
+                "survivor_count": sum(len(solutions) for _, solutions in found)}
+
+    def render(self, results: dict) -> list[str]:
+        lines = []
+        for count, found in results["solutions"].items():
+            lines.append(f"terms={count}: {len(found)} solutions")
+            for sol in found:
+                if sol and isinstance(sol[0], list):
+                    body = " ".join(f"({a},{b})" for a, b in sol)
+                else:
+                    body = " ".join(str(v) for v in sol)
+                lines.append(f"  {body}")
+        lines.append(f"survivors: {results['survivor_count']}")
+        return lines
+
+
+class _DimDecomposition(_Decomposition):
+    spec = {"n": (_get_int, True), "target": (_get_scalar, True, "n"),
+            "term_counts": (_list_of(_get_int), True),
+            "require_algebraic_integer": (_get_bool, False)}
+
+    def build(self, values: dict, path: str) -> dict:
+        require = values.get("require_algebraic_integer", True)
+        return {"targets": tuple(
+            QuadraticTarget(n=values["n"], target=values["target"], rank_terms=count,
+                            require_algebraic_integer=require)
+            for count in values["term_counts"])}
+
+    def solve(self, payload: dict) -> list:
+        return [(target.rank_terms, _solutions(enumerate_decompositions(target)))
+                for target in payload["targets"]]
+
+
+class _IntegerDecomposition(_Decomposition):
+    spec = {"total": (_int_range(1), True),
+            "term_counts": (_get_term_counts, True, "total"),
+            "divisor_bound": (_int_range(1), True)}
+
+    def solve(self, payload: dict) -> list:
+        return [(count, [list(sol) for sol in enumerate_integer_square_decompositions(
+                    payload["total"], count, payload["divisor_bound"])])
+                for count in payload["term_counts"]]
+
+
+class _SmatrixVerify(_CaseKind):
+    spec = {"n": (_get_int, True), "kind": (_get_matrix_kind, True),
+            "declared_dim": (_get_scalar, True, "n"), "unit_index": (_get_int, False),
+            "entries": (_list_of(_list_of(_get_int_pair)), True)}
+    expected = frozenset({"orthogonal", "dimension_consistent", "formal_codegrees",
+                          "verlinde_nonnegative_integral", "galois_found",
+                          "galois_permutation", "galois_unit_image_dim_square_is_one"})
+
+    def build(self, values: dict, path: str) -> dict:
+        rows = values["entries"]
+        unit_index = values.get("unit_index", 0)
+        try:
+            matrix = CandidateSMatrix.from_half_pairs(
+                rows, values["n"], values["declared_dim"], unit_index=unit_index,
+                kind=values["kind"])
+        except ValueError as exc:
+            _fail(f"{path}.entries", str(exc))
+        for w, (a, b) in enumerate(rows[unit_index]):
+            if a == b == 0:
+                _fail(f"{path}.entries[{unit_index}][{w}]", f"dimension column {w} is zero")
+        return {"matrix": matrix}
+
+    def run(self, payload: dict) -> dict:
+        matrix = payload["matrix"]
+        orth = check_orthogonality(matrix)
+        results: dict[str, Any] = {
+            "orthogonal": orth.passes,
+            "orthogonality_violation": list(orth.violating_pair) if orth.violating_pair else None,
+            "dimension_consistent": dimension_consistency(matrix),
+            "formal_codegrees": [str(f) for f in formal_codegrees(matrix)],
+        }
+        if orth.passes:
+            verdict = verlinde_fusion(matrix, orth)
+            results["verlinde_nonnegative_integral"] = verdict.nonnegative_integral
+            results["verlinde_first_violation"] = (
+                list(verdict.first_violation) if verdict.first_violation else None)
         else:
-            actual = results.get(key)
-        if actual != wanted:
-            return False
-    return True
+            results["verlinde_nonnegative_integral"] = False
+            results["verlinde_first_violation"] = None
+        galois = find_galois_permutation(matrix)
+        results["galois_found"] = galois.found
+        if galois.found:
+            results["galois_permutation"] = list(galois.permutation.mapping)
+            results["galois_unit_image"] = galois.permutation.unit_image
+            results["galois_unit_image_dim_square_is_one"] = (
+                galois.permutation.unit_image_dim_square_is_one)
+        else:
+            results["galois_permutation"] = None
+            results["galois_unit_image"] = None
+            results["galois_unit_image_dim_square_is_one"] = None
+            results["galois_absence_reason"] = galois.reason
+        return results
+
+    def render(self, results: dict) -> list[str]:
+        lines = [f"{key}: {'PASS' if results.get(key) else 'FAIL'}"
+                 for key in ("orthogonal", "dimension_consistent",
+                             "verlinde_nonnegative_integral", "galois_found",
+                             "galois_unit_image_dim_square_is_one")]
+        lines.append("formal codegrees: " + ", ".join(results["formal_codegrees"]))
+        if results.get("galois_permutation") is not None:
+            lines.append("galois permutation: "
+                         + " ".join(str(v) for v in results["galois_permutation"]))
+        return lines
+
+
+class _FieldMembership(_CaseKind):
+    spec = {"polynomial": (_list_of(_get_int), True), "conductor": (_get_conductor, True)}
+    expected = frozenset({"member"})
+
+    def build(self, values: dict, path: str) -> dict:
+        return {"polynomial": IntPolynomial(values["polynomial"]),
+                "conductor": values["conductor"]}
+
+    def run(self, payload: dict) -> dict:
+        member = in_cyclic_cubic_field(payload["polynomial"], payload["conductor"])
+        return {"polynomial": str(payload["polynomial"]),
+                "conductor": payload["conductor"],
+                "member": member}
+
+    def render(self, results: dict) -> list[str]:
+        return [f"{results['polynomial']}  "
+                f"{'MEMBER' if results['member'] else 'NOT-MEMBER'} "
+                f"(conductor {results['conductor']})"]
+
+
+class _GaloisStructure(_CaseKind):
+    spec = {"moduli": (_list_of(_int_range(3)), True)}
+    expected = frozenset({"structures"})
+
+    def run(self, payload: dict) -> dict:
+        return {"structures": {
+            str(modulus): list(cyclotomic_galois_structure(modulus).factor_orders)
+            for modulus in payload["moduli"]
+        }}
+
+    def render(self, results: dict) -> list[str]:
+        return [f"modulus {modulus}: " + " x ".join(str(v) for v in orders)
+                for modulus, orders in results["structures"].items()]
+
+
+# class-equation picks its entry by the mode parameter
+_CASE_KINDS: dict[str, Any] = {
+    "class-equation": {m.mode: m for m in (_Codegree(), _SumScan(), _DimensionPair())},
+    "dim-decomposition": _DimDecomposition(),
+    "integer-decomposition": _IntegerDecomposition(),
+    "smatrix-verify": _SmatrixVerify(),
+    "field-membership": _FieldMembership(),
+    "galois-structure": _GaloisStructure(),
+}
+
+KINDS = tuple(_CASE_KINDS)
+
+
+def _case_kind(kind: str, params: dict) -> _CaseKind:
+    """The table entry of a case; class-equation picks it by mode."""
+    entry = _CASE_KINDS[kind]
+    if isinstance(entry, dict):
+        mode = params.get("mode", "codegree")
+        if not isinstance(mode, str) or mode not in entry:
+            _fail("$.parameters.mode", f"unknown mode {mode!r}")
+        entry = entry[mode]
+    return entry
+
+
+def load_case(data: bytes | str, source: str = "<case>") -> Case:
+    """Parse and validate one case document.
+
+    Raises CaseFormatError on any schema problem; the message starts
+    with the source label and the JSON path of the offending key.
+    """
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise CaseFormatError(f"{source}: not valid JSON: {exc}") from exc
+    try:
+        obj = _get_object(doc, "$")
+        _check_keys(obj, _TOP_LEVEL_KEYS, ("schema", "name", "kind", "parameters"), "$")
+        schema = _get_int(obj["schema"], "$.schema")
+        if schema != SCHEMA_VERSION:
+            _fail("$.schema", f"unsupported schema version {schema}")
+        name = _get_str(obj["name"], "$.name")
+        if not name:
+            _fail("$.name", "name must be nonempty")
+        kind = _get_str(obj["kind"], "$.kind")
+        if kind not in _CASE_KINDS:
+            _fail("$.kind", f"unknown kind {kind!r}")
+        parameters = _get_object(obj["parameters"], "$.parameters")
+        entry = _case_kind(kind, parameters)
+        payload = _build(entry.spec, entry.build, parameters, "$.parameters")
+        expected = None
+        if "expected" in obj:
+            expected = _get_object(obj["expected"], "$.expected")
+            for key in expected:
+                if key not in entry.expected:
+                    _fail(f"$.expected.{key}", "unknown key")
+        notes = ()
+        if "notes" in obj:
+            notes = tuple(_get_str(v, f"$.notes[{i}]")
+                          for i, v in enumerate(_get_list(obj["notes"], "$.notes")))
+    except CaseFormatError as exc:
+        raise CaseFormatError(f"{source}: {exc}") from None
+    return Case(name, kind, parameters, payload, expected, notes, source)
+
+
+def load_case_file(path: str) -> Case:
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CaseFormatError(f"{path}: cannot read: {exc}") from exc
+    return load_case(data, source=os.path.basename(path))
 
 
 def run_case(case: Case) -> Report:
     """Dispatch one case; engine exceptions become case-level failures."""
     start = time.monotonic()
     try:
-        results = _run_case_inner(case)
+        entry = _case_kind(case.kind, case.parameters)
+        results = entry.run(case.payload)
         error = None
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         results = {}
@@ -568,7 +632,9 @@ def run_case(case: Case) -> Report:
     if error is not None:
         passed: Optional[bool] = False
     elif case.expected is not None:
-        passed = _expected_matches(case, results)
+        actual = {key: entry.extract[key](results) if key in entry.extract else results.get(key)
+                  for key in case.expected}
+        passed = actual == case.expected
     else:
         passed = None
     return Report(
@@ -584,18 +650,6 @@ def run_case(case: Case) -> Report:
     )
 
 
-def _render_solutions_text(lines: list[str], solutions: dict) -> None:
-    for count in solutions:
-        found = solutions[count]
-        lines.append(f"terms={count}: {len(found)} solutions")
-        for sol in found:
-            if sol and isinstance(sol[0], list):
-                body = " ".join(f"({a},{b})" for a, b in sol)
-            else:
-                body = " ".join(str(v) for v in sol)
-            lines.append(f"  {body}")
-
-
 def render_report(report: Report, format: str = "text") -> str:
     """One report as deterministic text or JSON."""
     if format == "json":
@@ -604,45 +658,13 @@ def render_report(report: Report, format: str = "text") -> str:
         raise ValueError(f"unknown format {format!r}")
     lines = [f"case: {report.case_name} ({report.kind})"]
     if report.error is not None:
-        lines.append(f"error: {report.error}")
-    results = report.results
-    if "admissible_products" in results:
-        lines.append("admissible products: "
-                     + ", ".join(str(p) for p in results["admissible_products"]))
-    for cert in results.get("certificates", ()):
-        status = "SURVIVES" if cert["survived"] else next(
-            f["name"] for f in cert["filters"] if not f["passed"])
-        lines.append(f"{cert['candidate']}  {status}")
-    if "solutions" in results:
-        _render_solutions_text(lines, results["solutions"])
-    for sub in results.get("decomposition_subcases", ()):
-        lines.append(f"subcase target={sub['target']} terms={sub['rank_terms']}: "
-                     f"{len(sub['solutions'])} solutions")
-    if report.kind == "smatrix-verify" and not report.error:
-        for key in ("orthogonal", "dimension_consistent",
-                    "verlinde_nonnegative_integral", "galois_found",
-                    "galois_unit_image_dim_square_is_one"):
-            value = results.get(key)
-            lines.append(f"{key}: {'PASS' if value else 'FAIL'}")
-        lines.append("formal codegrees: " + ", ".join(results["formal_codegrees"]))
-        if results.get("galois_permutation") is not None:
-            lines.append("galois permutation: "
-                         + " ".join(str(v) for v in results["galois_permutation"]))
-    if report.kind == "field-membership" and not report.error:
-        lines.append(f"{results['polynomial']}  "
-                     f"{'MEMBER' if results['member'] else 'NOT-MEMBER'} "
-                     f"(conductor {results['conductor']})")
-    if report.kind == "galois-structure" and not report.error:
-        for modulus, orders in results["structures"].items():
-            lines.append(f"modulus {modulus}: " + " x ".join(str(v) for v in orders))
-    if "survivor_count" in results:
-        lines.append(f"survivors: {results['survivor_count']}")
-    if report.error is not None:
-        lines.append("result: ERROR")
-    elif report.passed is None:
-        lines.append("expected: none")
+        lines += [f"error: {report.error}", "result: ERROR"]
     else:
-        lines.append(f"expected: {'PASS' if report.passed else 'FAIL'}")
+        lines += _case_kind(report.kind, report.parameters).render(report.results)
+        if report.passed is None:
+            lines.append("expected: none")
+        else:
+            lines.append(f"expected: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
@@ -688,7 +710,12 @@ def _run_command(args: argparse.Namespace) -> int:
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     start = time.monotonic()
     if jobs > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported here: the process pool costs start-up time that a
+        # serial run does not need; a pool forks all its workers up
+        # front, so it gets no more workers than there are cases
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
             reports = list(pool.map(run_case, cases))
     else:
         reports = [run_case(c) for c in cases]

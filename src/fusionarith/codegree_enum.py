@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .algint import (
     in_cyclic_cubic_field,
@@ -41,6 +41,7 @@ from .exactcore import (
     Interval,
     QuadraticFieldElement,
     UnsupportedDegreeError,
+    divisors,
     factor_over_rationals,
     fraction_sqrt,
     isolate_real_roots,
@@ -158,18 +159,6 @@ def residual_target(instance: ClassEquationInstance) -> Fraction:
     return r
 
 
-def _divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _integer_cube_ceiling(m: int) -> int:
     """Least c with c^3 >= m, for m >= 0, by integer Newton descent."""
     if m < 0:
@@ -219,7 +208,7 @@ def admissible_products(instance: ClassEquationInstance) -> list[int]:
     for b in instance.root_lower_bounds:
         bound_product *= b
     out = []
-    for p in _divisors(instance.product_divides):
+    for p in divisors(instance.product_divides):
         e = r * p
         if e.denominator != 1:
             continue
@@ -437,6 +426,24 @@ def _filter_subfield_exclusion(
     return FilterResult(FILTER_SUBFIELD, True)
 
 
+def _run_filters(
+    p: IntPolynomial,
+    steps: Sequence[tuple[str, Callable[[IntPolynomial], FilterResult]]],
+    disabled_filters: frozenset[str] = frozenset(),
+) -> Certificate:
+    """Apply the named filters to p in order, skipping disabled names and
+    stopping at the first failure."""
+    results = []
+    for name, step in steps:
+        if name in disabled_filters:
+            continue
+        result = step(p)
+        results.append(result)
+        if not result.passed:
+            break
+    return Certificate(p, tuple(results), all(r.passed for r in results))
+
+
 def run_filter_pipeline(
     p: IntPolynomial,
     instance: ClassEquationInstance,
@@ -451,26 +458,18 @@ def run_filter_pipeline(
     """
     if not p.is_monic:
         raise ValueError("pipeline candidates must be monic")
-    steps = [(FILTER_D_NUMBER, lambda: _filter_d_number(p)),
-             (FILTER_TOTALLY_REAL, lambda: _filter_totally_real(p)),
+    steps = [(FILTER_D_NUMBER, _filter_d_number),
+             (FILTER_TOTALLY_REAL, _filter_totally_real),
              (FILTER_POSITIVE_BOUNDED,
-              lambda: _filter_positive_bounded(p, instance.root_lower_bounds)),
-             (FILTER_CYCLOTOMIC, lambda: _filter_cyclotomic(p))]
+              lambda q: _filter_positive_bounded(q, instance.root_lower_bounds)),
+             (FILTER_CYCLOTOMIC, _filter_cyclotomic)]
     if instance.membership_conductor is not None:
         conductor = instance.membership_conductor
-        steps.append((FILTER_MEMBERSHIP, lambda: _filter_membership(p, conductor)))
+        steps.append((FILTER_MEMBERSHIP, lambda q: _filter_membership(q, conductor)))
     if instance.excluded_quadratic_subfields:
         steps.append((FILTER_SUBFIELD,
-                      lambda: _filter_subfield_exclusion(p, instance.excluded_quadratic_subfields)))
-    results = []
-    for name, runner in steps:
-        if name in disabled_filters:
-            continue
-        result = runner()
-        results.append(result)
-        if not result.passed:
-            break
-    return Certificate(p, tuple(results), all(r.passed for r in results))
+                      lambda q: _filter_subfield_exclusion(q, instance.excluded_quadratic_subfields)))
+    return _run_filters(p, steps, disabled_filters)
 
 
 def _survivors_first(certs: list[Certificate]) -> list[Certificate]:
@@ -632,25 +631,17 @@ def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> list[Certificat
     squarefree part of a (m is the product of p^ceil(e/2) over p^e || a),
     so b steps over those multiples only.
     """
+    steps = ((FILTER_D_NUMBER, _filter_d_number),
+             (FILTER_TOTALLY_POSITIVE, _filter_totally_positive),
+             (FILTER_REQUIRED_FIELD, lambda p: _filter_required_field(p, instance.required_field)),
+             (FILTER_DIM_SQUARE, lambda p: _filter_dim_square(p, instance)))
     certs = []
-    for a in _divisors(instance.product_divides):
+    for a in divisors(instance.product_divides):
         b_top = math.floor(instance.trace_ratio_max * a)
         t = squarefree_part(a)
         m = t * math.isqrt(a // t)
         for b in range((instance.trace_exceeds // m + 1) * m, b_top + 1, m):
-            p = IntPolynomial((a, -b, 1))
-            results = []
-            for runner in (
-                lambda: _filter_d_number(p),
-                lambda: _filter_totally_positive(p),
-                lambda: _filter_required_field(p, instance.required_field),
-                lambda: _filter_dim_square(p, instance),
-            ):
-                result = runner()
-                results.append(result)
-                if not result.passed:
-                    break
-            certs.append(Certificate(p, tuple(results), all(r.passed for r in results)))
+            certs.append(_run_filters(IntPolynomial((a, -b, 1)), steps))
     return _survivors_first(certs)
 
 
@@ -676,12 +667,8 @@ class DimensionPairInstance:
 def enumerate_dimension_pairs(instance: DimensionPairInstance) -> list[Certificate]:
     """Certificates x^2 - trace x + m for every m in range, survivors
     first; the pipeline is d-number then totally-real."""
-    certs = []
+    steps = ((FILTER_D_NUMBER, _filter_d_number), (FILTER_TOTALLY_REAL, _filter_totally_real))
     lo, hi = instance.constant_range
-    for m in range(lo, hi + 1):
-        p = IntPolynomial((m, -instance.trace, 1))
-        results = [_filter_d_number(p)]
-        if results[-1].passed:
-            results.append(_filter_totally_real(p))
-        certs.append(Certificate(p, tuple(results), all(r.passed for r in results)))
+    certs = [_run_filters(IntPolynomial((m, -instance.trace, 1)), steps)
+             for m in range(lo, hi + 1)]
     return _survivors_first(certs)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .exactcore import QuadraticFieldElement, squarefree_part
+from .exactcore import QuadraticFieldElement, divisors, squarefree_part
 
 
 class InfeasibleTargetError(ValueError):
@@ -164,7 +164,7 @@ def enumerate_integer_square_decompositions(
         raise ValueError(f"need total >= term_count >= 1, got {total}, {term_count}")
     if divisor_bound < 1:
         raise ValueError("divisor_bound must be positive")
-    allowed = [d for d in range(1, divisor_bound + 1) if divisor_bound % d == 0]
+    allowed = divisors(divisor_bound)
     goal = total - 1
     out: list[tuple[int, ...]] = []
 

@@ -63,14 +63,14 @@ def is_perfect_square(m: int) -> Optional[int]:
     return s if s * s == m else None
 
 
-def squarefree_part(m: int) -> int:
-    """Largest squarefree divisor pattern of m: the product of primes
-    appearing to an odd power, with the sign of m.  Requires m != 0."""
+def factor_integer(m: int) -> list[tuple[int, int]]:
+    """Prime factorisation of |m| as (prime, exponent) pairs, primes
+    ascending, by trial division over the shrinking cofactor.  Requires
+    m != 0; 1 factors as the empty list."""
     if m == 0:
-        raise ValueError("squarefree part of 0 is undefined")
-    sign = -1 if m < 0 else 1
+        raise ValueError("cannot factor 0")
     m = abs(m)
-    part = 1
+    out = []
     d = 2
     while d * d <= m:
         if m % d == 0:
@@ -78,26 +78,31 @@ def squarefree_part(m: int) -> int:
             while m % d == 0:
                 m //= d
                 e += 1
-            if e % 2:
-                part *= d
+            out.append((d, e))
         d += 1 if d == 2 else 2
-    return sign * part * m
+    if m > 1:
+        out.append((m, 1))
+    return out
 
 
-def _divisors(m: int) -> list[int]:
-    """Positive divisors of |m|, ascending.  m must be nonzero."""
-    m = abs(m)
+def divisors(m: int) -> list[int]:
+    """Positive divisors of |m|, ascending.  Requires m != 0."""
+    out = [1]
+    for p, e in factor_integer(m):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def squarefree_part(m: int) -> int:
+    """Largest squarefree divisor pattern of m: the product of primes
+    appearing to an odd power, with the sign of m.  Requires m != 0."""
     if m == 0:
-        raise ValueError("divisors of 0")
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+        raise ValueError("squarefree part of 0 is undefined")
+    part = -1 if m < 0 else 1
+    for p, e in factor_integer(m):
+        if e % 2:
+            part *= p
+    return part
 
 
 def fraction_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -410,8 +415,8 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
     poly = [Fraction(c) for c in work]
     if len(poly) > 1:
         candidates: set[Fraction] = set()
-        for u in _divisors(work[0]):
-            for v in _divisors(work[-1]):
+        for u in divisors(work[0]):
+            for v in divisors(work[-1]):
                 candidates.add(Fraction(u, v))
                 candidates.add(Fraction(-u, v))
         for cand in sorted(candidates):
@@ -491,9 +496,9 @@ def _quartic_quadratic_split(
     integer quadratic in b.  Every candidate is verified by expansion.
     """
     p0, p1, p2, p3, p4 = (r.coefficient(k) for k in range(5))
-    for a in _divisors(p4):
+    for a in divisors(p4):
         d = p4 // a
-        for c_abs in _divisors(p0):
+        for c_abs in divisors(p0):
             for c in (c_abs, -c_abs):
                 f = p0 // c
                 det = d * c - a * f

@@ -162,6 +162,30 @@ def test_integer_decomposition_bounds_are_rejected_at_load(tmp_path, capsys, par
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, params, where", [
+    ("galois-structure", {"moduli": [49, 2]}, "$.parameters.moduli[1]"),
+    ("field-membership", {"polynomial": [1, -3, 0, 1], "conductor": 8},
+     "$.parameters.conductor"),
+    ("class-equation", {"global_dim": 9, "fixed_codegrees": ["9", "9", "9", "9"],
+                        "orbit_degree": 3, "product_divides": 729,
+                        "root_lower_bounds": ["9/5", "18/5", "9"],
+                        "product_feasibility": "real-roots", "membership_conductor": 5},
+     "$.parameters.membership_conductor"),
+    ("class-equation", {"global_dim": 7, "fixed_codegrees": ["7"], "orbit_degree": 4},
+     "$.parameters.orbit_degree"),
+    ("class-equation", {"global_dim": 6, "fixed_codegrees": ["2", "2"], "orbit_degree": 2},
+     "$.parameters.fixed_codegrees"),
+])
+def test_inputs_the_engines_reject_are_rejected_at_load(tmp_path, capsys, kind, params, where):
+    doc = make_case(kind=kind, parameters=params)
+    assert f"{where}: " in failure_message(doc)
+    target = tmp_path / "engine-reject.case.json"
+    target.write_text(doc, encoding="utf-8")
+    assert main(["validate", str(target)]) == 2
+    assert main(["run", str(target)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_subcase_keys_are_validated():
     params = {"global_dim": 6, "fixed_codegrees": ["6", "6"], "orbit_degree": 2,
               "decomposition_subcases": [{"n": 2, "target": "3+3r2"}]}
@@ -331,3 +355,36 @@ def test_cli_validate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"{good}: ok (class-equation)" in captured.out
     assert "not valid JSON" in captured.err
+
+
+def test_cli_forks_no_more_workers_than_cases(monkeypatch, capsys):
+    import concurrent.futures
+
+    from fusionarith import casefile
+
+    # the pool class is looked up when a parallel run starts, so the
+    # serial stand-in below replaces it; a name bound at import time
+    # would start real workers instead
+    assert not hasattr(casefile, "ProcessPoolExecutor")
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    two = bundled_case_paths()[:2]
+    assert main(["run", *two, "--jobs", "10000"]) == 0
+    monkeypatch.setenv("FUSION_ARITH_JOBS", "10000")
+    assert main(["run", *two]) == 0
+    capsys.readouterr()
+    assert sizes == [2, 2]

@@ -1,6 +1,10 @@
 """Exhaustive decomposition searches for squared-dimension targets."""
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -197,3 +201,21 @@ def test_square_summand_validation():
         enumerate_integer_square_decompositions(2, 3, 4)
     with pytest.raises(ValueError):
         enumerate_integer_square_decompositions(4, 2, 0)
+
+
+def test_huge_divisor_bound_runs_to_the_oracle_answer(tmp_path):
+    case = tmp_path / "huge-bound.case.json"
+    case.write_text(json.dumps({
+        "schema": 1, "name": "huge-bound", "kind": "integer-decomposition",
+        "parameters": {"total": 10, "term_counts": [2], "divisor_bound": 10**9},
+    }), encoding="utf-8")
+    # a child process, so that a divisor list built by testing every d up
+    # to the bound fails here on the timeout instead of hanging the suite
+    done = subprocess.run(
+        [sys.executable, "-m", "fusionarith.casefile", "run", str(case), "--format", "json"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    solutions = json.loads(done.stdout)["reports"][0]["results"]["solutions"]["2"]
+    # a term is at most total - 1 = 9, and the divisors of 10**9 = 2**9 * 5**9
+    # up to 9 are those of 40, so the oracle can enumerate divisors of 40
+    assert [tuple(s) for s in solutions] == sorted(brute_square_summands(10, 2, 40))

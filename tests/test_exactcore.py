@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionarith.exactcore import (
@@ -14,6 +14,8 @@ from fusionarith.exactcore import (
     IntPolynomial,
     QuadraticFieldElement,
     UnsupportedDegreeError,
+    divisors,
+    factor_integer,
     factor_over_rationals,
     fraction_sqrt,
     is_perfect_square,
@@ -25,7 +27,7 @@ from fusionarith.exactcore import (
     squarefree_part,
     sturm_real_root_count,
 )
-from oracles import bisection_real_root_count, squarefree_part_oracle
+from oracles import _int_divisors, bisection_real_root_count, squarefree_part_oracle
 
 coeff = st.integers(min_value=-25, max_value=25)
 
@@ -55,6 +57,19 @@ def test_squarefree_part_quotient_is_square(m):
     d = squarefree_part(m)
     assert m % d == 0
     assert is_perfect_square(m // d) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**6))
+def test_factorisation_and_divisors_match_trial_division(m):
+    assert divisors(m) == _int_divisors(m)
+    factors = factor_integer(m)
+    assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+    product = 1
+    for p, e in factors:
+        assert e >= 1 and _int_divisors(p) == [1, p]
+        product *= p ** e
+    assert product == m
 
 
 def test_fraction_sqrt():

@@ -1,8 +1,7 @@
 """Reports pinned byte for byte against renders stored in tests/golden/.
 
-The stored files were rendered by the CLI before the case-kind table
-replaced the per-kind switches in casefile.py, so any change to report
-text or JSON shows up here as a diff:
+Any change to report text or JSON shows up here as a diff.  Re-record
+the files only for a deliberate report change, and say so in CHANGES.md:
 
     fusion-arith run --all --format text --out tests/golden/bundled.txt
     fusion-arith run tests/golden/cases/*.case.json --format text --out tests/golden/extra.txt
