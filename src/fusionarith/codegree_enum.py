@@ -24,9 +24,9 @@ All arithmetic is exact; no filter ever sees a floating-point number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from typing import Callable, Optional, Sequence, Union
 
 from .algint import (
@@ -42,11 +42,11 @@ from .exactcore import (
     QuadraticFieldElement,
     UnsupportedDegreeError,
     divisors,
+    factor_integer,
     factor_over_rationals,
     fraction_sqrt,
     isolate_real_roots,
     poly_discriminant,
-    rational_roots,
     refine_interval,
     squarefree_part,
     sturm_real_root_count,
@@ -189,7 +189,7 @@ def _real_triple_feasible(product: int, ratio: Fraction, smallest_bound: Fractio
     h = (IntPolynomial((-den, num)) * IntPolynomial((-den, num))) * product \
         + IntPolynomial((0, 0, 0, -4 * den * den))
     upper = Fraction(_integer_cube_ceiling(product))
-    if h.evaluate(smallest_bound) > 0 or h.evaluate(upper) >= 0:
+    if h.sign_at(smallest_bound) > 0 or h.sign_at(upper) >= 0:
         return True
     window = Interval(smallest_bound, upper, lo_open=True, hi_open=False)
     return sturm_real_root_count(h.squarefree_part(), window) >= 1
@@ -271,7 +271,7 @@ _RootHandle = Union[Fraction, QuadraticFieldElement, _CubicRoot]
 
 
 def _shrink(handle: _CubicRoot) -> _CubicRoot:
-    iv = handle.interval
+    iv = handle.interval  # two bisection steps; no midpoint is the irrational root
     refined = refine_interval(handle.factor, iv, iv.width() / 4)
     return _CubicRoot(handle.factor, refined)
 
@@ -323,11 +323,11 @@ def _handle_str(handle: _RootHandle) -> str:
     return str(handle)
 
 
-def _real_root_handles(p: IntPolynomial) -> Optional[list[_RootHandle]]:
-    """All roots of p as exact handles, ascending with multiplicity, or
-    None when some root is not real."""
+def _real_root_handles(factors: Sequence[IntPolynomial]) -> Optional[list[_RootHandle]]:
+    """All roots of the product of factors as exact handles, ascending
+    with multiplicity, or None when some root is not real."""
     handles: list[_RootHandle] = []
-    for f in factor_over_rationals(p):
+    for f in factors:
         if f.degree == 1:
             handles.append(Fraction(-f.coeffs[0], f.coeffs[1]))
         elif f.degree == 2:
@@ -366,8 +366,8 @@ def _filter_totally_real(p: IntPolynomial) -> FilterResult:
     return FilterResult(FILTER_TOTALLY_REAL, ok, witness)
 
 
-def _filter_positive_bounded(p: IntPolynomial, bounds: tuple[Fraction, ...]) -> FilterResult:
-    handles = _real_root_handles(p)
+def _filter_positive_bounded(factors: Sequence[IntPolynomial], bounds: tuple[Fraction, ...]) -> FilterResult:
+    handles = _real_root_handles(factors)
     if handles is None:
         return FilterResult(FILTER_POSITIVE_BOUNDED, False, {"reason": "non-real roots"})
     padded = sorted(bounds)[: len(handles)]
@@ -387,8 +387,8 @@ def _filter_cyclotomic(p: IntPolynomial) -> FilterResult:
     return FilterResult(FILTER_CYCLOTOMIC, ok, witness)
 
 
-def _filter_membership(p: IntPolynomial, conductor: int) -> FilterResult:
-    for f in factor_over_rationals(p):
+def _filter_membership(factors: Sequence[IntPolynomial], conductor: int) -> FilterResult:
+    for f in factors:
         if f.degree == 1:
             continue
         if f.degree == 2:
@@ -406,10 +406,11 @@ def _filter_membership(p: IntPolynomial, conductor: int) -> FilterResult:
 
 
 def _filter_subfield_exclusion(
-    p: IntPolynomial, excluded: tuple[tuple[int, int], ...]
+    factors: Sequence[IntPolynomial], excluded: tuple[tuple[int, int], ...]
 ) -> FilterResult:
-    rationals = [str(r) for r in rational_roots(p)]
-    for f in factor_over_rationals(p):
+    rationals = [str(r) for r in sorted(Fraction(-f.coeffs[0], f.coeffs[1])
+                                        for f in factors if f.degree == 1)]
+    for f in factors:
         if f.degree != 2:
             continue
         c, b, a = f.coeffs
@@ -458,17 +459,18 @@ def run_filter_pipeline(
     """
     if not p.is_monic:
         raise ValueError("pipeline candidates must be monic")
+    factors = cache(lambda: factor_over_rationals(p))  # shared by the filters
     steps = [(FILTER_D_NUMBER, _filter_d_number),
              (FILTER_TOTALLY_REAL, _filter_totally_real),
              (FILTER_POSITIVE_BOUNDED,
-              lambda q: _filter_positive_bounded(q, instance.root_lower_bounds)),
+              lambda q: _filter_positive_bounded(factors(), instance.root_lower_bounds)),
              (FILTER_CYCLOTOMIC, _filter_cyclotomic)]
     if instance.membership_conductor is not None:
         conductor = instance.membership_conductor
-        steps.append((FILTER_MEMBERSHIP, lambda q: _filter_membership(q, conductor)))
+        steps.append((FILTER_MEMBERSHIP, lambda q: _filter_membership(factors(), conductor)))
     if instance.excluded_quadratic_subfields:
         steps.append((FILTER_SUBFIELD,
-                      lambda q: _filter_subfield_exclusion(q, instance.excluded_quadratic_subfields)))
+                      lambda q: _filter_subfield_exclusion(factors(), instance.excluded_quadratic_subfields)))
     return _run_filters(p, steps, disabled_filters)
 
 
@@ -495,7 +497,9 @@ def enumerate_candidates(
     [1, forced e2]) restricted to values whose assembled polynomial is a
     d-number; when the default range is used, the polynomial just past
     its top must fail the real-roots filters, which certifies that no
-    totally positive candidate was cut off.
+    totally positive candidate was cut off.  With the d-number filter on,
+    e1 steps over the multiples of m = prod p^ceil(e/3) over p^e || P,
+    the e1 with P | e1^3 (the d-number condition at i = 1).
     """
     n = instance.orbit_degree
     if n > 3:
@@ -512,11 +516,14 @@ def enumerate_candidates(
             lo, hi = 1, assignment.forced_next
             boundary = assignment.assemble(hi + 1)
             real = _filter_totally_real(boundary).passed
-            bounded = _filter_positive_bounded(boundary, instance.root_lower_bounds).passed
+            bounded = _filter_positive_bounded(
+                factor_over_rationals(boundary), instance.root_lower_bounds).passed
             if real and bounded:
                 raise ScanSoundnessError(
                     f"boundary candidate {boundary} passes the real-roots filters")
-        for e1 in range(lo, hi + 1):
+        step = 1 if FILTER_D_NUMBER in disabled_filters else math.prod(
+            prime ** -(-e // 3) for prime, e in factor_integer(product))
+        for e1 in range(-(-lo // step) * step, hi + 1, step):
             p = assignment.assemble(e1)
             if FILTER_D_NUMBER not in disabled_filters and not is_d_number(p).passes:
                 continue

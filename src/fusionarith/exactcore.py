@@ -19,13 +19,15 @@ Everything below is exact.  There is no floating point in any code
 path: signs, root counts and comparisons are decided with integer and
 ``fractions.Fraction`` arithmetic only.
 
-Root counting uses Sturm chains.  The base convention is half open:
-for a squarefree polynomial p the chain variation difference
-V(a) - V(b) counts the distinct real roots in (a, b].  Endpoint
-adjustments for the other interval shapes live in
-``sturm_real_root_count``.  ``isolate_real_roots`` returns rational
-isolating intervals, degenerate points for rational roots and open
-intervals holding exactly one irrational root each.
+Polynomials stay in plain ``int``: gcds and Sturm chains are primitive
+pseudo-remainder sequences (a chain member is negated and multiplied by
+sign(lc)^k, a positive multiple of the classical one), division is
+exact, and the sign of p at a/b (b > 0) is that of b^d * p(a/b).  For a
+squarefree p the variation difference V(a) - V(b) counts the distinct
+real roots in (a, b]; ``sturm_real_root_count`` adjusts for the other
+interval shapes.  ``isolate_real_roots`` returns points for rational
+roots and open intervals holding one irrational root each; refinement
+bisects on the sign at the midpoint and needs no chain.
 """
 
 from __future__ import annotations
@@ -168,6 +170,10 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x: Rational) -> int:
+        """Sign of p(x) at a rational x, from the integer b^d * p(a/b)."""
+        return _sign(_eval_hom(self.coeffs, x.numerator, x.denominator))
+
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
@@ -228,12 +234,7 @@ class IntPolynomial:
         """Primitive polynomial with the same roots, all simple."""
         if self.degree < 1:
             raise UnsupportedDegreeError("squarefree part needs degree >= 1")
-        g = _poly_gcd(self, self.derivative())
-        if g.degree == 0:
-            return self.primitive()
-        q, r = _poly_divmod(self, g)
-        assert r.is_zero
-        return q.primitive()
+        return _exact_quotient(self, _poly_gcd(self, self.derivative())).primitive()
 
     def is_squarefree(self) -> bool:
         if self.degree < 1:
@@ -259,61 +260,61 @@ class IntPolynomial:
         return "".join(parts)
 
 
-def _frac_coeffs(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _divide_content(cs: list[int]) -> list[int]:
+    """cs divided by the positive gcd of its entries; signs are kept."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
-def _frac_normalize(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division of Fraction coefficient lists, constant first."""
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    dlead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        f = num[k + len(den) - 1] / dlead
-        q[k] = f
-        if f:
-            for i, d in enumerate(den):
-                num[k + i] -= f * d
-    return _frac_normalize(q), _frac_normalize(num)
-
-
-def _from_fracs(cs: Sequence[Fraction]) -> IntPolynomial:
-    """Clear denominators and return the primitive positive-leading poly."""
-    cs = [Fraction(c) for c in cs]
+def _eval_hom(cs: Sequence[int], a: int, b: int) -> int:
+    """b^d * p(a/b) for p = cs of degree d, by homogenised Horner; for
+    b > 0 it has the sign of p(a/b)."""
     if not cs:
-        return IntPolynomial(())
-    lcm = 1
-    for c in cs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in cs]
-    return IntPolynomial(tuple(ints)).primitive()
+        return 0
+    acc, scale = cs[-1], 1
+    for c in cs[-2::-1]:
+        scale *= b
+        acc = acc * a + c * scale
+    return acc
 
 
-def _poly_divmod(p: IntPolynomial, d: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Exact-arithmetic division over Q; raises if quotient is not integral."""
-    if d.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    q, r = _frac_divmod(_frac_coeffs(p), _frac_coeffs(d))
-    if any(c.denominator != 1 for c in q) or any(c.denominator != 1 for c in r):
-        raise ValueError("division does not stay integral")
-    return IntPolynomial(tuple(int(c) for c in q)), IntPolynomial(tuple(int(c) for c in r))
+def _prem(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """Pseudo-remainder lc(den)^(deg num - deg den + 1) * num mod den,
+    computed in integers."""
+    num = list(num)
+    top, lead = len(den) - 1, den[-1]
+    for k in range(len(num) - len(den), -1, -1):
+        f = num.pop()  # lead * f - f * lead: the top coefficient cancels
+        num = [c * lead for c in num]
+        for i in range(top):
+            num[k + i] -= f * den[i]
+    while num and num[-1] == 0:
+        num.pop()
+    return num
+
+
+def _exact_quotient(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
+    """p / d by exact integer division, for a d that divides p over Q
+    with an integral quotient, as a primitive d does by Gauss's lemma."""
+    num, top = list(p.coeffs), d.degree
+    q = [0] * (len(num) - top)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = num[k + top] // d.leading
+        for i, c in enumerate(d.coeffs):
+            num[k + i] -= q[k] * c
+    assert not any(num), "division is not exact"
+    return IntPolynomial(tuple(q))
 
 
 def _poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """gcd over Q, returned primitive with positive leading coefficient."""
-    a, b = _frac_coeffs(p), _frac_coeffs(q)
+    """gcd over Q by the primitive pseudo-remainder sequence, returned
+    primitive with positive leading coefficient."""
+    a, b = list(p.coeffs), list(q.coeffs)
     while b:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
+        a, b = b, _divide_content(_prem(a, b))
     if not a:
         return IntPolynomial(())
-    return _from_fracs(a)
+    return IntPolynomial(tuple(a)).primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -400,54 +401,29 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
 
     Candidates come from the rational root theorem: in lowest terms a
     root u/v has u dividing the constant term and v dividing the
-    leading coefficient.
+    leading coefficient.  Each is tested by the integer v^d p(u/v), and
+    each root is divided out exactly as (v x - u) before the next test.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    work = list(p.coeffs)
-    found: list[tuple[Fraction, int]] = []
-    zero_mult = 0
-    while work[0] == 0:
-        zero_mult += 1
-        work.pop(0)
-    if zero_mult:
-        found.append((Fraction(0), zero_mult))
-    poly = [Fraction(c) for c in work]
-    if len(poly) > 1:
-        candidates: set[Fraction] = set()
-        for u in divisors(work[0]):
-            for v in divisors(work[-1]):
-                candidates.add(Fraction(u, v))
-                candidates.add(Fraction(-u, v))
-        for cand in sorted(candidates):
-            mult = 0
-            while len(poly) > 1 and _horner_frac(poly, cand) == 0:
-                poly = _deflate_frac(poly, cand)
-                mult += 1
-            if mult:
-                found.append((cand, mult))
-    out: list[Fraction] = []
-    for root, mult in sorted(found):
-        out.extend([root] * mult)
-    return out
+    zeros = next(k for k, c in enumerate(p.coeffs) if c)
+    work = IntPolynomial(p.coeffs[zeros:])
+    roots = [Fraction(0)] * zeros
+    if work.degree >= 1:
+        tops = divisors(work.coeffs[0])
+        for v in divisors(work.leading):
+            for u in (u for t in tops if math.gcd(t, v) == 1 for u in (t, -t)):
+                while work.degree >= 1 and _eval_hom(work.coeffs, u, v) == 0:
+                    work = _exact_quotient(work, IntPolynomial((-u, v)))
+                    roots.append(Fraction(u, v))
+    return sorted(roots)
 
 
-def _horner_frac(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate_frac(cs: Sequence[Fraction], root: Fraction) -> list[Fraction]:
-    """Synthetic division by (x - root); the remainder must be zero."""
-    out: list[Fraction] = [Fraction(0)] * (len(cs) - 1)
-    carry = Fraction(0)
-    for k in range(len(cs) - 1, 0, -1):
-        carry = cs[k] + carry * root
-        out[k - 1] = carry
-    assert cs[0] + carry * root == 0
-    return out
+def _divide_out_roots(p: IntPolynomial, roots: Sequence[Fraction]) -> IntPolynomial:
+    """Primitive p divided exactly by (v x - u) for each root u/v."""
+    for r in roots:
+        p = _exact_quotient(p, IntPolynomial((-r.numerator, r.denominator)))
+    return p
 
 
 def factor_over_rationals(p: IntPolynomial) -> list[IntPolynomial]:
@@ -462,14 +438,10 @@ def factor_over_rationals(p: IntPolynomial) -> list[IntPolynomial]:
     """
     if p.degree < 1 or p.degree > 4:
         raise UnsupportedDegreeError(f"factorization supports degrees 1..4, got {p.degree}")
-    work = p.primitive()
-    factors: list[IntPolynomial] = []
-    for root in rational_roots(work):
-        lin = IntPolynomial((-root.numerator, root.denominator))
-        factors.append(lin)
-        q, r = _poly_divmod(work, lin)
-        assert r.is_zero
-        work = q
+    p0 = p.primitive()
+    roots = rational_roots(p0)
+    work = _divide_out_roots(p0, roots)
+    factors = [IntPolynomial((-r.numerator, r.denominator)) for r in roots]
     if work.degree == 4:
         split = _quartic_quadratic_split(work)
         if split is not None:
@@ -599,39 +571,36 @@ class Interval:
         return (self.lo + self.hi) / 2
 
 
-def sturm_chain(p: IntPolynomial) -> list[tuple[Fraction, ...]]:
-    """Sturm chain of a squarefree polynomial, Fraction coefficients."""
+def sturm_chain(p: IntPolynomial) -> list[tuple[int, ...]]:
+    """Sturm chain of a squarefree polynomial as integer tuples: p, p',
+    then minus each remainder, up to a positive factor."""
     if p.degree < 1:
         raise UnsupportedDegreeError("Sturm chain needs degree >= 1")
-    if not p.is_squarefree():
-        raise ValueError("polynomial must be squarefree (divide by gcd(p, p') first)")
-    chain = [_frac_coeffs(p), _frac_coeffs(p.derivative())]
-    while chain[-1]:
-        _, rem = _frac_divmod(chain[-2], chain[-1])
+    chain = [_divide_content(list(p.coeffs)), _divide_content(list(p.derivative().coeffs))]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        rem = _prem(a, b)
         if not rem:
-            break
-        chain.append([-c for c in rem])
+            # the last member is gcd(p, p') and it is not constant
+            raise ValueError("polynomial must be squarefree (divide by gcd(p, p') first)")
+        # prem = lc(b)^k * rem with k = deg a - deg b + 1; the member is -rem
+        flip = b[-1] > 0 or (len(a) - len(b)) % 2
+        chain.append(_divide_content([-c for c in rem] if flip else rem))
     return [tuple(cs) for cs in chain]
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_at(cs: Sequence[Fraction], x: Optional[Fraction], at_neg_inf: bool = False) -> int:
-    if not cs:
-        return 0
+def _variations(chain: Sequence[Sequence[int]], x: Optional[Fraction], at_neg_inf: bool = False) -> int:
     if x is None:
-        lead = _sign(cs[-1])
-        if at_neg_inf and (len(cs) - 1) % 2:
-            return -lead
-        return lead
-    return _sign(_horner_frac(cs, x))
-
-
-def _variations(chain: Sequence[Sequence[Fraction]], x: Optional[Fraction], at_neg_inf: bool = False) -> int:
-    signs = [s for cs in chain if (s := _sign_at(cs, x, at_neg_inf)) != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        odd = -1 if at_neg_inf else 1
+        signs = [_sign(cs[-1]) * (odd if (len(cs) - 1) % 2 else 1) for cs in chain]
+    else:
+        a, b = x.numerator, x.denominator
+        signs = [s for cs in chain if (s := _sign(_eval_hom(cs, a, b))) != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def sturm_real_root_count(p: IntPolynomial, interval: Optional[Interval] = None) -> int:
@@ -646,9 +615,9 @@ def sturm_real_root_count(p: IntPolynomial, interval: Optional[Interval] = None)
         return _variations(chain, None, at_neg_inf=True) - _variations(chain, None)
     lo, hi = interval.lo, interval.hi
     count = _variations(chain, lo, at_neg_inf=lo is None) - _variations(chain, hi)
-    if hi is not None and interval.hi_open and p.evaluate(hi) == 0:
+    if hi is not None and interval.hi_open and p.sign_at(hi) == 0:
         count -= 1
-    if lo is not None and not interval.lo_open and p.evaluate(lo) == 0:
+    if lo is not None and not interval.lo_open and p.sign_at(lo) == 0:
         count += 1
     return count
 
@@ -671,13 +640,10 @@ def isolate_real_roots(p: IntPolynomial) -> list[Interval]:
         raise UnsupportedDegreeError("root isolation needs degree >= 1")
     if not p.is_squarefree():
         raise ValueError("polynomial must be squarefree (divide by gcd(p, p') first)")
-    points: list[Interval] = []
-    work = p.primitive()
-    for root in rational_roots(work):
-        points.append(Interval.point(root))
-        q, r = _poly_divmod(work, IntPolynomial((-root.numerator, root.denominator)))
-        assert r.is_zero
-        work = q
+    p0 = p.primitive()
+    roots = rational_roots(p0)
+    work = _divide_out_roots(p0, roots)
+    points = [Interval.point(root) for root in roots]
     opens: list[Interval] = []
     if work.degree >= 1:
         chain = sturm_chain(work)
@@ -695,9 +661,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[Interval]:
             if k == 1:
                 # shrink past any rational root of the original polynomial,
                 # so intervals stay disjoint from the point results
-                for pt in points:
-                    r = pt.lo
-                    assert r is not None
+                for r in roots:
                     if lo < r < hi:
                         if count(lo, r) == 1:
                             hi = r
@@ -714,7 +678,12 @@ def isolate_real_roots(p: IntPolynomial) -> list[Interval]:
 
 
 def refine_interval(p: IntPolynomial, iv: Interval, max_width: Rational) -> Interval:
-    """Shrink an isolating interval below max_width by Sturm bisection."""
+    """Shrink an isolating interval of p below max_width by bisecting on
+    the sign at the midpoint.  When p changes sign between the ends, the
+    one root inside has odd multiplicity and p itself is bisected;
+    otherwise the squarefree part s is, whose sign just right of lo is
+    that of s(lo), or of s'(lo) when lo is a root, which is simple.  A
+    midpoint root comes back as a point interval."""
     if iv.is_point:
         return iv
     if iv.lo is None or iv.hi is None:
@@ -722,16 +691,20 @@ def refine_interval(p: IntPolynomial, iv: Interval, max_width: Rational) -> Inte
     max_width = _as_fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    chain = sturm_chain(p.squarefree_part() if not p.is_squarefree() else p)
     lo, hi = iv.lo, iv.hi
+    sf, lo_sign = p, p.sign_at(lo)
+    if lo_sign * p.sign_at(hi) >= 0:
+        sf = p.squarefree_part()
+        lo_sign = sf.sign_at(lo) or sf.derivative().sign_at(lo)
     while hi - lo > max_width:
         mid = (lo + hi) / 2
-        if _horner_frac([Fraction(c) for c in p.coeffs], mid) == 0:
+        s = _sign(_eval_hom(sf.coeffs, mid.numerator, mid.denominator))
+        if s == 0:
             return Interval.point(mid)
-        if _variations(chain, lo) - _variations(chain, mid) == 1:
-            hi = mid
-        else:
+        if s == lo_sign:
             lo = mid
+        else:
+            hi = mid
     return Interval.open(lo, hi)
 
 

@@ -125,6 +125,25 @@ def _separation_lower_bound(ints: Sequence[int]) -> Fraction:
     return Fraction(max(math.isqrt(3 * abs(disc)), 1), 16 * norm_sq)
 
 
+def _rational_root_candidates(ints: Sequence[int]) -> set[Fraction]:
+    """The rational root theorem's list: 0 when the constant term is 0,
+    and +-p/q for p dividing the lowest nonzero coefficient (the constant
+    term once the powers of x are divided out) and q dividing the
+    leading one."""
+    low = next(c for c in ints if c)
+    lead = ints[-1]
+    candidates = {Fraction(0)} if ints[0] == 0 else set()
+    for p in range(1, abs(low) + 1):
+        if low % p:
+            continue
+        for q in range(1, abs(lead) + 1):
+            if lead % q:
+                continue
+            candidates.add(Fraction(p, q))
+            candidates.add(Fraction(-p, q))
+    return candidates
+
+
 def isolate_roots_bisection(coeffs: Sequence[int]) -> list[RootHandle]:
     """Distinct real roots of an integer polynomial of degree <= 3,
     isolated purely by endpoint sign changes on a bisection tree.
@@ -145,18 +164,7 @@ def isolate_roots_bisection(coeffs: Sequence[int]) -> list[RootHandle]:
     # deflating each hit so the remainder has none left.
     rational: list[Fraction] = []
     work = [Fraction(c) for c in ints]
-    const = ints[0]
-    lead = ints[-1]
-    candidates = {Fraction(0)} if const == 0 else set()
-    for p in range(1, abs(const) + 1):
-        if const % p:
-            continue
-        for q in range(1, abs(lead) + 1):
-            if lead % q:
-                continue
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    for cand in sorted(candidates):
+    for cand in sorted(_rational_root_candidates(ints)):
         while len(work) > 1 and _peval(work, cand) == 0:
             rational.append(cand)
             quot, rem = _pdivmod(work, [-cand, Fraction(1)])
@@ -238,6 +246,23 @@ def refine_past(coeffs: Sequence[int], handle: RootHandle, bound: Fraction) -> R
     return lo, hi
 
 
+def sturm_sequence_oracle(coeffs: Sequence[int]) -> list[list[Fraction]]:
+    """The classical Sturm sequence p, p', -rem(p, p'), ... of a
+    squarefree polynomial, by Fraction long division."""
+    seq = [[Fraction(c) for c in coeffs]]
+    seq.append(_pderiv(seq[0]))
+    while True:
+        rem = _pdivmod(seq[-2], seq[-1])[1]
+        if not rem:
+            return seq
+        seq.append([-c for c in rem])
+
+
+def sign_at(coeffs: Sequence, x: Fraction) -> int:
+    v = _peval([Fraction(c) for c in coeffs], x)
+    return (v > 0) - (v < 0)
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic predicates, recomputed from their definitions.
 
@@ -297,18 +322,7 @@ def _deflate_rational_roots(coeffs: Sequence[int]) -> tuple[list[Fraction], list
     changed = True
     while changed and len(work) > 1:
         changed = False
-        ints = _primitive_int(work)
-        const, lead = ints[0], ints[-1]
-        cands = {Fraction(0)} if const == 0 else set()
-        for p in range(1, abs(const) + 1):
-            if const % p:
-                continue
-            for q in range(1, abs(lead) + 1):
-                if lead % q:
-                    continue
-                cands.add(Fraction(p, q))
-                cands.add(Fraction(-p, q))
-        for cand in sorted(cands):
+        for cand in sorted(_rational_root_candidates(_primitive_int(work))):
             if len(work) > 1 and _peval(work, cand) == 0:
                 roots.append(cand)
                 work, rem = _pdivmod(work, [-cand, Fraction(1)])

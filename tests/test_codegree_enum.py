@@ -10,9 +10,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from fusionarith import codegree_enum
 from fusionarith.codegree_enum import (
     FILTER_CYCLOTOMIC,
     FILTER_D_NUMBER,
@@ -281,6 +282,78 @@ def test_scan_range_override_narrows_the_sweep():
     certs = enumerate_candidates(narrowed)
     assert [str(c.candidate) for c in certs] == [
         "x^3-21x^2+196x-343", "x^3-28x^2+196x-343"]
+
+
+def _unstepped_certificates(instance, disabled=frozenset()):
+    """enumerate_candidates for a cubic orbit written out with every e1
+    of the range tested, survivors first."""
+    certs = []
+    for product in admissible_products(instance):
+        assignment = forced_coefficients(instance, product)
+        lo, hi = instance.scan_range or (1, assignment.forced_next)
+        for e1 in range(lo, hi + 1):
+            p = assignment.assemble(e1)
+            if FILTER_D_NUMBER not in disabled and not codegree_enum.is_d_number(p).passes:
+                continue
+            certs.append(run_filter_pipeline(p, instance, disabled))
+    return [c for c in certs if c.survived] + [c for c in certs if not c.survived]
+
+
+@st.composite
+def small_cubic_instances(draw, default_range: bool = True):
+    n = draw(st.integers(2, 7))
+    bounds = draw(st.lists(st.integers(1, 4 * n).map(lambda k: Fraction(k, 4)), max_size=3))
+    lo = draw(st.integers(-40, 20))
+    ranges = st.just((lo, lo + draw(st.integers(0, 40))))
+    return ClassEquationInstance(
+        global_dim=n,
+        fixed_codegrees=(n,) * draw(st.integers(1, n - 1)),
+        orbit_degree=3,
+        product_divides=draw(st.sampled_from([n ** 3, 4 * n ** 3, 27 * n])),
+        root_lower_bounds=tuple(bounds),
+        scan_range=draw(st.none() | ranges if default_range else ranges),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cubic_instances())
+def test_stepped_scan_gives_the_unstepped_certificates(instance):
+    try:
+        certs = enumerate_candidates(instance)
+    except ScanSoundnessError:
+        reject()
+    assert certs == _unstepped_certificates(instance)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_cubic_instances(default_range=False))
+def test_without_d_number_every_e1_is_scanned(instance):
+    disabled = frozenset({FILTER_D_NUMBER})
+    certs = enumerate_candidates(instance, disabled)
+    assert certs == _unstepped_certificates(instance, disabled)
+    lo, hi = instance.scan_range
+    assert len(certs) == len(admissible_products(instance)) * (hi - lo + 1)
+
+
+CUBIC13 = ClassEquationInstance(
+    global_dim=13, fixed_codegrees=(13, 13, 13), orbit_degree=3,
+    product_divides=13 ** 3,
+    root_lower_bounds=(Fraction(13, 4), Fraction(13, 2), Fraction(13)),
+)
+
+
+def test_stepped_scan_tests_fewer_d_numbers(monkeypatch):
+    tested = []
+    real = codegree_enum.is_d_number
+    monkeypatch.setattr(codegree_enum, "is_d_number", lambda p: tested.append(p) or real(p))
+    certs = enumerate_candidates(CUBIC13)
+    stepped = len(tested)
+    # e2 = 1690 and m = 13: the scan tests the 130 multiples of 13 and
+    # the pipeline retests each; testing every e1 in 1..e2, as the scan
+    # did before it stepped, takes 1690 + 130 calls
+    assert stepped == 260
+    assert certs == _unstepped_certificates(CUBIC13)
+    assert len(tested) - stepped == 1820
 
 
 # ---------------------------------------------------------------------------

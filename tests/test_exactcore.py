@@ -180,6 +180,12 @@ def test_rational_roots_of_known_products():
     assert rational_roots(P(1, 0, 1)) == []
 
 
+def test_rational_roots_keep_their_multiplicity():
+    p = P(-2, 1) * P(-2, 1) * P(0, 1) * P(3, 2)
+    assert rational_roots(p) == [Fraction(-3, 2), 0, 2, 2]
+    assert factor_over_rationals(p) == [P(-2, 1), P(-2, 1), P(0, 1), P(3, 2)]
+
+
 @given(st.lists(coeff, min_size=2, max_size=5))
 def test_factorization_multiplies_back(cs):
     p = IntPolynomial(tuple(cs))
@@ -261,6 +267,16 @@ def test_refinement_shrinks_but_keeps_the_root():
     tight = refine_interval(p, iv, Fraction(1, 10**6))
     assert tight.width() <= Fraction(1, 10**6)
     assert sturm_real_root_count(p, tight) == 1
+
+
+def test_refinement_of_a_repeated_root_matches_its_squarefree_part():
+    q = P(-2, 0, 1)
+    iv = Interval.open(1, 2)
+    expected = refine_interval(q, iv, Fraction(1, 1000))
+    # odd multiplicity keeps the sign change, even multiplicity loses it;
+    # the last two have a double and a triple root at the lower end
+    for p in (q * q * q, q * q * P(-5, 1), q * P(-1, 1) * P(-1, 1), q * P(-1, 1) * P(-1, 1) * P(-1, 1)):
+        assert refine_interval(p, iv, Fraction(1, 1000)) == expected
 
 
 # ---------------------------------------------------------------------------

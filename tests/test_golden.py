@@ -6,12 +6,17 @@ the files only for a deliberate report change, and say so in CHANGES.md:
     fusion-arith run --all --format text --out tests/golden/bundled.txt
     fusion-arith run tests/golden/cases/*.case.json --format text --out tests/golden/extra.txt
 
-and the same two with --format json into bundled.json and extra.json.
-The extra cases cover what the bundled ones do not: field membership
+    fusion-arith run tests/golden/cubic/*.case.json --format text --out tests/golden/cubic.txt
+
+and the same three with --format json into bundled.json, extra.json and
+cubic.json.  The extra cases cover what the bundled ones do not: field membership
 both ways, expectations that do not match, an S-matrix that fails
 orthogonality, and an engine error.  The engine error pins today's
 UnsupportedSquareClassError text on a cyclotomic sum scan; deciding that
-case exactly will change the report and re-record it.
+case exactly will change the report and re-record it.  The cubic cases
+are the benchmark's codegree scans at N = 13 and 14; their JSON holds
+dozens of refined cubic witness intervals, which the bundled cases
+barely exercise.
 """
 from __future__ import annotations
 
@@ -24,12 +29,14 @@ from fusionarith.casefile import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 EXTRA_CASES = sorted(glob.glob(os.path.join(GOLDEN, "cases", "*.case.json")))
+CUBIC_CASES = sorted(glob.glob(os.path.join(GOLDEN, "cubic", "*.case.json")))
 
 
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
 @pytest.mark.parametrize("name, args, status", [
     ("bundled", ["--all"], 0),
     ("extra", EXTRA_CASES, 1),
+    ("cubic", CUBIC_CASES, 0),
 ])
 def test_reports_match_golden_bytes(tmp_path, capsys, name, args, status, fmt, ext):
     out = tmp_path / f"{name}.{ext}"
@@ -41,3 +48,4 @@ def test_reports_match_golden_bytes(tmp_path, capsys, name, args, status, fmt, e
 
 def test_extra_cases_are_all_rendered():
     assert len(EXTRA_CASES) == 6
+    assert len(CUBIC_CASES) == 2
