@@ -555,8 +555,6 @@ _CASE_KINDS: dict[str, Any] = {
     "galois-structure": _GaloisStructure(),
 }
 
-KINDS = tuple(_CASE_KINDS)
-
 
 def _case_kind(kind: str, params: dict) -> _CaseKind:
     """The table entry of a case; class-equation picks it by mode."""

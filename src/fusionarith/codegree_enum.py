@@ -32,7 +32,6 @@ from typing import Callable, Optional, Sequence, Union
 from .algint import (
     in_cyclic_cubic_field,
     is_d_number,
-    is_totally_real,
     passes_cyclotomic_test,
     quadratic_subfield_in_cyclotomic,
 )
@@ -189,6 +188,8 @@ def _real_triple_feasible(product: int, ratio: Fraction, smallest_bound: Fractio
     h = (IntPolynomial((-den, num)) * IntPolynomial((-den, num))) * product \
         + IntPolynomial((0, 0, 0, -4 * den * den))
     upper = Fraction(_integer_cube_ceiling(product))
+    if smallest_bound >= upper:
+        return False
     if h.sign_at(smallest_bound) > 0 or h.sign_at(upper) >= 0:
         return True
     window = Interval(smallest_bound, upper, lo_open=True, hi_open=False)
@@ -270,56 +271,36 @@ class _CubicRoot:
 _RootHandle = Union[Fraction, QuadraticFieldElement, _CubicRoot]
 
 
-def _shrink(handle: _CubicRoot) -> _CubicRoot:
-    iv = handle.interval  # two bisection steps; no midpoint is the irrational root
-    refined = refine_interval(handle.factor, iv, iv.width() / 4)
-    return _CubicRoot(handle.factor, refined)
-
-
-def _handle_vs_scalar(handle: _CubicRoot, x) -> int:
-    # x rational or quadratic; the cubic root is irrational of degree 3,
-    # so equality is impossible and refinement terminates
-    h = handle
-    while True:
-        if x <= h.interval.lo:
-            return 1
-        if x >= h.interval.hi:
-            return -1
-        h = _shrink(h)
-
-
 def _handle_cmp(a: _RootHandle, b: _RootHandle) -> int:
-    if isinstance(a, _CubicRoot) and isinstance(b, _CubicRoot):
-        if a.factor == b.factor and a.interval == b.interval:
-            return 0
-        x, y = a, b
-        while True:
-            if x.interval.hi <= y.interval.lo:
-                return -1
-            if y.interval.hi <= x.interval.lo:
-                return 1
-            x, y = _shrink(x), _shrink(y)
-    if isinstance(a, _CubicRoot):
-        return _handle_vs_scalar(a, b)
+    """Sign of a - b.  A cubic handle's factor is an irreducible cubic
+    with one simple root in the open interval (lo, hi) and no rational
+    root, and candidates have degree at most 4, so a cubic root meets
+    only roots of its own factor, whose intervals are disjoint, and
+    rationals x, which it exceeds inside (lo, hi) exactly when the
+    factor has the same sign at x as at lo."""
+    if isinstance(b, _CubicRoot) and not isinstance(a, _CubicRoot):
+        return -_handle_cmp(b, a)
+    if not isinstance(a, _CubicRoot):
+        return (a > b) - (a < b)
+    lo, hi = a.interval.lo, a.interval.hi
     if isinstance(b, _CubicRoot):
-        return -_handle_vs_scalar(b, a)
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
-def _handle_gt_bound(handle: _RootHandle, bound: Fraction) -> bool:
-    if isinstance(handle, _CubicRoot):
-        return _handle_vs_scalar(handle, bound) > 0
-    return handle > bound
+        return (lo > b.interval.lo) - (lo < b.interval.lo)
+    if b <= lo:
+        return 1
+    if b >= hi:
+        return -1
+    return 1 if a.factor.sign_at(b) == a.factor.sign_at(lo) else -1
 
 
 def _handle_str(handle: _RootHandle) -> str:
     if isinstance(handle, _CubicRoot):
-        h = handle
-        while h.interval.width() > Fraction(1, 1024):
-            h = _shrink(h)
-        return f"({h.interval.lo}, {h.interval.hi})"
+        # the fewest pairs of halvings that reach width 1/1024; stored
+        # reports print the intervals this exact count produces
+        width = handle.interval.width()
+        while width > Fraction(1, 1024):
+            width /= 4
+        iv = refine_interval(handle.factor, handle.interval, width)
+        return f"({iv.lo}, {iv.hi})"
     return str(handle)
 
 
@@ -373,7 +354,7 @@ def _filter_positive_bounded(factors: Sequence[IntPolynomial], bounds: tuple[Fra
     padded = sorted(bounds)[: len(handles)]
     padded += [Fraction(0)] * (len(handles) - len(padded))
     for handle, bound in zip(handles, padded):
-        if not _handle_gt_bound(handle, bound):
+        if _handle_cmp(handle, bound) <= 0:
             return FilterResult(
                 FILTER_POSITIVE_BOUNDED, False,
                 {"root": _handle_str(handle), "bound": str(bound)},

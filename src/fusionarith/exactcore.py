@@ -565,11 +565,6 @@ class Interval:
             return False
         return True
 
-    def midpoint(self) -> Fraction:
-        if self.lo is None or self.hi is None:
-            raise ValueError("midpoint of an unbounded interval")
-        return (self.lo + self.hi) / 2
-
 
 def sturm_chain(p: IntPolynomial) -> list[tuple[int, ...]]:
     """Sturm chain of a squarefree polynomial as integer tuples: p, p',
@@ -712,6 +707,18 @@ def refine_interval(p: IntPolynomial, iv: Interval, max_width: Rational) -> Inte
 # quadratic field elements
 
 
+def _field_sign(a: Fraction, b: Fraction, n: int) -> int:
+    """Sign of (a + b*sqrt(n))/2: that of a when b is 0, that of b when
+    a is 0 or has b's sign, else decided by comparing a^2 with n b^2."""
+    if b == 0:
+        return _sign(a)
+    if a == 0 or (a > 0) == (b > 0):
+        return _sign(b)
+    cmp = _sign(a * a - n * b * b)
+    assert cmp != 0, "sqrt(n) cannot be rational"
+    return cmp if a > 0 else -cmp
+
+
 _QFE_ROOT = re.compile(
     r"^(?:(?P<rat>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<coef>[+-]?(?:\d+(?:/\d+)?)?)r(?P<n>\d+)$"
 )
@@ -799,42 +806,32 @@ class QuadraticFieldElement:
         return (a * a - self.n * b * b) % 4 == 0
 
     def sign(self) -> int:
-        a, b, n = self.a, self.b, self.n
-        if b == 0:
-            return _sign(a)
-        if a == 0:
-            return _sign(b)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        cmp = _sign(a * a - n * b * b)
-        assert cmp != 0, "sqrt(n) cannot be rational"
-        return cmp if a > 0 else -cmp
+        return _field_sign(self.a, self.b, self.n)
 
     def is_totally_positive(self) -> bool:
         return self.sign() > 0 and self.conjugate().sign() > 0
 
     # -- arithmetic
 
-    def _coerce(self, other) -> Optional["QuadraticFieldElement"]:
+    def _operand(self, other) -> Optional[tuple[Fraction, Fraction, int]]:
+        """Half coordinates of a scalar other and the field of the result,
+        or None for a non-scalar; a rational side takes the other's field."""
         if isinstance(other, QuadraticFieldElement):
-            if other.n == self.n or other.is_rational:
-                return QuadraticFieldElement(other.a, other.b, self.n)
-            if self.is_rational:
-                return None  # handled by reflected op on other's field
+            if other.n == self.n or other.b == 0:
+                return other.a, other.b, self.n
+            if self.b == 0:
+                return other.a, other.b, other.n
             raise ValueError(f"mixed field generators {self.n} and {other.n}")
         if isinstance(other, (int, Fraction)):
-            return QuadraticFieldElement.from_rational(other, self.n)
+            return 2 * _as_fraction(other), Fraction(0), self.n
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
-            if isinstance(other, QuadraticFieldElement):
-                return QuadraticFieldElement(self.a, self.b, other.n) + other
             return NotImplemented
-        return QuadraticFieldElement(self.a + o.a, self.b + o.b, self.n)
+        a, b, n = o
+        return QuadraticFieldElement(self.a + a, self.b + b, n)
 
     __radd__ = __add__
 
@@ -842,39 +839,36 @@ class QuadraticFieldElement:
         return QuadraticFieldElement(-self.a, -self.b, self.n)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
-            if isinstance(other, QuadraticFieldElement):
-                return QuadraticFieldElement(self.a, self.b, other.n) - other
             return NotImplemented
-        return QuadraticFieldElement(self.a - o.a, self.b - o.b, self.n)
+        a, b, n = o
+        return QuadraticFieldElement(self.a - a, self.b - b, n)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
-            if isinstance(other, QuadraticFieldElement):
-                return QuadraticFieldElement(self.a, self.b, other.n) * other
             return NotImplemented
-        a = (self.a * o.a + self.n * self.b * o.b) / 2
-        b = (self.a * o.b + self.b * o.a) / 2
-        return QuadraticFieldElement(a, b, self.n)
+        a, b, n = o
+        return QuadraticFieldElement((self.a * a + n * self.b * b) / 2,
+                                     (self.a * b + self.b * a) / 2, n)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
-            if isinstance(other, QuadraticFieldElement):
-                return QuadraticFieldElement(self.a, self.b, other.n) / other
             return NotImplemented
-        nm = o.norm()
-        if nm == 0:
+        a, b, n = o
+        # self * conjugate(other) / norm(other), with 4 * norm = a^2 - n b^2
+        scale = (a * a - n * b * b) / 2
+        if scale == 0:
             raise ZeroDivisionError("division by zero field element")
-        prod = self * o.conjugate()
-        return QuadraticFieldElement(prod.a / nm, prod.b / nm, self.n)
+        return QuadraticFieldElement((self.a * a - n * self.b * b) / scale,
+                                     (self.b * a - self.a * b) / scale, n)
 
     def __rtruediv__(self, other):
         return QuadraticFieldElement.from_rational(_as_fraction(other), self.n) / self
@@ -882,12 +876,11 @@ class QuadraticFieldElement:
     # -- comparisons
 
     def _diff_sign(self, other) -> int:
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
-            if isinstance(other, QuadraticFieldElement):
-                return -(other._diff_sign(self))
             raise TypeError(f"cannot compare with {type(other).__name__}")
-        return (self - o).sign()
+        a, b, n = o
+        return _field_sign(self.a - a, self.b - b, n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

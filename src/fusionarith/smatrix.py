@@ -41,14 +41,6 @@ class DegenerateColumnError(ValueError):
 Scalar = Union[int, Fraction, QuadraticFieldElement]
 
 
-def _as_field(value: Scalar, n: int) -> QuadraticFieldElement:
-    if isinstance(value, QuadraticFieldElement):
-        if not value.is_rational and value.n != n:
-            raise ValueError(f"mixed field generators: sqrt({value.n}) vs sqrt({n})")
-        return QuadraticFieldElement(value.a, value.b, n)
-    return QuadraticFieldElement.from_rational(Fraction(value), n)
-
-
 @dataclass(frozen=True)
 class CandidateSMatrix:
     """Symmetric square matrix of field elements with a declared total.
@@ -95,7 +87,8 @@ class CandidateSMatrix:
             tuple(QuadraticFieldElement(Fraction(a), Fraction(b), n) for a, b in row)
             for row in rows
         )
-        return CandidateSMatrix(grid, unit_index, _as_field(declared_dim, n), kind, n)
+        zero = QuadraticFieldElement(Fraction(0), Fraction(0), n)
+        return CandidateSMatrix(grid, unit_index, zero + declared_dim, kind, n)
 
     @property
     def size(self) -> int:

@@ -321,6 +321,22 @@ def test_cli_engine_error_exits_nonzero(tmp_path, capsys):
     assert "1 cases, 1 failed" in captured.err
 
 
+@pytest.mark.parametrize("bound", ["9/4", "3"])
+def test_cli_runs_a_cubic_case_whose_bound_exceeds_every_cube_root(tmp_path, capsys, bound):
+    doc = make_case(name="bound-past-cube-roots", kind="class-equation",
+                    parameters={"global_dim": 3, "fixed_codegrees": ["3"], "orbit_degree": 3,
+                                "product_divides": 27, "root_lower_bounds": [bound],
+                                "product_feasibility": "real-roots"})
+    target = tmp_path / "bound.case.json"
+    target.write_text(doc, encoding="utf-8")
+    assert main(["validate", str(target)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(target), "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["reports"][0]["results"]
+    assert results["admissible_products"] == []
+    assert results["certificate_count"] == 0
+
+
 def test_cli_out_writes_the_report_file(tmp_path, capsys):
     out = tmp_path / "report.txt"
     assert main(["run", dim7_path(), "--out", str(out)]) == 0

@@ -36,6 +36,7 @@ from fusionarith.codegree_enum import (
     residual_target,
     run_filter_pipeline,
     _integer_cube_ceiling,
+    _real_triple_feasible,
 )
 from fusionarith.exactcore import IntPolynomial
 
@@ -107,6 +108,20 @@ def test_admissible_products():
     assert admissible_products(DIM7) == [49, 343]
     assert admissible_products(DIM9) == [243, 729]
     assert admissible_products(DIM6) == [12, 18, 36]
+
+
+@pytest.mark.parametrize("bound", [Fraction(9, 4), Fraction(3)])
+def test_real_roots_mode_drops_products_whose_cube_root_is_under_the_bound(bound):
+    # the admissible P are 3, 9 and 27, with integer cube ceilings 2, 3
+    # and 3; a smallest root f1 above the bound would give
+    # P = f1*f2*f3 >= f1^3 > P
+    instance = ClassEquationInstance(global_dim=3, fixed_codegrees=(3,), orbit_degree=3,
+                                     product_divides=27, root_lower_bounds=(bound,),
+                                     product_feasibility="real-roots")
+    r = residual_target(instance)
+    assert not any(_real_triple_feasible(p, r, bound) for p in (3, 9, 27))
+    assert admissible_products(instance) == []
+    assert enumerate_candidates(instance) == []
 
 
 def test_forced_coefficients():

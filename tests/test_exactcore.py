@@ -2,6 +2,7 @@
 and quadratic field elements."""
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -329,18 +330,31 @@ def test_division_by_zero_element():
         phi_like / zero
 
 
-def test_mixed_generators_reject_arithmetic():
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+ORDERING = [operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["r2-first", "r3-first"])
+@pytest.mark.parametrize("op", ARITHMETIC + ORDERING, ids=lambda op: op.__name__)
+def test_mixed_generators_reject_arithmetic(op, swap):
     r2 = QuadraticFieldElement(Fraction(0), Fraction(2), 2)
     r3 = QuadraticFieldElement(Fraction(0), Fraction(2), 3)
     with pytest.raises(ValueError, match="mixed field generators"):
-        r2 + r3
+        op(*((r3, r2) if swap else (r2, r3)))
 
 
-def test_rational_elements_mix_across_generators():
+@pytest.mark.parametrize("swap", [False, True], ids=["rational-first", "irrational-first"])
+@pytest.mark.parametrize("op", ARITHMETIC + ORDERING + [operator.eq], ids=lambda op: op.__name__)
+def test_rational_elements_mix_across_generators(op, swap):
+    # a rational element of Q(sqrt2) acts as the same rational in Q(sqrt3)
     four_in_r2 = QuadraticFieldElement.from_rational(4, 2)
+    four_in_r3 = QuadraticFieldElement.from_rational(4, 3)
     r3 = QuadraticFieldElement(Fraction(0), Fraction(2), 3)
-    assert (four_in_r2 + r3).n == 3
-    assert four_in_r2 + r3 == r3 + 4
+    got = op(*((r3, four_in_r2) if swap else (four_in_r2, r3)))
+    assert got == op(*((r3, four_in_r3) if swap else (four_in_r3, r3)))
+    assert got == op(*((r3, 4) if swap else (4, r3)))
+    if op in ARITHMETIC:
+        assert got.n == 3
 
 
 @given(small_frac, small_frac)

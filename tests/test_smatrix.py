@@ -225,6 +225,20 @@ def test_construction_rejects_mixed_field_generators():
             kind="modular",
             n=2,
         )
+    with pytest.raises(ValueError, match=re.escape("mixed field generators: sqrt(3) vs sqrt(2)")):
+        CandidateSMatrix.from_half_pairs([[(2, 0)]], n=2, declared_dim=QuadraticFieldElement.parse("1r3"))
+
+
+@pytest.mark.parametrize("declared", [1, Fraction(1), QuadraticFieldElement.from_rational(1, 3)],
+                         ids=["int", "Fraction", "rational-in-Q(sqrt3)"])
+def test_rational_declared_dim_joins_the_matrix_field(declared):
+    matrix = CandidateSMatrix.from_half_pairs([[(2, 0)]], n=2, declared_dim=declared)
+    assert matrix.declared_dim.n == 2 and matrix.declared_dim == 1
+
+
+def test_float_declared_dim_is_a_type_error():
+    with pytest.raises(TypeError):
+        CandidateSMatrix.from_half_pairs([[(2, 0)]], n=2, declared_dim=1.0)
 
 
 # ---------------------------------------------------------------------------

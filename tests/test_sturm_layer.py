@@ -4,7 +4,10 @@ Real-root counts, isolation and refinement are checked on squarefree
 integer polynomials of degree 1 to 4, built as a squarefree base q of
 degree at most 3 (the oracle's range) times linear factors whose
 rational roots are placed on purpose: at the ends of isolating
-intervals and at bisection midpoints.
+intervals and at bisection midpoints.  Roots of irreducible cubics,
+which the codegree filters compare by one sign evaluation, are checked
+against the oracle's bisection at points inside, at and outside their
+isolating intervals.
 """
 from __future__ import annotations
 
@@ -15,9 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fusionarith import exactcore
+from fusionarith.codegree_enum import _CubicRoot, _handle_cmp, _handle_str, _real_root_handles
 from fusionarith.exactcore import (
     Interval,
     IntPolynomial,
+    factor_over_rationals,
     isolate_real_roots,
     refine_interval,
     sturm_chain,
@@ -190,3 +195,66 @@ def test_integer_chain_signs_match_the_fraction_sequence(q, extra, xs):
     assert [(m[-1] > 0) for m in chain] == [(m[-1] > 0) for m in sequence]
     for x in xs:
         assert [sign_at(m, x) for m in chain] == [sign_at(m, x) for m in sequence]
+
+
+@st.composite
+def irreducible_cubics(draw) -> tuple[list[int], list]:
+    """k (x - a)(x - b)(x - c) + e with the roots a < b < c at least 2
+    apart and |e| <= 2 < 3k, so |k (x - a)(x - b)(x - c)| >= 3k midway
+    between neighbouring roots keeps three real roots; draws with a
+    rational root are rejected.  Returned with the oracle's handles."""
+    a = draw(st.integers(-6, 2))
+    b = a + draw(st.integers(2, 4))
+    c = b + draw(st.integers(2, 4))
+    k = draw(st.integers(1, 2))
+    e = draw(st.sampled_from([-2, -1, 1, 2]))
+    cs = [k * -a * b * c + e, k * (a * b + a * c + b * c), k * -(a + b + c), k]
+    oracle = isolate_roots_bisection(cs)
+    assume(all(isinstance(h, tuple) for h in oracle))
+    return cs, oracle
+
+
+fractions_0_to_1 = st.fractions(min_value=0, max_value=1, max_denominator=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_cubics(), fractions_0_to_1, st.fractions(min_value=0, max_value=3, max_denominator=8),
+       st.integers(1, 20))
+def test_cubic_roots_compare_with_rationals_as_the_oracle_orders_them(cubic, t, gap, k):
+    cs, oracle = cubic
+    f = IntPolynomial(tuple(cs))
+    ivs = isolate_real_roots(f)
+    roots = [_CubicRoot(f, iv) for iv in ivs]
+    assert len(ivs) == len(oracle) == 3
+    for root, iv, h in zip(roots, ivs, oracle):
+        assert _inside(cs, h, iv.lo, iv.hi)
+        near = refine_interval(f, iv, iv.width() / 2 ** k)
+        points = [iv.lo, iv.hi, iv.lo - gap, iv.hi + gap, iv.lo + t * iv.width(), near.lo, near.hi]
+        for x in points:
+            want = 1 if root_exceeds(refine_past(cs, h, x), x) else -1
+            assert _handle_cmp(root, x) == want
+            assert _handle_cmp(x, root) == -want
+        # the witness text: halvings in pairs down to width 1/1024
+        shrunk = iv
+        while shrunk.width() > Fraction(1, 1024):
+            shrunk = refine_interval(f, shrunk, shrunk.width() / 4)
+        assert _handle_str(root) == f"({shrunk.lo}, {shrunk.hi})"
+    assert [[_handle_cmp(x, y) for y in roots] for x in roots] == [
+        [(i > j) - (i < j) for j in range(3)] for i in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_cubics(), st.integers(0, 2), fractions_0_to_1)
+def test_a_linear_times_cubic_quartic_sorts_as_the_oracle_orders_it(cubic, which, t):
+    # the rational root lies inside, or at an end of, an isolating
+    # interval of the cubic factor, where only the sign test decides
+    cs, oracle = cubic
+    iv = isolate_real_roots(IntPolynomial(tuple(cs)))[which]
+    r = iv.lo + t * iv.width()
+    handles = _real_root_handles(factor_over_rationals(IntPolynomial(tuple(_times_linears(cs, [r])))))
+    below = sum(not root_exceeds(refine_past(cs, h, r), r) for h in oracle)
+    assert handles[below] == r
+    cubic_roots = handles[:below] + handles[below + 1:]
+    assert all(isinstance(root, _CubicRoot) for root in cubic_roots)
+    assert all(_inside(cs, h, root.interval.lo, root.interval.hi)
+               for root, h in zip(cubic_roots, oracle))
