@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
 from . import __version__
@@ -125,6 +126,15 @@ def _get_int_pair(value: Any, path: str) -> tuple[int, int]:
     if len(pair) != 2:
         _fail(path, f"expected a pair, got {len(pair)} entries")
     return (_get_int(pair[0], f"{path}[0]"), _get_int(pair[1], f"{path}[1]"))
+
+
+def _check_exact(value: Any, path: str) -> None:
+    # reports render JSON without floats, so an expected value may not hold one
+    if isinstance(value, float):
+        _fail(path, f"expected an exact value, got {value!r}")
+    for key, item in (value.items() if isinstance(value, dict)
+                      else enumerate(value) if isinstance(value, list) else ()):
+        _check_exact(item, f"{path}.{key}" if isinstance(value, dict) else f"{path}[{key}]")
 
 
 def _list_of(getter: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
@@ -304,7 +314,7 @@ class _ClassEquation(_CaseKind):
         lines = []
         if "admissible_products" in results:
             lines.append("admissible products: "
-                         + ", ".join(str(p) for p in results["admissible_products"]))
+                         + (", ".join(str(p) for p in results["admissible_products"]) or "none"))
         for cert in results["certificates"]:
             status = "SURVIVES" if cert["survived"] else next(
                 f["name"] for f in cert["filters"] if not f["passed"])
@@ -598,6 +608,7 @@ def load_case(data: bytes | str, source: str = "<case>") -> Case:
             for key in expected:
                 if key not in entry.expected:
                     _fail(f"$.expected.{key}", "unknown key")
+                _check_exact(expected[key], f"$.expected.{key}")
         notes = ()
         if "notes" in obj:
             notes = tuple(_get_str(v, f"$.notes[{i}]")
@@ -648,10 +659,51 @@ def run_case(case: Case) -> Report:
     )
 
 
+_JSON_SPLIT_DEPTH = 6  # containers nearer the root go to _to_json's parts piece by piece
+
+
+def _to_json(value: Any) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) without its pure-Python indent path, for
+    dicts with str keys, lists, tuples, str, int, bool and None; TypeError on anything else."""
+    parts: list[str] = []
+
+    def render(v: Any, indent: str) -> str:
+        if isinstance(v, str):
+            return encode_basestring_ascii(v)
+        if v is None or isinstance(v, int):
+            return ("null" if v is None else "true" if v is True else "false" if v is False
+                    else int.__repr__(v))
+        keyed = isinstance(v, dict)
+        if not (keyed or isinstance(v, (list, tuple))):
+            raise TypeError(f"{type(v).__name__} is not rendered as JSON")
+        opening, closing = ("{", "}") if keyed else ("[", "]")
+        if not v:
+            return opening + closing
+        inner = indent + "  "
+        if len(indent) >= 2 * _JSON_SPLIT_DEPTH:
+            body = f",\n{inner}".join([encode_basestring_ascii(k) + ": " + render(v[k], inner)
+                                       for k in sorted(v)] if keyed
+                                      else [render(x, inner) for x in v])
+            return f"{opening}\n{inner}{body}\n{indent}{closing}"
+        # near the root, one string per container would copy the whole text at
+        # each level, and those large copies make a run's peak RSS depend on
+        # the order of its reports
+        head = opening + "\n"
+        for k in sorted(v) if keyed else range(len(v)):
+            parts.append(head + inner + (encode_basestring_ascii(k) + ": " if keyed else ""))
+            parts.append(render(v[k], inner))
+            head = ",\n"
+        parts.append(f"\n{indent}{closing}")
+        return ""
+
+    parts.append(render(value, ""))
+    return "".join(parts)
+
+
 def render_report(report: Report, format: str = "text") -> str:
     """One report as deterministic text or JSON."""
     if format == "json":
-        return json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n"
+        return _to_json(report.to_payload()) + "\n"
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     lines = [f"case: {report.case_name} ({report.kind})"]
@@ -673,7 +725,7 @@ def render_reports(reports: list[Report], format: str = "text") -> str:
             "schema": SCHEMA_VERSION,
             "reports": [r.to_payload() for r in reports],
         }
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+        return _to_json(body) + "\n"
     return "\n".join(render_report(r, "text") for r in reports)
 
 

@@ -74,12 +74,9 @@ class Decomposition:
 
     def value(self, n: int) -> QuadraticFieldElement:
         """Re-expand the decomposition: sum of ((alpha + beta*sqrt(n))/2)^2."""
-        a_sum = Fraction(0)
-        b_sum = Fraction(0)
-        for alpha, beta in self.terms:
-            a_sum += Fraction(alpha * alpha + n * beta * beta, 2)
-            b_sum += alpha * beta
-        return QuadraticFieldElement(a_sum, b_sum, n)
+        q = sum(alpha * alpha + n * beta * beta for alpha, beta in self.terms)
+        p = sum(alpha * beta for alpha, beta in self.terms)
+        return QuadraticFieldElement(Fraction(q, 2), p, n)
 
 
 def fp_square_constraints(instance: QuadraticTarget) -> tuple[int, int]:

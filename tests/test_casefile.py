@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionarith.casefile import (
     Case,
@@ -16,6 +19,8 @@ from fusionarith.casefile import (
     render_report,
     render_reports,
     run_case,
+    _JSON_SPLIT_DEPTH,
+    _to_json,
 )
 from fusionarith.exactcore import QuadraticFieldElement
 from fusionarith.smatrix import CandidateSMatrix, DegenerateColumnError, verlinde_fusion
@@ -92,6 +97,23 @@ def test_unknown_kind():
 def test_unknown_expected_key():
     assert "$.expected.bogus: unknown key" in failure_message(
         make_case(expected={"bogus": 1}))
+
+
+# reports render JSON without floats, so a float anywhere in an expected
+# value fails at load rather than when a PASS report is rendered
+@pytest.mark.parametrize("expected, where", [
+    ({"structures": 1.0}, "$.expected.structures"),
+    ({"structures": {"49": [2, 3, 7.0]}}, "$.expected.structures.49[2]"),
+    ({"structures": {"49": float("nan")}}, "$.expected.structures.49"),
+])
+def test_float_in_expected_is_rejected_at_load(tmp_path, capsys, expected, where):
+    doc = make_case(expected=expected)
+    assert f"{where}: expected an exact value" in failure_message(doc)
+    target = tmp_path / "float-expected.case.json"
+    target.write_text(doc, encoding="utf-8")
+    assert main(["validate", str(target)]) == 2
+    assert main(["run", str(target), "--format", "json"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_bad_rational_carries_its_json_path():
@@ -244,6 +266,51 @@ def test_json_rendering_round_trips():
     assert merged == {"schema": 1, "reports": [report.to_payload()] * 2}
 
 
+# str with non-ASCII text, quotes, backslashes, control characters and
+# lone surrogates; ints past 2**64 either way
+_json_text = (st.text(st.characters(exclude_categories=()), max_size=8)
+              | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff",
+                                 "é\u2028ß", "\U0001f600"]))
+_json_leaf = (st.none() | st.booleans() | _json_text
+              | st.integers() | st.integers(min_value=2**64, max_value=2**80).map(lambda v: -v)
+              | st.integers(min_value=2**64, max_value=2**80))
+# lists of 0/1 next to lists of bools: True == 1, but they render apart
+_int_or_bool_lists = st.lists(st.sampled_from([0, 1, True, False]), max_size=3)
+
+
+def _json_payloads(depth: int):
+    if depth == 0:
+        return _json_leaf | _int_or_bool_lists
+    child = _json_payloads(depth - 1)
+    return (_json_leaf | _int_or_bool_lists
+            | st.lists(child, max_size=4)
+            | st.lists(child, max_size=3).map(tuple)
+            | st.dictionaries(_json_text, child, max_size=4))
+
+
+def _nested(value, depth: int):
+    """value wrapped depth levels deep, in lists and single-key dicts by turns."""
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value}
+    return value
+
+
+# wrapped 0 to 9 levels deep, a payload's containers fall on both sides of
+# the depth where the renderer stops writing pieces and builds one string
+@settings(max_examples=300, deadline=None)
+@given(_json_payloads(6), st.integers(min_value=0, max_value=_JSON_SPLIT_DEPTH + 3))
+def test_json_renderer_matches_json_dumps(value, depth):
+    value = _nested(value, depth)
+    assert _to_json(value) + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("depth", [0, _JSON_SPLIT_DEPTH + 1])
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1: "a"}, [{"k": [0.0]}]])
+def test_json_renderer_rejects_what_reports_never_hold(value, depth):
+    with pytest.raises(TypeError):
+        _to_json(_nested(value, depth))
+
+
 def test_unknown_format_rejected():
     report = run_case(load_case(make_case()))
     with pytest.raises(ValueError, match="unknown format"):
@@ -335,6 +402,11 @@ def test_cli_runs_a_cubic_case_whose_bound_exceeds_every_cube_root(tmp_path, cap
     results = json.loads(capsys.readouterr().out)["reports"][0]["results"]
     assert results["admissible_products"] == []
     assert results["certificate_count"] == 0
+    assert main(["run", str(target)]) == 0
+    assert capsys.readouterr().out == ("case: bound-past-cube-roots (class-equation)\n"
+                                       "admissible products: none\n"
+                                       "survivors: 0\n"
+                                       "expected: none\n")
 
 
 def test_cli_out_writes_the_report_file(tmp_path, capsys):

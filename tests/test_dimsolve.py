@@ -7,7 +7,7 @@ import sys
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionarith import dimsolve
@@ -65,6 +65,32 @@ def test_decomposition_value_expands_each_term():
     d = Decomposition(((1, 1), (3, 1)))
     # ((1+sqrt5)/2)^2 + ((3+sqrt5)/2)^2 = (1+5+2sqrt5 + 9+5+6sqrt5)/4 = 5+2sqrt5
     assert d.value(5) == target("5+2r5", 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 6, 7, 13]),
+       st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), min_size=1, max_size=8))
+@example(2, [(1, 2)])
+@example(13, [(1, 1), (2, 1)])
+def test_decomposition_value_matches_a_fraction_re_expansion(n, terms):
+    # ((alpha + beta*sqrt(n))/2)^2 = (alpha^2 + n*beta^2)/4 + (alpha*beta/2)*sqrt(n),
+    # summed term by term; an odd sum of alpha^2 + n*beta^2 gives a quarter
+    rational = sum(Fraction(a * a + n * b * b, 4) for a, b in terms)
+    root = sum(Fraction(a * b, 2) for a, b in terms)
+    value = Decomposition(tuple(terms)).value(n)
+    assert (value.a / 2, value.b / 2, value.n) == (rational, root, n)
+
+
+def test_changing_one_term_of_a_solution_breaks_its_value():
+    goal = target("56+20r5", 5)
+    sols = enumerate_decompositions(QuadraticTarget(5, goal, 5))
+    assert len(sols) == 14
+    for dec in sols:
+        assert dec.value(5) == goal
+        for i, (alpha, beta) in enumerate(dec.terms):
+            for changed in ((alpha + 1, beta), (alpha, beta + 1)):
+                terms = dec.terms[:i] + (changed,) + dec.terms[i + 1:]
+                assert Decomposition(terms).value(5) != goal
 
 
 def test_five_term_solution_is_unique():

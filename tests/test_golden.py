@@ -7,16 +7,21 @@ the files only for a deliberate report change, and say so in CHANGES.md:
     fusion-arith run tests/golden/cases/*.case.json --format text --out tests/golden/extra.txt
 
     fusion-arith run tests/golden/cubic/*.case.json --format text --out tests/golden/cubic.txt
+    fusion-arith run tests/golden/quadratic/*.case.json --format text --out tests/golden/quadratic.txt
 
-and the same three with --format json into bundled.json, extra.json and
-cubic.json.  The extra cases cover what the bundled ones do not: field membership
-both ways, expectations that do not match, an S-matrix that fails
-orthogonality, and an engine error.  The engine error pins today's
-UnsupportedSquareClassError text on a cyclotomic sum scan; deciding that
-case exactly will change the report and re-record it.  The cubic cases
-are the benchmark's codegree scans at N = 13 and 14; their JSON holds
-dozens of refined cubic witness intervals, which the bundled cases
-barely exercise.
+and the same four with --format json into bundled.json, extra.json,
+cubic.json and quadratic.json.  The extra cases cover what the bundled
+ones do not: field membership both ways, expectations that do not
+match, an S-matrix that fails orthogonality, and an engine error.  The
+engine error pins today's UnsupportedSquareClassError text on a
+cyclotomic sum scan; deciding that case exactly will change the report
+and re-record it.  The cubic cases are the benchmark's codegree scans
+at N = 13 and 14; their JSON holds dozens of refined cubic witness
+intervals, which the bundled cases barely exercise.  The quadratic
+cases are the benchmark's decomposition and field-mode sum-scan shapes:
+56+20r5 at 5 and 6 terms, and a scan over a | 2000 whose JSON holds
+119 certificates with null and dict witnesses and three-deep integer
+solution lists.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ from fusionarith.casefile import main
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 EXTRA_CASES = sorted(glob.glob(os.path.join(GOLDEN, "cases", "*.case.json")))
 CUBIC_CASES = sorted(glob.glob(os.path.join(GOLDEN, "cubic", "*.case.json")))
+QUADRATIC_CASES = sorted(glob.glob(os.path.join(GOLDEN, "quadratic", "*.case.json")))
 
 
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
@@ -37,6 +43,7 @@ CUBIC_CASES = sorted(glob.glob(os.path.join(GOLDEN, "cubic", "*.case.json")))
     ("bundled", ["--all"], 0),
     ("extra", EXTRA_CASES, 1),
     ("cubic", CUBIC_CASES, 0),
+    ("quadratic", QUADRATIC_CASES, 0),
 ])
 def test_reports_match_golden_bytes(tmp_path, capsys, name, args, status, fmt, ext):
     out = tmp_path / f"{name}.{ext}"
@@ -49,3 +56,4 @@ def test_reports_match_golden_bytes(tmp_path, capsys, name, args, status, fmt, e
 def test_extra_cases_are_all_rendered():
     assert len(EXTRA_CASES) == 6
     assert len(CUBIC_CASES) == 2
+    assert len(QUADRATIC_CASES) == 2
