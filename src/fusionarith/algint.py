@@ -16,9 +16,9 @@ polynomial generates the full ring of integers (its discriminant equals
 the field discriminant), so any algebraic-integer root must be an
 integer combination u + v t + w t^2.  The trace pins one coordinate and
 the trace form, a positive definite quadratic, confines the rest to a
-finite box; each surviving triple is checked by reducing the polynomial
-in Z[t].  This keeps the test sound even when several cubic fields
-share the same squarefree discriminant pattern.
+finite box; each surviving triple y is checked by one remainder, of the
+composition p(y) by m.  This keeps the test sound even when several
+cubic fields share the same squarefree discriminant pattern.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .exactcore import (
     IntPolynomial,
     Interval,
     UnsupportedDegreeError,
+    _prem,
     factor_integer,
     is_perfect_square,
     poly_discriminant,
@@ -153,39 +154,6 @@ def _floor_sqrt(fr: Fraction) -> int:
     return math.isqrt(fr.numerator * fr.denominator) // fr.denominator
 
 
-def _reduce_mod_cubic(coeffs: list[int], m: IntPolynomial) -> tuple[int, int, int]:
-    """Reduce a coefficient list (constant first) modulo the monic cubic m."""
-    c = list(coeffs)
-    m0, m1, m2 = m.coeffs[0], m.coeffs[1], m.coeffs[2]
-    for k in range(len(c) - 1, 2, -1):
-        top = c[k]
-        if top:
-            c[k - 1] -= top * m2
-            c[k - 2] -= top * m1
-            c[k - 3] -= top * m0
-        c.pop()
-    while len(c) < 3:
-        c.append(0)
-    return c[0], c[1], c[2]
-
-
-def _ring_mul(x: tuple[int, int, int], y: tuple[int, int, int], m: IntPolynomial) -> tuple[int, int, int]:
-    prod = [0] * 5
-    for i, a in enumerate(x):
-        for j, b in enumerate(y):
-            prod[i + j] += a * b
-    return _reduce_mod_cubic(prod, m)
-
-
-def _is_root_in_ring(q: IntPolynomial, y: tuple[int, int, int], m: IntPolynomial) -> bool:
-    """Horner evaluation of q at y inside Z[t]/(m)."""
-    acc = (0, 0, 0)
-    for c in reversed(q.coeffs):
-        acc = _ring_mul(acc, y, m)
-        acc = (acc[0] + c, acc[1], acc[2])
-    return acc == (0, 0, 0)
-
-
 def in_cyclic_cubic_field(p: IntPolynomial, conductor: int) -> bool:
     """Decide whether the roots of an irreducible cubic p lie in the
     cyclic cubic field of the given conductor (7 or 9).
@@ -193,13 +161,12 @@ def in_cyclic_cubic_field(p: IntPolynomial, conductor: int) -> bool:
     A non-monic p is replaced by the monic polynomial of (leading
     coefficient times root), which lies in the same field.  The search
     enumerates the finitely many ring elements with the right trace and
-    trace-form value and checks each one exactly.
+    trace-form value; y = u + v t + w t^2 is a root exactly when p(y),
+    composed as polynomials in t, leaves no remainder by the monic m.
     """
     if conductor not in _CUBIC_FIELDS:
         raise ValueError(f"unsupported conductor {conductor}; only 7 and 9 are available")
-    if p.degree != 3:
-        raise ValueError("membership test needs an irreducible cubic")
-    if rational_roots(p):
+    if p.degree != 3 or rational_roots(p):
         raise ValueError("membership test needs an irreducible cubic")
     if p.leading < 0:
         p = -p
@@ -227,7 +194,7 @@ def in_cyclic_cubic_field(p: IntPolynomial, conductor: int) -> bool:
             q_form = sum(g[i][j] * x[i] * x[j] for i in range(3) for j in range(3))
             if q_form != s2:
                 continue
-            if _is_root_in_ring(p, x, m):
+            if not _prem(p.evaluate(IntPolynomial(x)).coeffs, m.coeffs):
                 return True
     return False
 

@@ -47,11 +47,13 @@ from .codegree_enum import (
     residual_target,
 )
 from .dimsolve import (
+    InfeasibleTargetError,
     QuadraticTarget,
     enumerate_decompositions,
     enumerate_integer_square_decompositions,
+    fp_square_constraints,
 )
-from .exactcore import IntPolynomial, QuadraticFieldElement
+from .exactcore import IntPolynomial, QuadraticFieldElement, rational_roots
 from .smatrix import (
     CandidateSMatrix,
     check_orthogonality,
@@ -161,6 +163,27 @@ def _get_conductor(value: Any, path: str) -> int:
         supported = ", ".join(str(c) for c in sorted(_CUBIC_FIELDS))
         _fail(path, f"unsupported conductor {conductor}; supported: {supported}")
     return conductor
+
+
+def _get_irreducible_cubic(value: Any, path: str) -> IntPolynomial:
+    p = IntPolynomial(_list_of(_get_int)(value, path))
+    if p.degree != 3 or rational_roots(p):
+        _fail(path, f"membership test needs an irreducible cubic, got {p}")
+    return p
+
+
+def _get_excluded_pair(value: Any, path: str) -> tuple[int, int]:
+    d, modulus = _get_int_pair(value, path)
+    return d, _int_range(1)(modulus, f"{path}[1]")
+
+
+def _integral_target(path: str, **values) -> QuadraticTarget:
+    target = QuadraticTarget(**values)
+    try:
+        fp_square_constraints(target)
+    except InfeasibleTargetError as exc:
+        _fail(f"{path}.target", str(exc))
+    return target
 
 
 def _get_matrix_kind(value: Any, path: str) -> str:
@@ -329,7 +352,7 @@ class _ClassEquation(_CaseKind):
 def _get_subcase(value: Any, path: str) -> QuadraticTarget:
     spec = {"n": (_get_int, True), "target": (_get_scalar, True, "n"),
             "rank_terms": (_get_int, True)}
-    return _build(spec, lambda values, _: QuadraticTarget(**values),
+    return _build(spec, lambda values, _: _integral_target(path, **values),
                   _get_object(value, path), path)
 
 
@@ -345,7 +368,7 @@ class _Codegree(_ClassEquation):
         "root_lower_bounds": (_list_of(_get_fraction), False),
         "product_feasibility": (_get_str, False),
         "membership_conductor": (_get_conductor, False),
-        "excluded_quadratic_subfields": (_list_of(_get_int_pair), False),
+        "excluded_quadratic_subfields": (_list_of(_get_excluded_pair), False),
         "scan_range": (_get_int_pair, False),
         "decomposition_subcases": (_list_of(_get_subcase), False),
     }
@@ -386,7 +409,7 @@ class _SumScan(_ClassEquation):
         "trace_ratio_max": (_get_fraction, True),
         "required_field": (_get_int, True),
         "dim_square_mode": (_get_str, False),
-        "cyclotomic_modulus": (_get_int, False),
+        "cyclotomic_modulus": (_int_range(1), False),
     }
 
     def run(self, payload: dict) -> dict:
@@ -435,8 +458,8 @@ class _DimDecomposition(_Decomposition):
     def build(self, values: dict, path: str) -> dict:
         require = values.get("require_algebraic_integer", True)
         return {"targets": tuple(
-            QuadraticTarget(n=values["n"], target=values["target"], rank_terms=count,
-                            require_algebraic_integer=require)
+            _integral_target(path, n=values["n"], target=values["target"], rank_terms=count,
+                             require_algebraic_integer=require)
             for count in values["term_counts"])}
 
     def solve(self, payload: dict) -> list:
@@ -521,12 +544,8 @@ class _SmatrixVerify(_CaseKind):
 
 
 class _FieldMembership(_CaseKind):
-    spec = {"polynomial": (_list_of(_get_int), True), "conductor": (_get_conductor, True)}
+    spec = {"polynomial": (_get_irreducible_cubic, True), "conductor": (_get_conductor, True)}
     expected = frozenset({"member"})
-
-    def build(self, values: dict, path: str) -> dict:
-        return {"polynomial": IntPolynomial(values["polynomial"]),
-                "conductor": values["conductor"]}
 
     def run(self, payload: dict) -> dict:
         member = in_cyclic_cubic_field(payload["polynomial"], payload["conductor"])

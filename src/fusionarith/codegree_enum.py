@@ -373,12 +373,10 @@ def _filter_membership(factors: Sequence[IntPolynomial], conductor: int) -> Filt
         if f.degree == 1:
             continue
         if f.degree == 2:
-            c, b, a = f.coeffs
-            disc = b * b - 4 * a * c
             return FilterResult(
                 FILTER_MEMBERSHIP, False,
                 {"quadratic_factor": list(f.coeffs),
-                 "field_squarefree_part": squarefree_part(disc),
+                 "field_squarefree_part": squarefree_part(poly_discriminant(f)),
                  "conductor": conductor},
             )
         if not in_cyclic_cubic_field(f, conductor):
@@ -394,8 +392,7 @@ def _filter_subfield_exclusion(
     for f in factors:
         if f.degree != 2:
             continue
-        c, b, a = f.coeffs
-        d = squarefree_part(b * b - 4 * a * c)
+        d = squarefree_part(poly_discriminant(f))
         for d_excluded, modulus in excluded:
             if d == d_excluded and not quadratic_subfield_in_cyclotomic(d, modulus):
                 return FilterResult(
@@ -554,8 +551,7 @@ def _filter_totally_positive(p: IntPolynomial) -> FilterResult:
 
 
 def _filter_required_field(p: IntPolynomial, n: int) -> FilterResult:
-    c, b, _ = p.coeffs
-    disc = b * b - 4 * c
+    disc = poly_discriminant(p)
     if disc > 0 and squarefree_part(disc) == n:
         return FilterResult(FILTER_REQUIRED_FIELD, True)
     return FilterResult(

@@ -19,10 +19,11 @@ Everything below is exact.  There is no floating point in any code
 path: signs, root counts and comparisons are decided with integer and
 ``fractions.Fraction`` arithmetic only.
 
-Polynomials stay in plain ``int``: gcds and Sturm chains are primitive
-pseudo-remainder sequences (a chain member is negated and multiplied by
-sign(lc)^k, a positive multiple of the classical one), division is
-exact, and the sign of p at a/b (b > 0) is that of b^d * p(a/b).  For a
+Polynomials stay in plain ``int``: one primitive pseudo-remainder
+sequence gives Sturm chains and gcd(p, p') alike (a member is negated
+and multiplied by sign(lc)^k, a positive multiple of the classical one),
+``evaluate`` at a polynomial composes, division is exact, and the sign
+of p at a/b (b > 0) is that of b^d * p(a/b).  For a
 squarefree p the variation difference V(a) - V(b) counts the distinct
 real roots in (a, b]; ``sturm_real_root_count`` adjusts for the other
 interval shapes.  ``isolate_real_roots`` returns points for rational
@@ -164,7 +165,8 @@ class IntPolynomial:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def evaluate(self, x):
-        """Horner evaluation; works for any commutative ring element."""
+        """Horner evaluation at any commutative ring element; at an
+        IntPolynomial q it is the composition p(q)."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -180,7 +182,9 @@ class IntPolynomial:
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+    def __add__(self, other) -> "IntPolynomial":
+        if isinstance(other, int):
+            other = IntPolynomial((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -207,21 +211,13 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def shifted(self, c: int) -> "IntPolynomial":
-        """The polynomial p(x + c)."""
-        acc = IntPolynomial(())
-        unit = IntPolynomial((c, 1))
-        for coeff in reversed(self.coeffs):
-            acc = acc * unit + IntPolynomial((coeff,))
-        return acc
+        """The polynomial p(x + c), by composition."""
+        return self.evaluate(IntPolynomial((c, 1))) if self.coeffs else self
 
     def content(self) -> int:
         """gcd of the coefficients, carrying the sign of the leading one."""
-        if self.is_zero:
-            return 0
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return -g if self.leading < 0 else g
+        g = math.gcd(*self.coeffs)
+        return -g if g and self.leading < 0 else g
 
     def primitive(self) -> "IntPolynomial":
         """self divided by its content; leading coefficient positive."""
@@ -234,12 +230,12 @@ class IntPolynomial:
         """Primitive polynomial with the same roots, all simple."""
         if self.degree < 1:
             raise UnsupportedDegreeError("squarefree part needs degree >= 1")
-        return _exact_quotient(self, _poly_gcd(self, self.derivative())).primitive()
+        return _exact_quotient(self, IntPolynomial(_prs(self)[-1])).primitive()
 
     def is_squarefree(self) -> bool:
         if self.degree < 1:
             return not self.is_zero
-        return _poly_gcd(self, self.derivative()).degree == 0
+        return len(_prs(self)[-1]) == 1
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -304,17 +300,6 @@ def _exact_quotient(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
             num[k + i] -= q[k] * c
     assert not any(num), "division is not exact"
     return IntPolynomial(tuple(q))
-
-
-def _poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """gcd over Q by the primitive pseudo-remainder sequence, returned
-    primitive with positive leading coefficient."""
-    a, b = list(p.coeffs), list(q.coeffs)
-    while b:
-        a, b = b, _divide_content(_prem(a, b))
-    if not a:
-        return IntPolynomial(())
-    return IntPolynomial(tuple(a)).primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -566,21 +551,30 @@ class Interval:
         return True
 
 
-def sturm_chain(p: IntPolynomial) -> list[tuple[int, ...]]:
-    """Sturm chain of a squarefree polynomial as integer tuples: p, p',
-    then minus each remainder, up to a positive factor."""
-    if p.degree < 1:
-        raise UnsupportedDegreeError("Sturm chain needs degree >= 1")
+def _prs(p: IntPolynomial) -> list[list[int]]:
+    """Primitive remainder sequence of p of degree >= 1: p, p', then minus
+    each pseudo-remainder, each up to a positive factor, down to the last
+    nonzero member, which is gcd(p, p')."""
     chain = [_divide_content(list(p.coeffs)), _divide_content(list(p.derivative().coeffs))]
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
         rem = _prem(a, b)
         if not rem:
-            # the last member is gcd(p, p') and it is not constant
-            raise ValueError("polynomial must be squarefree (divide by gcd(p, p') first)")
+            break
         # prem = lc(b)^k * rem with k = deg a - deg b + 1; the member is -rem
         flip = b[-1] > 0 or (len(a) - len(b)) % 2
         chain.append(_divide_content([-c for c in rem] if flip else rem))
+    return chain
+
+
+def sturm_chain(p: IntPolynomial) -> list[tuple[int, ...]]:
+    """Sturm chain of a squarefree polynomial as integer tuples: its
+    remainder sequence, which ends in a constant."""
+    if p.degree < 1:
+        raise UnsupportedDegreeError("Sturm chain needs degree >= 1")
+    chain = _prs(p)
+    if len(chain[-1]) > 1:
+        raise ValueError("polynomial must be squarefree (divide by gcd(p, p') first)")
     return [tuple(cs) for cs in chain]
 
 
@@ -633,10 +627,11 @@ def isolate_real_roots(p: IntPolynomial) -> list[Interval]:
     """
     if p.degree < 1:
         raise UnsupportedDegreeError("root isolation needs degree >= 1")
-    if not p.is_squarefree():
-        raise ValueError("polynomial must be squarefree (divide by gcd(p, p') first)")
     p0 = p.primitive()
     roots = rational_roots(p0)
+    if len(set(roots)) < len(roots):
+        # a repeated irrational root makes sturm_chain(work) raise instead
+        raise ValueError("polynomial must be squarefree (divide by gcd(p, p') first)")
     work = _divide_out_roots(p0, roots)
     points = [Interval.point(root) for root in roots]
     opens: list[Interval] = []

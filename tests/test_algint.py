@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fusionarith.algint import (
@@ -19,7 +19,13 @@ from fusionarith.algint import (
     quadratic_subfield_in_cyclotomic,
 )
 from fusionarith.exactcore import IntPolynomial, UnsupportedDegreeError
-from oracles import cyclic_cubic_member_oracle, d_number_oracle, totient_oracle
+from oracles import (
+    _CUBIC_FIELD_GENERATORS,
+    _char_poly_3x3,
+    cyclic_cubic_member_oracle,
+    d_number_oracle,
+    totient_oracle,
+)
 
 
 def P(*cs: int) -> IntPolynomial:
@@ -193,6 +199,36 @@ def test_membership_agrees_with_lattice_oracle():
             except ValueError:
                 continue
             assert got == cyclic_cubic_member_oracle(p.coeffs, conductor), (str(p), conductor)
+
+
+def element_char_poly(u: int, v: int, w: int, conductor: int) -> IntPolynomial:
+    """Characteristic polynomial of u + v t + w t^2, t the generator of the
+    field of the conductor, from its multiplication matrix."""
+    g0, g1, g2, _ = _CUBIC_FIELD_GENERATORS[conductor]
+    mt = [[0, 0, -g0], [1, 0, -g1], [0, 1, -g2]]
+    mt2 = [[sum(mt[i][k] * mt[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    m = [[u * (i == j) + v * mt[i][j] + w * mt2[i][j] for j in range(3)] for i in range(3)]
+    tr, sec, det = _char_poly_3x3(m)
+    return P(-det, sec, -tr, 1)
+
+
+small = st.integers(min_value=-6, max_value=6)
+
+
+# random cubics are almost never members, so draw field elements instead;
+# the search box for q(a x) grows like a^4, which keeps a small
+@settings(deadline=None)
+@given(small, small, small, st.sampled_from([7, 9]), st.integers(min_value=2, max_value=3))
+def test_membership_finds_every_element_of_the_field(u, v, w, conductor, a):
+    assume((v, w) != (0, 0))
+    q = element_char_poly(u, v, w, conductor)
+    other = 16 - conductor
+    assert in_cyclic_cubic_field(q, conductor)
+    assert cyclic_cubic_member_oracle(q.coeffs, conductor)
+    assert not in_cyclic_cubic_field(q, other)
+    assert not cyclic_cubic_member_oracle(q.coeffs, other)
+    # q(a x) is not monic; its roots y / a lie in the same field
+    assert in_cyclic_cubic_field(P(*(c * a ** k for k, c in enumerate(q.coeffs))), conductor)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionarith import casefile
 from fusionarith.casefile import (
     Case,
     CaseFormatError,
@@ -22,7 +23,7 @@ from fusionarith.casefile import (
     _JSON_SPLIT_DEPTH,
     _to_json,
 )
-from fusionarith.exactcore import QuadraticFieldElement
+from fusionarith.exactcore import IntPolynomial, QuadraticFieldElement
 from fusionarith.smatrix import CandidateSMatrix, DegenerateColumnError, verlinde_fusion
 
 
@@ -197,6 +198,28 @@ def test_integer_decomposition_bounds_are_rejected_at_load(tmp_path, capsys, par
      "$.parameters.orbit_degree"),
     ("class-equation", {"global_dim": 6, "fixed_codegrees": ["2", "2"], "orbit_degree": 2},
      "$.parameters.fixed_codegrees"),
+    # each of these used to pass validate and then fail as an engine error
+    ("field-membership", {"polynomial": [1, 0, 1], "conductor": 9}, "$.parameters.polynomial"),
+    ("field-membership", {"polynomial": [-1, 0, 0, 1], "conductor": 9},
+     "$.parameters.polynomial"),
+    ("field-membership", {"polynomial": [], "conductor": 7}, "$.parameters.polynomial"),
+    ("dim-decomposition", {"n": 5, "target": "1/3+r5", "term_counts": [2]},
+     "$.parameters.target"),
+    ("class-equation", {"global_dim": 6, "fixed_codegrees": ["6", "6"], "orbit_degree": 2,
+                        "product_divides": 36, "root_lower_bounds": ["1", "1"],
+                        "product_feasibility": "real-roots",
+                        "decomposition_subcases": [
+                            {"n": 2, "target": "3+3r2", "rank_terms": 1},
+                            {"n": 5, "target": "1/3+r5", "rank_terms": 2}]},
+     "$.parameters.decomposition_subcases[1].target"),
+    ("class-equation", {"global_dim": 7, "fixed_codegrees": ["7", "7", "7"], "orbit_degree": 3,
+                        "product_divides": 343, "root_lower_bounds": ["7/4", "7/2", "7"],
+                        "excluded_quadratic_subfields": [[5, 2401], [5, 0]]},
+     "$.parameters.excluded_quadratic_subfields[1][1]"),
+    ("class-equation", {"mode": "sum-scan", "global_dim": 10, "product_divides": 100,
+                        "trace_exceeds": 10, "trace_ratio_max": "3/5", "required_field": 5,
+                        "dim_square_mode": "cyclotomic", "cyclotomic_modulus": 0},
+     "$.parameters.cyclotomic_modulus"),
 ])
 def test_inputs_the_engines_reject_are_rejected_at_load(tmp_path, capsys, kind, params, where):
     doc = make_case(kind=kind, parameters=params)
@@ -240,9 +263,12 @@ def test_run_case_checks_expected_values():
 
 
 def test_engine_errors_become_case_failures():
-    doc = make_case(name="bad-membership", kind="field-membership",
-                    parameters={"polynomial": [-6, 11, -6, 1], "conductor": 9})
-    report = run_case(load_case(doc))
+    # load_case rejects this polynomial, so the case is built by hand
+    polynomial = IntPolynomial((-6, 11, -6, 1))
+    case = Case("bad-membership", "field-membership", {"polynomial": list(polynomial.coeffs),
+                                                       "conductor": 9},
+                {"polynomial": polynomial, "conductor": 9}, None, (), "<case>")
+    report = run_case(case)
     assert report.error == "ValueError: membership test needs an irreducible cubic"
     assert report.passed is False
     assert report.results == {}
@@ -377,9 +403,14 @@ def test_cli_rejects_malformed_cases(tmp_path, capsys):
     assert "unsupported schema version 7" in err
 
 
-def test_cli_engine_error_exits_nonzero(tmp_path, capsys):
+def test_cli_engine_error_exits_nonzero(tmp_path, capsys, monkeypatch):
+    # load time rejects the inputs known to break an engine, so the
+    # engine is made to fail on a valid case
+    def fail(polynomial, conductor):
+        raise ValueError("engine failure")
+    monkeypatch.setattr(casefile, "in_cyclic_cubic_field", fail)
     doc = make_case(name="bad-membership", kind="field-membership",
-                    parameters={"polynomial": [-6, 11, -6, 1], "conductor": 9})
+                    parameters={"polynomial": [1, -3, 0, 1], "conductor": 9})
     target = tmp_path / "error.case.json"
     target.write_text(doc, encoding="utf-8")
     assert main(["run", str(target)]) == 1

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fusionarith.exactcore import (
@@ -28,7 +28,13 @@ from fusionarith.exactcore import (
     squarefree_part,
     sturm_real_root_count,
 )
-from oracles import _int_divisors, bisection_real_root_count, squarefree_part_oracle
+from oracles import (
+    _int_divisors,
+    _primitive_int,
+    _squarefree,
+    bisection_real_root_count,
+    squarefree_part_oracle,
+)
 
 coeff = st.integers(min_value=-25, max_value=25)
 
@@ -120,6 +126,20 @@ def test_shift_is_composition(cs, c, x):
     assert p.shifted(c).evaluate(x) == p.evaluate(x + c)
 
 
+@given(st.lists(coeff, min_size=1, max_size=4), st.lists(coeff, max_size=3), st.integers(-6, 6))
+def test_evaluate_at_a_polynomial_composes(a, b, x):
+    p, q = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
+    assume(not p.is_zero)  # the zero polynomial evaluates to the int 0
+    assert p.evaluate(q).evaluate(x) == p.evaluate(q.evaluate(x))
+
+
+def test_adding_an_integer_and_shifting_zero():
+    assert P(1, 2) + 3 == P(4, 2)
+    assert P(-3) + 3 == P()
+    assert P() + 0 == P()
+    assert P().shifted(5) == P()
+
+
 def test_derivative():
     assert P(5, 3, -4, 1).derivative() == P(3, -8, 3)
     assert P(7).derivative().is_zero
@@ -130,6 +150,7 @@ def test_content_and_primitive():
     assert p.content() == -6
     assert p.primitive() == P(1, 0, 2)
     assert P(4, 6).content() == 2
+    assert P().content() == 0
     with pytest.raises(ValueError):
         P().primitive()
 
@@ -139,6 +160,26 @@ def test_squarefree_part_drops_multiplicity():
     assert square.squarefree_part() == P(2, -3, 1)
     assert not square.is_squarefree()
     assert P(-2, 3, 1).is_squarefree()
+
+
+@given(st.lists(coeff, min_size=2, max_size=4), st.lists(coeff, max_size=3))
+def test_squarefree_part_matches_the_oracle(b_cs, r_cs):
+    r = IntPolynomial(tuple(r_cs))
+    p = IntPolynomial(tuple(b_cs)) * r * r
+    assume(p.degree >= 1)
+    expected = _squarefree([Fraction(c) for c in p.coeffs])
+    ints = _primitive_int(expected)
+    assert p.squarefree_part() == IntPolynomial(tuple(ints if ints[-1] > 0 else (-c for c in ints)))
+    assert p.is_squarefree() == (len(expected) == len(p.coeffs))
+
+
+@pytest.mark.parametrize("p", [
+    P(-1, 1) * P(-1, 1) * P(-2, 0, 1),  # repeated rational root
+    P(-1, 1) * P(-2, 0, 1) * P(-2, 0, 1),  # repeated irrational roots
+])
+def test_isolation_rejects_repeated_roots(p):
+    with pytest.raises(ValueError, match="must be squarefree"):
+        isolate_real_roots(p)
 
 
 def test_rendering():
