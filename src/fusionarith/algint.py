@@ -24,7 +24,6 @@ cubic fields share the same squarefree discriminant pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,12 +36,13 @@ from .exactcore import (
     is_perfect_square,
     poly_discriminant,
     rational_roots,
+    record,
     squarefree_part,
     sturm_real_root_count,
 )
 
 
-@dataclass(frozen=True)
+@record
 class DNumberVerdict:
     """Outcome of the d-number test; failing_index is the least bad i."""
 
@@ -159,10 +159,10 @@ def in_cyclic_cubic_field(p: IntPolynomial, conductor: int) -> bool:
     cyclic cubic field of the given conductor (7 or 9).
 
     A non-monic p is replaced by the monic polynomial of (leading
-    coefficient times root), which lies in the same field.  The search
-    enumerates the finitely many ring elements with the right trace and
-    trace-form value; y = u + v t + w t^2 is a root exactly when p(y),
-    composed as polynomials in t, leaves no remainder by the monic m.
+    coefficient times root), which lies in the same field.  For each w in
+    the trace-form box, the trace fixes u by v and the trace-form value
+    is a quadratic in v, solved exactly; y = u + v t + w t^2 is a root
+    exactly when p(y), composed in t, leaves no remainder by the monic m.
     """
     if conductor not in _CUBIC_FIELDS:
         raise ValueError(f"unsupported conductor {conductor}; only 7 and 9 are available")
@@ -184,17 +184,20 @@ def in_cyclic_cubic_field(p: IntPolynomial, conductor: int) -> bool:
     bound_w = _floor_sqrt(s2 * field["inv_diag"][2])
     g = field["gram"]
     t1, t2 = field["trace_t"], field["trace_t2"]
+    # with 3u = r - t1*v, r = trace - t2*w, 9*Q(u, v, w) = 9*s2 reads qa*v^2 + qb*v + qc = 0
+    qa = g[0][0] * t1 * t1 - 6 * g[0][1] * t1 + 9 * g[1][1]
     for w in range(-bound_w, bound_w + 1):
-        for v in range(-bound_v, bound_v + 1):
-            rem = trace_target - t1 * v - t2 * w
-            if rem % 3:
+        r = trace_target - t2 * w
+        qb = -2 * g[0][0] * t1 * r + 6 * g[0][1] * r - 6 * g[0][2] * t1 * w + 18 * g[1][2] * w
+        qc = g[0][0] * r * r + 6 * g[0][2] * r * w + 9 * g[2][2] * w * w - 9 * s2
+        root = is_perfect_square(qb * qb - 4 * qa * qc)
+        if root is None:
+            continue
+        for num in {-qb - root, -qb + root}:
+            v, frac = divmod(num, 2 * qa)
+            if frac or abs(v) > bound_v or (r - t1 * v) % 3:
                 continue
-            u = rem // 3
-            x = (u, v, w)
-            q_form = sum(g[i][j] * x[i] * x[j] for i in range(3) for j in range(3))
-            if q_form != s2:
-                continue
-            if not _prem(p.evaluate(IntPolynomial(x)).coeffs, m.coeffs):
+            if not _prem(p.evaluate(IntPolynomial(((r - t1 * v) // 3, v, w))).coeffs, m.coeffs):
                 return True
     return False
 
@@ -216,7 +219,7 @@ def quadratic_subfield_in_cyclotomic(d: int, modulus: int, real_subfield_only: b
     return contained
 
 
-@dataclass(frozen=True)
+@record
 class GaloisStructure:
     """Primary decomposition of the unit group mod N, orders ascending."""
 

@@ -26,9 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
@@ -53,7 +51,7 @@ from .dimsolve import (
     enumerate_integer_square_decompositions,
     fp_square_constraints,
 )
-from .exactcore import IntPolynomial, QuadraticFieldElement, rational_roots
+from .exactcore import IntPolynomial, QuadraticFieldElement, rational_roots, record
 from .smatrix import (
     CandidateSMatrix,
     check_orthogonality,
@@ -232,7 +230,7 @@ def _build(spec: Spec, build: Callable[[dict, str], Any], params: dict, path: st
         _fail(path, str(exc))
 
 
-@dataclass(frozen=True)
+@record
 class Case:
     """A loaded, validated case: raw parameters for echoing plus the
     prepared engine inputs in payload."""
@@ -246,7 +244,7 @@ class Case:
     source: str
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     """Outcome of one case run.
 
@@ -750,6 +748,7 @@ def render_reports(reports: list[Report], format: str = "text") -> str:
 
 def bundled_case_paths() -> list[str]:
     """Absolute paths of the case files shipped inside the package."""
+    from importlib import resources  # here, as it loads pathlib and tempfile
     root = resources.files("fusionarith").joinpath("cases")
     paths = [str(entry) for entry in root.iterdir()
              if entry.name.endswith(".case.json")]

@@ -24,7 +24,6 @@ All arithmetic is exact; no filter ever sees a floating-point number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cmp_to_key
 from typing import Callable, Optional, Sequence, Union
@@ -46,6 +45,7 @@ from .exactcore import (
     fraction_sqrt,
     isolate_real_roots,
     poly_discriminant,
+    record,
     refine_interval,
     squarefree_part,
     sturm_real_root_count,
@@ -76,14 +76,14 @@ FILTER_REQUIRED_FIELD = "required-field"
 FILTER_DIM_SQUARE = "dim-square"
 
 
-@dataclass(frozen=True)
+@record
 class FilterResult:
     name: str
     passed: bool
     witness: Optional[dict] = None
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """Audit record for one candidate polynomial.
 
@@ -107,7 +107,7 @@ class Certificate:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class ClassEquationInstance:
     """One classification branch: fixed rational codegrees plus a single
     orbit of orbit_degree unknown ones.
@@ -227,7 +227,7 @@ def admissible_products(instance: ClassEquationInstance) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class CoefficientAssignment:
     """Forced trailing coefficients of the orbit polynomial."""
 
@@ -262,7 +262,7 @@ def forced_coefficients(instance: ClassEquationInstance, product: int) -> Coeffi
 # ---------------------------------------------------------------------------
 # exact root handles
 
-@dataclass(frozen=True)
+@record
 class _CubicRoot:
     factor: IntPolynomial
     interval: Interval
@@ -515,7 +515,7 @@ def enumerate_candidates(
 # ---------------------------------------------------------------------------
 # quadratic sum scan
 
-@dataclass(frozen=True)
+@record
 class QuadraticScanInstance:
     """Scan x^2 - b x + a over a | product_divides, b > trace_exceeds,
     b <= trace_ratio_max * a, with the orbit field pinned to
@@ -632,7 +632,7 @@ def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> list[Certificat
 # ---------------------------------------------------------------------------
 # dimension pair scan
 
-@dataclass(frozen=True)
+@record
 class DimensionPairInstance:
     """Scan x^2 - trace x + m for m over an inclusive range; candidates
     must be d-numbers with all roots real."""

@@ -21,11 +21,10 @@ term by a dictionary lookup rather than a loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .exactcore import QuadraticFieldElement, divisors, squarefree_part
+from .exactcore import QuadraticFieldElement, divisors, record, squarefree_part
 
 
 class InfeasibleTargetError(ValueError):
@@ -39,7 +38,7 @@ def algebraic_integer_check(alpha: int, beta: int, n: int) -> bool:
     return (alpha * alpha - n * beta * beta) % 4 == 0
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticTarget:
     """A sum-of-squares instance in the real quadratic field of n.
 
@@ -62,7 +61,7 @@ class QuadraticTarget:
             raise ValueError("rank_terms must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """Multiset of (alpha, beta) pairs, stored sorted by (beta, alpha)."""
 

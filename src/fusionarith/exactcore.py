@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -125,15 +125,45 @@ def fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 # polynomials
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def record(cls):
+    """Frozen value class over the annotated fields of cls, in order, class
+    attributes as defaults: __init__ then calls __post_init__ if defined;
+    __eq__, __hash__ and __repr__ use the fields.  Body methods are kept."""
+    names = tuple(cls.__annotations__)
+    body = vars(cls)
+    params = "".join(f", {f}=defaults[{f!r}]" if f in body else f", {f}" for f in names)
+    sets = "".join(f"\n    _set(self, {f!r}, {f})" for f in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    scope = {"defaults": body, "_set": object.__setattr__}
+    exec(compile(f"def __init__(self{params}):{sets}{post}", f"<{cls.__name__} record>", "exec"), scope)
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else lambda s: (get(s),)
+    methods = {
+        "__init__": scope["__init__"],
+        "__eq__": lambda s, o: fields(s) == fields(o) if type(o) is type(s) else NotImplemented,
+        "__hash__": lambda s: hash(fields(s)),
+        "__repr__": lambda s: f"{type(s).__qualname__}({', '.join(f'{f}={getattr(s, f)!r}' for f in names)})",
+        "__setattr__": _frozen, "__delattr__": _frozen,
+    }
+    for name, method in methods.items():
+        if body.get(name) is None:
+            setattr(cls, name, method)
+    return cls
+
+
+@record
 class IntPolynomial:
     """Univariate integer polynomial, coefficients constant term first."""
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: Sequence[int]) -> None:
         cs = []
-        for c in self.coeffs:
+        for c in coeffs:
             ic = int(c)
             if ic != c:
                 raise TypeError(f"integer coefficients required, got {c!r}")
@@ -496,7 +526,7 @@ def _quartic_quadratic_split(
 # intervals and Sturm chains
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """Rational interval; a None endpoint means unbounded on that side.
 
@@ -719,7 +749,7 @@ _QFE_ROOT = re.compile(
 )
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class QuadraticFieldElement:
     """Element (a + b*sqrt(n))/2 of the real quadratic field Q(sqrt(n)).
 

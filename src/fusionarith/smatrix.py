@@ -27,11 +27,10 @@ unknown entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .exactcore import QuadraticFieldElement
+from .exactcore import QuadraticFieldElement, record
 
 
 class DegenerateColumnError(ValueError):
@@ -41,7 +40,7 @@ class DegenerateColumnError(ValueError):
 Scalar = Union[int, Fraction, QuadraticFieldElement]
 
 
-@dataclass(frozen=True)
+@record
 class CandidateSMatrix:
     """Symmetric square matrix of field elements with a declared total.
 
@@ -99,7 +98,7 @@ class CandidateSMatrix:
         return self.entries[self.unit_index]
 
 
-@dataclass(frozen=True)
+@record
 class OrthogonalityReport:
     """passes iff all distinct rows are orthogonal and every row has
     squared norm declared_dim; violating_pair = first (i, j) that fails,
@@ -147,7 +146,7 @@ def check_orthogonality(matrix: CandidateSMatrix) -> OrthogonalityReport:
     return OrthogonalityReport(True)
 
 
-@dataclass(frozen=True)
+@record
 class FusionTensor:
     """Cubical array of fusion coefficients, indexed N[X][Y][Z]."""
 
@@ -157,7 +156,7 @@ class FusionTensor:
         return self.coefficients[index]
 
 
-@dataclass(frozen=True)
+@record
 class VerlindeReport:
     """Integrality verdict for the (naive) Verlinde coefficients.
 
@@ -242,7 +241,7 @@ def dimension_consistency(matrix: CandidateSMatrix) -> bool:
     return total == matrix.declared_dim
 
 
-@dataclass(frozen=True)
+@record
 class GaloisPermutation:
     """Row/column permutation realizing sqrt(n) -> -sqrt(n) on ratios.
 
@@ -257,7 +256,7 @@ class GaloisPermutation:
     unit_image_dim_square_is_one: bool
 
 
-@dataclass(frozen=True)
+@record
 class GaloisSearchReport:
     found: bool
     permutation: Optional[GaloisPermutation] = None

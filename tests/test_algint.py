@@ -212,13 +212,17 @@ def element_char_poly(u: int, v: int, w: int, conductor: int) -> IntPolynomial:
     return P(-det, sec, -tr, 1)
 
 
+def _scaled(q: IntPolynomial, a: int) -> IntPolynomial:
+    """q(a x): not monic, and its roots are those of q divided by a."""
+    return P(*(c * a ** k for k, c in enumerate(q.coeffs)))
+
+
 small = st.integers(min_value=-6, max_value=6)
 
 
-# random cubics are almost never members, so draw field elements instead;
-# the search box for q(a x) grows like a^4, which keeps a small
+# random cubics are almost never members, so draw field elements instead
 @settings(deadline=None)
-@given(small, small, small, st.sampled_from([7, 9]), st.integers(min_value=2, max_value=3))
+@given(small, small, small, st.sampled_from([7, 9]), st.integers(min_value=2, max_value=8))
 def test_membership_finds_every_element_of_the_field(u, v, w, conductor, a):
     assume((v, w) != (0, 0))
     q = element_char_poly(u, v, w, conductor)
@@ -227,8 +231,23 @@ def test_membership_finds_every_element_of_the_field(u, v, w, conductor, a):
     assert cyclic_cubic_member_oracle(q.coeffs, conductor)
     assert not in_cyclic_cubic_field(q, other)
     assert not cyclic_cubic_member_oracle(q.coeffs, other)
-    # q(a x) is not monic; its roots y / a lie in the same field
-    assert in_cyclic_cubic_field(P(*(c * a ** k for k, c in enumerate(q.coeffs))), conductor)
+    assert in_cyclic_cubic_field(_scaled(q, a), conductor)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 5, 8])
+def test_membership_of_scaled_cubics(a):
+    # the search runs on the monic polynomial of a^3 * root, whose roots are
+    # a^2 times those of q, so its trace-form box grows with a
+    q9 = P(1944, 648, 54, 1)
+    assert q9 == element_char_poly(-6, 6, -6, 9)
+    assert in_cyclic_cubic_field(_scaled(q9, a), 9)
+    assert not in_cyclic_cubic_field(_scaled(q9, a), 7)
+    q7 = P(-1, -2, 1, 1)
+    assert in_cyclic_cubic_field(_scaled(q7, a), 7)
+    assert not in_cyclic_cubic_field(_scaled(q7, a), 9)
+    # disc 229 is not a square: the field is not Galois, so in neither
+    for conductor in (7, 9):
+        assert not in_cyclic_cubic_field(_scaled(P(1, -4, 0, 1), a), conductor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,219 @@
+"""The frozen record classes: construction, equality, hashing, repr,
+immutability and pickling, plus the start-up modules they avoid."""
+from __future__ import annotations
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import fusionarith
+from fusionarith.algint import DNumberVerdict, GaloisStructure
+from fusionarith.casefile import Case, Report
+from fusionarith.codegree_enum import (
+    Certificate,
+    ClassEquationInstance,
+    CoefficientAssignment,
+    DimensionPairInstance,
+    FilterResult,
+    QuadraticScanInstance,
+    _CubicRoot,
+)
+from fusionarith.dimsolve import Decomposition, QuadraticTarget
+from fusionarith.exactcore import IntPolynomial, Interval, QuadraticFieldElement
+from fusionarith.smatrix import (
+    CandidateSMatrix,
+    FusionTensor,
+    GaloisPermutation,
+    GaloisSearchReport,
+    OrthogonalityReport,
+    VerlindeReport,
+)
+
+Q = QuadraticFieldElement
+ONE, R5 = Q(2, 0, 5), Q(0, 2, 5)
+CUBIC = IntPolynomial((1, -3, 0, 1))
+PASS = FilterResult("d-number", True)
+TENSOR = FusionTensor((((1,),),))
+PERMUTATION = GaloisPermutation((1, 0), 5, 1, False)
+
+# every record class with one value per field, in field order
+SAMPLES = [
+    (IntPolynomial, ((1, -3, 0, 1),)),
+    (Interval, (Fraction(1), Fraction(2), False, True)),
+    (QuadraticFieldElement, (Fraction(3), Fraction(1), 5)),
+    (DNumberVerdict, (True, None)),
+    (GaloisStructure, ((2, 4),)),
+    (FilterResult, ("totally-real", False, {"roots": 1})),
+    (Certificate, (CUBIC, (PASS,), True)),
+    (ClassEquationInstance, (7, (Fraction(7),), 3, 343, (Fraction(3, 2),), "real-roots", 7,
+                             ((5, 1),), (1, 9))),
+    (CoefficientAssignment, (343, 147, 3)),
+    (_CubicRoot, (CUBIC, Interval(Fraction(1), Fraction(2)))),
+    (QuadraticScanInstance, (10, 2000, 1, Fraction(1), 5, "cyclotomic", 20)),
+    (DimensionPairInstance, (5, (1, 6))),
+    (QuadraticTarget, (5, Q(28, 10, 5), 5, False)),
+    (Decomposition, (((1, 1), (3, 1)),)),
+    (CandidateSMatrix, (((ONE, R5), (R5, -ONE)), 0, Q(12, 0, 5), "modular", 5)),
+    (OrthogonalityReport, (False, (0, 1))),
+    (FusionTensor, ((((1, 0), (0, 1)), ((0, 1), (1, 1))),)),
+    (VerlindeReport, (False, TENSOR, (0, 1, 2), "1/2")),
+    (GaloisPermutation, ((1, 0), 5, 1, False)),
+    (GaloisSearchReport, (True, PERMUTATION, "found")),
+    (Case, ("c", "galois-structure", {"moduli": [8]}, {"moduli": [8]}, None, ("n",), "c.json")),
+    (Report, ("c", "galois-structure", "0.1.0", {}, {"ok": 1}, None, None, None, 0.5)),
+]
+
+# QuadraticFieldElement keeps its own numeric __eq__, __hash__ and __repr__
+GENERATED = [s for s in SAMPLES if s[0] is not QuadraticFieldElement]
+
+
+def _ids(samples):
+    return [cls.__name__ for cls, _ in samples]
+
+
+def _fields(r) -> tuple:
+    return tuple(getattr(r, f) for f in type(r).__annotations__)
+
+
+def test_samples_cover_every_record_class():
+    assert len(SAMPLES) == 22
+    for cls, args in SAMPLES:
+        assert len(args) == len(cls.__annotations__), cls.__name__
+
+
+@pytest.mark.parametrize("cls, args", SAMPLES, ids=_ids(SAMPLES))
+def test_positional_and_keyword_construction_agree(cls, args):
+    r = cls(*args)
+    names = tuple(cls.__annotations__)
+    assert r == cls(**dict(zip(names, args)))
+    assert _fields(r) == _fields(cls(*args[:1], **dict(zip(names[1:], args[1:]))))
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    with pytest.raises(TypeError):
+        cls(*args[:-1], no_such_field=1)
+
+
+@pytest.mark.parametrize("cls, args", SAMPLES, ids=_ids(SAMPLES))
+def test_defaults_are_the_class_attributes(cls, args):
+    names = tuple(cls.__annotations__)
+    defaulted = [f for f in names if f in vars(cls)]
+    required = len(names) - len(defaulted)
+    assert all(f in vars(cls) for f in names[required:]), "defaults must trail"
+    r = cls(*args[:required])
+    assert r == cls(*args[:required], *(vars(cls)[f] for f in defaulted))
+    assert _fields(r) == _fields(cls(*args[:required], **{f: vars(cls)[f] for f in defaulted}))
+    if required:
+        with pytest.raises(TypeError):
+            cls(*args[:required - 1])
+
+
+@pytest.mark.parametrize("cls, args", GENERATED, ids=_ids(GENERATED))
+def test_hash_is_the_hash_of_the_field_tuple(cls, args):
+    r = cls(*args)
+    try:
+        expected = hash(_fields(r))
+    except TypeError:  # a dict field: unhashable, as the tuple is
+        with pytest.raises(TypeError):
+            hash(r)
+    else:
+        assert hash(r) == expected
+        assert hash(cls(*args)) == expected
+
+
+@pytest.mark.parametrize("cls, args", GENERATED, ids=_ids(GENERATED))
+def test_equality_is_per_class_and_per_field(cls, args):
+    r = cls(*args)
+    assert r == cls(*args) and not r != cls(*args)
+    assert r.__eq__(_fields(r)) is NotImplemented
+    assert r != _fields(r)
+    other = FilterResult("x", True) if cls is not FilterResult else GaloisStructure((2,))
+    assert r.__eq__(other) is NotImplemented and r != other
+
+
+@pytest.mark.parametrize("cls, args", GENERATED, ids=_ids(GENERATED))
+def test_repr_names_every_field(cls, args):
+    r = cls(*args)
+    items = ", ".join(f"{f}={getattr(r, f)!r}" for f in cls.__annotations__)
+    assert repr(r) == f"{cls.__name__}({items})"
+
+
+@pytest.mark.parametrize("cls, args", SAMPLES, ids=_ids(SAMPLES))
+def test_records_are_frozen(cls, args):
+    r = cls(*args)
+    first = next(iter(cls.__annotations__))
+    before = _fields(r)
+    for name in (first, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert _fields(r) == before
+
+
+@pytest.mark.parametrize("cls, args", SAMPLES, ids=_ids(SAMPLES))
+def test_pickle_round_trip(cls, args):
+    r = cls(*args)
+    back = pickle.loads(pickle.dumps(r))
+    assert type(back) is cls and back == r and _fields(back) == _fields(r)
+    with pytest.raises(AttributeError):
+        setattr(back, next(iter(cls.__annotations__)), 0)
+
+
+def test_class_body_methods_are_kept():
+    for name in ("__eq__", "__hash__", "__repr__"):
+        assert vars(Q)[name].__qualname__ == f"QuadraticFieldElement.{name}"
+    assert vars(IntPolynomial)["__init__"].__qualname__ == "IntPolynomial.__init__"
+    assert Q(2, 0, 5) == 1 and hash(Q(2, 0, 5)) == hash(Fraction(1))
+    assert repr(Q(3, 1, 5)) == "QuadraticFieldElement(Fraction(3, 1), Fraction(1, 1), 5)"
+
+
+def test_post_init_still_rejects_bad_input():
+    with pytest.raises(ValueError):
+        DNumberVerdict(True, 3)
+    with pytest.raises(ValueError):
+        Interval(2, 1)
+    with pytest.raises(ValueError):
+        DimensionPairInstance(0, (1, 2))
+    with pytest.raises(TypeError):
+        IntPolynomial((1, Fraction(1, 2)))
+
+
+def test_post_init_still_normalises_fields():
+    assert Decomposition(((3, 1), (1, 0), (2, 1))).terms == ((1, 0), (2, 1), (3, 1))
+    assert Decomposition(terms=((2, 1), (1, 0))) == Decomposition(((1, 0), (2, 1)))
+    assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
+    assert type(Interval(1, 2).lo) is Fraction
+    assert QuadraticScanInstance(10, 2000, 1, 1, 5).trace_ratio_max == Fraction(1)
+
+
+def test_harness_hooks_stay_in_the_class_dicts(monkeypatch):
+    # the traced benchmark harness wraps these two entries by name
+    assert "__post_init__" in QuadraticFieldElement.__dict__
+    assert "value" in Decomposition.__dict__
+    calls = []
+    original = QuadraticFieldElement.__dict__["__post_init__"]
+
+    def counted(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(QuadraticFieldElement, "__post_init__", counted)
+    built = [Q(1, 1, 5), Q(a=2, b=0, n=5), Q.from_rational(Fraction(1, 3), 5)]
+    assert len(calls) == len(built) and all(c is b for c, b in zip(calls, built))
+
+
+def test_importing_the_cli_skips_the_heavy_stdlib_modules():
+    src = str(Path(fusionarith.__file__).resolve().parents[1])
+    probe = ("import fusionarith.casefile, sys; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', "
+             "'importlib.resources') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
