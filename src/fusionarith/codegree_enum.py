@@ -552,13 +552,10 @@ def _filter_totally_positive(p: IntPolynomial) -> FilterResult:
 
 def _filter_required_field(p: IntPolynomial, n: int) -> FilterResult:
     disc = poly_discriminant(p)
-    if disc > 0 and squarefree_part(disc) == n:
-        return FilterResult(FILTER_REQUIRED_FIELD, True)
-    return FilterResult(
-        FILTER_REQUIRED_FIELD, False,
-        {"discriminant": str(disc),
-         "squarefree_part": squarefree_part(disc) if disc > 0 else None},
-    )
+    part = squarefree_part(disc) if disc > 0 else None
+    ok = part == n
+    witness = None if ok else {"discriminant": str(disc), "squarefree_part": part}
+    return FilterResult(FILTER_REQUIRED_FIELD, ok, witness)
 
 
 def _rational_squarefree_part(q: Fraction) -> int:

@@ -14,8 +14,8 @@ Both searches are exhaustive over explicit integer boxes and return
 canonically sorted multisets, so results are reproducible and easy to
 diff against an independent brute-force pass.  The quadratic search
 runs over a table of admissible pairs built once per target: it prunes
-a branch by the smallest weights left in the table and finds the last
-term by a dictionary lookup rather than a loop.
+a branch by the smallest weights left in the table and reads the last
+two terms from a table of two-term weight sums rather than a loop.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     order.  A multiset is a non-decreasing run of table indices, so
     each is visited exactly once.  A branch stops as soon as the
     remaining budget cannot hold k more terms from the rest of the
-    table (k times the suffix minimum of q or of p exceeds it), and the
-    last term is looked up by its (q, p) instead of looped over: for
-    squarefree n, (q, p) fixes the pair, since
-    (alpha + beta*sqrt(n))^2 = q + 2p*sqrt(n).
+    table (k times the suffix minimum of q or of p exceeds it).  The
+    last two terms are read from a table of every index pair i <= j
+    inside (A, B), keyed by (q_i + q_j, p_i + p_j); one term alone is
+    looked up by (q, p), since (alpha + beta*sqrt(n))^2 = q + 2p*sqrt(n).
     """
     a_total, b_total = fp_square_constraints(instance)
     n = instance.n
@@ -128,6 +128,13 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     min_q = list(accumulate(reversed(qs), min))[::-1]
     min_p = list(accumulate(reversed(ps), min))[::-1]
     last = {(q, p): i for i, (q, p) in enumerate(zip(qs, ps))}
+    two: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, (qi, pi) in enumerate(zip(qs, ps)):
+        for j in range(i, len(pairs)):
+            if qi + min_q[j] > a_total or pi + min_p[j] > b_total:
+                break
+            if qi + qs[j] <= a_total and pi + ps[j] <= b_total:
+                two.setdefault((qi + qs[j], pi + ps[j]), []).append((i, j))
     out: list[Decomposition] = []
     chosen: list[tuple[int, int]] = []
 
@@ -137,6 +144,11 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
             if i is not None and i >= start:
                 out.append(Decomposition((*chosen, pairs[i])))
             return
+        if k == 2:
+            for i, j in two.get((a_rem, b_rem), ()):
+                if i >= start:
+                    out.append(Decomposition((*chosen, pairs[i], pairs[j])))
+            return
         for i in range(start, len(pairs)):
             if a_rem < k * min_q[i] or b_rem < k * min_p[i]:
                 break
@@ -145,6 +157,7 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
             chosen.pop()
 
     extend(a_total, b_total, instance.rank_terms, 0)
+    del extend  # extend refers to itself; free the tables without a gc pass
     for dec in out:
         assert dec.value(n) == instance.target
     return sorted(out, key=lambda d: d.terms)

@@ -494,6 +494,26 @@ def test_dim10_scan_cyclotomic_dim_square_witness():
                        "subfield": 10, "modulus": 100}
 
 
+@pytest.mark.parametrize("candidate,n,passed,part", [
+    (P(100, -30, 1), 5, True, 5),     # disc 500 = 10^2 * 5
+    (P(64, -24, 1), 2, False, 5),     # disc 320 = 8^2 * 5, not the field of 2
+    (P(64, -16, 1), 2, False, None),  # disc 0
+    (P(5, -1, 1), 5, False, None),    # disc -19
+])
+def test_required_field_filter_factors_each_discriminant_at_most_once(
+        monkeypatch, candidate, n, passed, part):
+    calls = []
+    real = codegree_enum.squarefree_part
+    monkeypatch.setattr(codegree_enum, "squarefree_part", lambda m: calls.append(m) or real(m))
+    result = codegree_enum._filter_required_field(candidate, n)
+    c, b, _ = candidate.coeffs
+    disc = b * b - 4 * c
+    assert result.passed is passed
+    assert calls == ([disc] if disc > 0 else [])
+    if not passed:
+        assert result.witness == {"discriminant": str(disc), "squarefree_part": part}
+
+
 def test_scan_is_deterministic():
     assert enumerate_quadratic_scan(DIM10_SCAN) == enumerate_quadratic_scan(DIM10_SCAN)
 

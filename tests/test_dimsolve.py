@@ -140,6 +140,25 @@ def test_search_agrees_with_combination_oracle(k):
     assert got == brute_decompositions(5, 56, 10, k)
 
 
+@pytest.mark.parametrize("k", range(5, 9))
+@pytest.mark.parametrize("text,a_total,b_total", [("56+20r5", 224, 40), ("84+30r5", 336, 60)])
+def test_scaled_targets_agree_with_combination_oracle(text, a_total, b_total, k):
+    # (14+5r5)*4 and *6, as searched by the quadratic-search benchmark
+    inst = QuadraticTarget(5, target(text, 5), k)
+    assert fp_square_constraints(inst) == (a_total, b_total)
+    got = [d.terms for d in enumerate_decompositions(inst)]
+    assert got == sorted(brute_decompositions(5, a_total, b_total, k))
+
+
+def test_two_terms_may_repeat_a_pair():
+    # 15+5r5 = 2*((5+r5)/2)^2 = ((1+r5)/2)^2 + ((3+3r5)/2)^2: the two-term
+    # table holds both the index pair (i, i) and a pair i < j for it
+    inst = QuadraticTarget(5, target("15+5r5", 5), 2)
+    got = [d.terms for d in enumerate_decompositions(inst)]
+    assert got == [((1, 1), (3, 3)), ((5, 1), (5, 1))]
+    assert set(got) == brute_decompositions(5, 60, 10, 2)
+
+
 def test_parity_relaxation_matches_oracle():
     inst = QuadraticTarget(2, target("6+4r2", 2), 2, require_algebraic_integer=False)
     got = {d.terms for d in enumerate_decompositions(inst)}
@@ -165,16 +184,26 @@ def test_results_are_sorted_and_duplicate_free():
     assert len({d.terms for d in sols}) == len(sols)
 
 
+def _pairs(top: int, count: int):
+    return st.lists(st.tuples(st.integers(1, top), st.integers(1, top)), min_size=1, max_size=count)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from((2, 3, 5, 6, 7, 13)),
-    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=4),
-    st.integers(1, 4),
+    # up to 4 pairs from 1..6 at k <= 4, or up to 6 pairs from 1..3 at
+    # k <= 6: six (6, 6) pairs at k = 6 without the parity condition keep
+    # the oracle busy for minutes
+    st.one_of(st.tuples(_pairs(6, 4), st.integers(1, 4)),
+              st.tuples(_pairs(3, 6), st.integers(1, 6))),
     st.booleans(),
 )
-def test_search_matches_the_combination_oracle_on_random_targets(n, terms, k, integral):
+def test_search_matches_the_combination_oracle_on_random_targets(n, terms_and_k, integral):
     # the target is a sum of squares of random pairs, searched at a
-    # random term count, so both hits and empty results come up
+    # random term count, so both hits and empty results come up; the
+    # two-term table is read at the top (k = 2), one level down (k = 3)
+    # and deeper
+    terms, k = terms_and_k
     a_total = sum(alpha * alpha + n * beta * beta for alpha, beta in terms)
     b_total = sum(alpha * beta for alpha, beta in terms)
     inst = QuadraticTarget(n, Decomposition(tuple(terms)).value(n), k,
