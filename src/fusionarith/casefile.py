@@ -790,8 +790,12 @@ def _run_command(args: argparse.Namespace) -> int:
     elapsed = time.monotonic() - start
     output = render_reports(reports, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     failed = sum(1 for r in reports if r.passed is False)

@@ -274,9 +274,9 @@ _RootHandle = Union[Fraction, QuadraticFieldElement, _CubicRoot]
 def _handle_cmp(a: _RootHandle, b: _RootHandle) -> int:
     """Sign of a - b.  A cubic handle's factor is an irreducible cubic
     with one simple root in the open interval (lo, hi) and no rational
-    root, and candidates have degree at most 4, so a cubic root meets
+    root, and candidates have degree at most 3, so a cubic root meets
     only roots of its own factor, whose intervals are disjoint, and
-    rationals x, which it exceeds inside (lo, hi) exactly when the
+    rational bounds x, which it exceeds inside (lo, hi) exactly when the
     factor has the same sign at x as at lo."""
     if isinstance(b, _CubicRoot) and not isinstance(a, _CubicRoot):
         return -_handle_cmp(b, a)

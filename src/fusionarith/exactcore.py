@@ -190,10 +190,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def coefficient(self, k: int) -> int:
-        """Coefficient of x^k (0 when k exceeds the degree)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def evaluate(self, x):
         """Horner evaluation at any commutative ring element; at an
         IntPolynomial q it is the composition p(q)."""
@@ -333,58 +329,12 @@ def _exact_quotient(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# resultants and discriminants
-
-
-def resultant(p: IntPolynomial, q: IntPolynomial) -> int:
-    """Resultant via the Sylvester matrix, fraction-free elimination."""
-    if p.is_zero or q.is_zero:
-        raise ValueError("resultant needs nonzero polynomials")
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.leading ** n
-    if n == 0:
-        return q.leading ** m
-    size = m + n
-    pd = list(reversed(p.coeffs))
-    qd = list(reversed(q.coeffs))
-    rows: list[list[int]] = []
-    for i in range(n):
-        rows.append([0] * i + pd + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qd + [0] * (size - n - 1 - i))
-    return _bareiss_det(rows)
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Integer determinant by Bareiss one-step elimination (exact)."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # every division here is exact, this is the Bareiss identity
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+# discriminants
 
 
 def poly_discriminant(p: IntPolynomial) -> int:
-    """Discriminant for degrees 2, 3 and 4.
-
-    Quadratic and cubic use the closed forms; the quartic goes through
-    the resultant of p and p', normalized by the leading coefficient.
-    """
+    """Discriminant of a quadratic or a cubic, by the closed forms;
+    other degrees raise UnsupportedDegreeError."""
     n = p.degree
     if n == 2:
         c, b, a = p.coeffs
@@ -398,13 +348,7 @@ def poly_discriminant(p: IntPolynomial) -> int:
             - 4 * a * c ** 3
             - 27 * a ** 2 * d ** 2
         )
-    if n == 4:
-        res = resultant(p, p.derivative())
-        # deg 4: (-1)^(n(n-1)/2) = +1
-        q, r = divmod(res, p.leading)
-        assert r == 0
-        return q
-    raise UnsupportedDegreeError(f"discriminant supports degrees 2..4, got {n}")
+    raise UnsupportedDegreeError(f"discriminant supports degrees 2 and 3, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -444,82 +388,30 @@ def _divide_out_roots(p: IntPolynomial, roots: Sequence[Fraction]) -> IntPolynom
 def factor_over_rationals(p: IntPolynomial) -> list[IntPolynomial]:
     """Irreducible factors over Q with integer coefficients.
 
-    Each factor is primitive with positive leading coefficient and
-    multiplicities are expanded, so content(p) times the product of the
-    returned list reproduces p.  Output is sorted by degree and then by
-    the coefficient tuple.  Supported degrees are 1 through 4; after
-    removing rational roots a residual quartic is split, when possible,
-    by an integer coefficient search over pairs of quadratics.
+    The rational roots of the primitive part of p are divided out; what
+    remains has no rational root, so at degree 2 or 3 it has no linear
+    factor and is irreducible.  A remainder of degree 4 or more raises
+    UnsupportedDegreeError.  Each factor is primitive with positive
+    leading coefficient and multiplicities are expanded, so content(p)
+    times the product of the returned list reproduces p.  Output is
+    sorted by degree and then by the coefficient tuple.
     """
-    if p.degree < 1 or p.degree > 4:
-        raise UnsupportedDegreeError(f"factorization supports degrees 1..4, got {p.degree}")
+    if p.degree < 1:
+        raise UnsupportedDegreeError(f"factorization needs degree >= 1, got {p.degree}")
     p0 = p.primitive()
     roots = rational_roots(p0)
     work = _divide_out_roots(p0, roots)
+    if work.degree > 3:
+        raise UnsupportedDegreeError(f"no factorization of a degree {work.degree} remainder")
     factors = [IntPolynomial((-r.numerator, r.denominator)) for r in roots]
-    if work.degree == 4:
-        split = _quartic_quadratic_split(work)
-        if split is not None:
-            factors.extend(split)
-            work = IntPolynomial((1,))
     if work.degree >= 1:
-        factors.append(work.primitive())
+        factors.append(work)
     factors.sort(key=lambda f: (f.degree, f.coeffs))
     prod = IntPolynomial((1,))
     for f in factors:
         prod = prod * f
     assert prod * p.content() == p
     return factors
-
-
-def _quartic_quadratic_split(
-    r: IntPolynomial,
-) -> Optional[tuple[IntPolynomial, IntPolynomial]]:
-    """Split a primitive quartic with no rational roots into two integer
-    quadratics (a x^2 + b x + c)(d x^2 + e x + f), or return None.
-
-    a d = p4 and c f = p0 leave b, e subject to the linear system
-    d b + a e = p3, f b + c e = p1; a singular system falls back to an
-    integer quadratic in b.  Every candidate is verified by expansion.
-    """
-    p0, p1, p2, p3, p4 = (r.coefficient(k) for k in range(5))
-    for a in divisors(p4):
-        d = p4 // a
-        for c_abs in divisors(p0):
-            for c in (c_abs, -c_abs):
-                f = p0 // c
-                det = d * c - a * f
-                candidates: list[tuple[int, int]] = []
-                if det != 0:
-                    bn = c * p3 - a * p1
-                    en = d * p1 - f * p3
-                    if bn % det == 0 and en % det == 0:
-                        candidates.append((bn // det, en // det))
-                else:
-                    # singular system: eliminate e through a e = p3 - d b
-                    # leaving d b^2 - p3 b + a (p2 - a f - c d) = 0
-                    const = a * (p2 - a * f - c * d)
-                    disc = p3 * p3 - 4 * d * const
-                    s = is_perfect_square(disc)
-                    if s is None:
-                        continue
-                    for num in (p3 + s, p3 - s):
-                        if num % (2 * d):
-                            continue
-                        b = num // (2 * d)
-                        if (p3 - d * b) % a:
-                            continue
-                        candidates.append((b, (p3 - d * b) // a))
-                for b, e in candidates:
-                    g = IntPolynomial((c, b, a))
-                    h = IntPolynomial((f, e, d))
-                    if g * h == r:
-                        out = sorted(
-                            (g.primitive(), h.primitive()),
-                            key=lambda q: (q.degree, q.coeffs),
-                        )
-                        return out[0], out[1]
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,15 @@ def test_cli_rejects_malformed_cases(tmp_path, capsys):
     assert "unsupported schema version 7" in err
 
 
+def test_cli_unwritable_out_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    assert main(["run", dim7_path(), "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_cli_engine_error_exits_nonzero(tmp_path, capsys, monkeypatch):
     # load time rejects the inputs known to break an engine, so the
     # engine is made to fail on a valid case

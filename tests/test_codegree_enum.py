@@ -38,7 +38,7 @@ from fusionarith.codegree_enum import (
     _integer_cube_ceiling,
     _real_triple_feasible,
 )
-from fusionarith.exactcore import IntPolynomial
+from fusionarith.exactcore import IntPolynomial, UnsupportedDegreeError
 
 
 def P(*cs: int) -> IntPolynomial:
@@ -102,6 +102,12 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="scan_range"):
         ClassEquationInstance(global_dim=6, fixed_codegrees=(6, 6), orbit_degree=2,
                               scan_range=(5, 4))
+
+
+def test_orbits_of_degree_four_are_not_enumerated():
+    inst = ClassEquationInstance(global_dim=5, fixed_codegrees=(5,), orbit_degree=4)
+    with pytest.raises(UnsupportedDegreeError, match="orbit degree 4"):
+        enumerate_candidates(inst)
 
 
 def test_admissible_products():

@@ -1,0 +1,51 @@
+"""Differential checks of exactcore against sympy, on the inputs each
+operation supports.  sympy is a test-only dependency; without it this
+module is skipped.  The polynomials are built and expanded by sympy, so
+the only engine code under test is the operation being compared."""
+from __future__ import annotations
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fusionarith.exactcore import IntPolynomial, factor_over_rationals, poly_discriminant
+
+sympy = pytest.importorskip("sympy")
+x = sympy.Symbol("x")
+coeff = st.integers(-30, 30)
+
+
+@st.composite
+def linears_times_a_base(draw) -> "sympy.Poly":
+    """Up to four linear factors v x + u times a base of degree at most 3,
+    of degree at least 1 in all: the inputs factor_over_rationals takes."""
+    linears = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9)), max_size=4))
+    low = draw(st.lists(coeff, min_size=0 if linears else 1, max_size=3))
+    poly = sympy.Poly([draw(coeff.filter(bool))] + low[::-1], x, domain="ZZ")
+    for u, v in linears:
+        poly *= sympy.Poly([v, u], x, domain="ZZ")
+    return poly
+
+
+def engine_poly(poly: "sympy.Poly") -> IntPolynomial:
+    return IntPolynomial(tuple(int(c) for c in reversed(poly.all_coeffs())))
+
+
+@given(linears_times_a_base())
+def test_factorization_matches_sympy(poly):
+    content, pairs = poly.factor_list()
+    expected = []
+    for f, mult in pairs:
+        if f.LC() < 0:
+            f, content = -f, -content
+        expected += [engine_poly(f)] * mult
+    expected.sort(key=lambda f: (f.degree, f.coeffs))
+    p = engine_poly(poly)
+    assert factor_over_rationals(p) == expected
+    assert p.content() == int(content)
+
+
+@given(st.lists(coeff, min_size=2, max_size=3), coeff.filter(bool))
+def test_discriminant_matches_sympy(low, lead):
+    poly = sympy.Poly([lead] + low[::-1], x, domain="ZZ")
+    assert poly_discriminant(engine_poly(poly)) == int(sympy.discriminant(poly))

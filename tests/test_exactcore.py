@@ -24,7 +24,6 @@ from fusionarith.exactcore import (
     poly_discriminant,
     rational_roots,
     refine_interval,
-    resultant,
     squarefree_part,
     sturm_real_root_count,
 )
@@ -106,8 +105,6 @@ def test_basic_queries():
     assert p.degree == 3
     assert p.leading == 1
     assert p.is_monic
-    assert p.coefficient(2) == -14
-    assert p.coefficient(9) == 0
     assert p.evaluate(7) == 343 - 686 + 196 - 49
 
 
@@ -190,13 +187,7 @@ def test_rendering():
 
 
 # ---------------------------------------------------------------------------
-# resultants, discriminants, rational factorization
-
-
-def test_resultant_of_coprime_linears_is_root_difference():
-    # res(x-a, x-b) = b - a up to the classical sign convention
-    assert abs(resultant(P(-3, 1), P(-5, 1))) == 2
-    assert resultant(P(-3, 1), P(-3, 1)) == 0
+# discriminants, rational factorization
 
 
 @given(st.lists(coeff, min_size=4, max_size=4))
@@ -216,6 +207,12 @@ def test_discriminant_known_values():
     assert poly_discriminant(P(1, -3, 1)) == 5
 
 
+@pytest.mark.parametrize("p", [P(3, 1), P(2, 0, 3, 0, 1), P(1, 1, 0, 0, 0, 1)])
+def test_discriminant_rejects_degrees_other_than_two_and_three(p):
+    with pytest.raises(UnsupportedDegreeError):
+        poly_discriminant(p)
+
+
 def test_rational_roots_of_known_products():
     p = P(-2, 1) * P(3, 2) * P(1, 0, 1)
     assert rational_roots(p) == [Fraction(-3, 2), Fraction(2)]
@@ -228,20 +225,41 @@ def test_rational_roots_keep_their_multiplicity():
     assert factor_over_rationals(p) == [P(-2, 1), P(-2, 1), P(0, 1), P(3, 2)]
 
 
-@given(st.lists(coeff, min_size=2, max_size=5))
-def test_factorization_multiplies_back(cs):
-    p = IntPolynomial(tuple(cs))
-    if p.degree < 1:
-        return
+@st.composite
+def linears_times_a_base(draw) -> IntPolynomial:
+    """Up to three linear factors v x + u times a base of degree at most 3,
+    of degree at least 1 in all."""
+    linears = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)), max_size=3))
+    low = draw(st.lists(coeff, min_size=0 if linears else 1, max_size=3))
+    p = IntPolynomial(tuple(low) + (draw(coeff.filter(bool)),))
+    for u, v in linears:
+        p = p * IntPolynomial((u, v))
+    return p
+
+
+@given(linears_times_a_base())
+def test_factorization_multiplies_back(p):
     factors = factor_over_rationals(p)
     prod = IntPolynomial((p.content(),))
     for f in factors:
         prod = prod * f
     assert prod == p
     for f in factors:
-        assert f.degree >= 1
+        assert 1 <= f.degree <= 3
+        assert f.leading > 0 and f.content() == 1
         if f.degree > 1:
             assert rational_roots(f) == []
+
+
+def test_factorization_keeps_a_cubic_remainder_past_degree_four():
+    p = P(-1, 1) * P(3, 2) * P(1, -3, 0, 1)
+    assert factor_over_rationals(p) == [P(-1, 1), P(3, 2), P(1, -3, 0, 1)]
+
+
+@pytest.mark.parametrize("p", [P(1, 0, 1) * P(2, 0, 1), P(0, 1) * P(1, 0, 1) * P(2, 0, 1)])
+def test_factorization_rejects_a_remainder_of_degree_four(p):
+    with pytest.raises(UnsupportedDegreeError):
+        factor_over_rationals(p)
 
 
 def test_factorization_splits_the_dim7_boundary_cubic():
