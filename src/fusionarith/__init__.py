@@ -4,7 +4,7 @@ Everything is integer or rational arithmetic, no floating point in any
 decision path.  The submodules stack roughly bottom up:
 
 exactcore      polynomials, Sturm root counting, quadratic field elements
-algint         predicates on algebraic integers (d-number, positivity, fields)
+algint         predicates on algebraic integers (d-number, cubic and cyclotomic fields)
 codegree_enum  candidate codegree family scans with per-candidate certificates
 dimsolve       Diophantine dimension decomposition solvers
 smatrix        verification of candidate (super-)modular S-matrix data

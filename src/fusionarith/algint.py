@@ -3,7 +3,6 @@
 The tests here decide, with integer arithmetic only:
 
 * the d-number divisibility criterion on a monic polynomial,
-* total reality and total positivity of the root family,
 * whether a cubic has an abelian splitting field,
 * whether the roots of an irreducible cubic lie in one of the two
   supported cyclic cubic fields (conductor 7 or 9),
@@ -29,7 +28,6 @@ from typing import Optional
 
 from .exactcore import (
     IntPolynomial,
-    Interval,
     UnsupportedDegreeError,
     _prem,
     factor_integer,
@@ -38,7 +36,6 @@ from .exactcore import (
     rational_roots,
     record,
     squarefree_part,
-    sturm_real_root_count,
 )
 
 
@@ -78,33 +75,6 @@ def is_d_number(p: IntPolynomial) -> DNumberVerdict:
         if not _divides(a_n ** i, a_i ** n):
             return DNumberVerdict(False, i)
     return DNumberVerdict(True)
-
-
-def is_totally_real(p: IntPolynomial) -> bool:
-    """True when every root of p is real.
-
-    Multiplicities do not matter: the squarefree part must have as many
-    real roots as its degree.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return True
-    sf = p.squarefree_part()
-    return sturm_real_root_count(sf) == sf.degree
-
-
-def is_totally_positive(p: IntPolynomial) -> bool:
-    """True when every root of p is real and strictly positive."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return True
-    if p.evaluate(0) == 0:
-        return False
-    sf = p.squarefree_part()
-    positive = sturm_real_root_count(sf, Interval(Fraction(0), None))
-    return positive == sf.degree
 
 
 def passes_cyclotomic_test(p: IntPolynomial) -> bool:
@@ -202,21 +172,16 @@ def in_cyclic_cubic_field(p: IntPolynomial, conductor: int) -> bool:
     return False
 
 
-def quadratic_subfield_in_cyclotomic(d: int, modulus: int, real_subfield_only: bool = False) -> bool:
+def quadratic_subfield_in_cyclotomic(d: int, modulus: int) -> bool:
     """Whether Q(sqrt(d)) embeds in the cyclotomic field of the given
     modulus: the field discriminant (d, or 4d when d is not 1 mod 4)
-    must divide the modulus.  With real_subfield_only, d must also be
-    positive so the subfield sits inside the maximal real subfield.
-    """
+    must divide the modulus."""
     if d in (0, 1) or squarefree_part(d) != d:
         raise ValueError(f"d must be squarefree and not 0 or 1, got {d}")
     if modulus < 1:
         raise ValueError("modulus must be positive")
     disc = d if d % 4 == 1 else 4 * d
-    contained = modulus % abs(disc) == 0
-    if real_subfield_only:
-        return d > 0 and contained
-    return contained
+    return modulus % abs(disc) == 0
 
 
 @record
@@ -224,13 +189,6 @@ class GaloisStructure:
     """Primary decomposition of the unit group mod N, orders ascending."""
 
     factor_orders: tuple[int, ...]
-
-    @property
-    def group_order(self) -> int:
-        out = 1
-        for k in self.factor_orders:
-            out *= k
-        return out
 
 
 def cyclotomic_galois_structure(modulus: int) -> GaloisStructure:

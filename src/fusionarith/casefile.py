@@ -763,6 +763,11 @@ def _default_jobs() -> int:
         return 1
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _run_command(args: argparse.Namespace) -> int:
     paths = list(args.cases)
     if args.all:
@@ -775,6 +780,11 @@ def _run_command(args: argparse.Namespace) -> int:
     except CaseFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        # opened before any case runs, so a bad path costs no run
+        fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     start = time.monotonic()
     if jobs > 1 and len(cases) > 1:
@@ -789,15 +799,14 @@ def _run_command(args: argparse.Namespace) -> int:
         reports = [run_case(c) for c in cases]
     elapsed = time.monotonic() - start
     output = render_reports(reports, args.format)
-    if args.out:
+    if fh is sys.stdout:
+        fh.write(output)
+    else:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with fh:
                 fh.write(output)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(output)
+            return _cannot_write(args.out, exc)
     failed = sum(1 for r in reports if r.passed is False)
     print(f"{len(reports)} cases, {failed} failed, {elapsed:.2f}s", file=sys.stderr)
     return 1 if failed else 0

@@ -192,8 +192,7 @@ def _real_triple_feasible(product: int, ratio: Fraction, smallest_bound: Fractio
         return False
     if h.sign_at(smallest_bound) > 0 or h.sign_at(upper) >= 0:
         return True
-    window = Interval(smallest_bound, upper, lo_open=True, hi_open=False)
-    return sturm_real_root_count(h.squarefree_part(), window) >= 1
+    return sturm_real_root_count(h.squarefree_part(), smallest_bound, upper) >= 1
 
 
 def admissible_products(instance: ClassEquationInstance) -> list[int]:

@@ -25,10 +25,10 @@ and multiplied by sign(lc)^k, a positive multiple of the classical one),
 ``evaluate`` at a polynomial composes, division is exact, and the sign
 of p at a/b (b > 0) is that of b^d * p(a/b).  For a
 squarefree p the variation difference V(a) - V(b) counts the distinct
-real roots in (a, b]; ``sturm_real_root_count`` adjusts for the other
-interval shapes.  ``isolate_real_roots`` returns points for rational
-roots and open intervals holding one irrational root each; refinement
-bisects on the sign at the midpoint and needs no chain.
+real roots in (a, b], the one shape ``sturm_real_root_count`` takes.
+``isolate_real_roots`` returns points for rational roots and open
+intervals holding one irrational root each; refinement bisects on the
+sign at the midpoint and needs no chain.
 """
 
 from __future__ import annotations
@@ -236,10 +236,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def shifted(self, c: int) -> "IntPolynomial":
-        """The polynomial p(x + c), by composition."""
-        return self.evaluate(IntPolynomial((c, 1))) if self.coeffs else self
-
     def content(self) -> int:
         """gcd of the coefficients, carrying the sign of the leading one."""
         g = math.gcd(*self.coeffs)
@@ -257,11 +253,6 @@ class IntPolynomial:
         if self.degree < 1:
             raise UnsupportedDegreeError("squarefree part needs degree >= 1")
         return _exact_quotient(self, IntPolynomial(_prs(self)[-1])).primitive()
-
-    def is_squarefree(self) -> bool:
-        if self.degree < 1:
-            return not self.is_zero
-        return len(_prs(self)[-1]) == 1
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -420,57 +411,29 @@ def factor_over_rationals(p: IntPolynomial) -> list[IntPolynomial]:
 
 @record
 class Interval:
-    """Rational interval; a None endpoint means unbounded on that side.
+    """Isolating interval with rational ends: the point lo when lo == hi,
+    else the open interval (lo, hi), holding one real root of its
+    polynomial."""
 
-    Degenerate points are closed on both sides.  Isolating intervals
-    produced here contain exactly one real root of their polynomial.
-    """
-
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
-    lo_open: bool = True
-    hi_open: bool = True
+    lo: Fraction
+    hi: Fraction
 
     def __post_init__(self) -> None:
-        lo = None if self.lo is None else _as_fraction(self.lo)
-        hi = None if self.hi is None else _as_fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo is None and not self.lo_open:
-            raise ValueError("unbounded endpoint cannot be closed")
-        if hi is None and not self.hi_open:
-            raise ValueError("unbounded endpoint cannot be closed")
-        if lo is not None and hi is not None:
-            if lo > hi:
-                raise ValueError("interval endpoints out of order")
-            if lo == hi and (self.lo_open or self.hi_open):
-                raise ValueError("degenerate interval must be closed")
+        object.__setattr__(self, "lo", _as_fraction(self.lo))
+        object.__setattr__(self, "hi", _as_fraction(self.hi))
+        if self.lo > self.hi:
+            raise ValueError("interval endpoints out of order")
 
     @staticmethod
     def point(r: Rational) -> "Interval":
-        r = _as_fraction(r)
-        return Interval(r, r, lo_open=False, hi_open=False)
-
-    @staticmethod
-    def open(lo: Rational, hi: Rational) -> "Interval":
-        return Interval(_as_fraction(lo), _as_fraction(hi))
+        return Interval(r, r)
 
     @property
     def is_point(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
+        return self.lo == self.hi
 
-    def width(self) -> Optional[Fraction]:
-        if self.lo is None or self.hi is None:
-            return None
+    def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, x: Rational) -> bool:
-        x = _as_fraction(x)
-        if self.lo is not None and (x < self.lo or (self.lo_open and x == self.lo)):
-            return False
-        if self.hi is not None and (x > self.hi or (self.hi_open and x == self.hi)):
-            return False
-        return True
 
 
 def _prs(p: IntPolynomial) -> list[list[int]]:
@@ -504,7 +467,7 @@ def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
 
 
-def _variations(chain: Sequence[Sequence[int]], x: Optional[Fraction], at_neg_inf: bool = False) -> int:
+def _variations(chain: Sequence[Sequence[int]], x: Optional[Rational], at_neg_inf: bool = False) -> int:
     if x is None:
         odd = -1 if at_neg_inf else 1
         signs = [_sign(cs[-1]) * (odd if (len(cs) - 1) % 2 else 1) for cs in chain]
@@ -514,23 +477,12 @@ def _variations(chain: Sequence[Sequence[int]], x: Optional[Fraction], at_neg_in
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def sturm_real_root_count(p: IntPolynomial, interval: Optional[Interval] = None) -> int:
-    """Distinct real roots of a squarefree p inside the interval.
-
-    With no interval, counts over all of R.  Endpoint membership follows
-    the interval's openness flags; the underlying chain counts on the
-    half open (lo, hi].
-    """
+def sturm_real_root_count(p: IntPolynomial, lo: Optional[Rational] = None,
+                          hi: Optional[Rational] = None) -> int:
+    """Distinct real roots of a squarefree p in (lo, hi]; a missing end
+    is unbounded, so with neither end the count is over all of R."""
     chain = sturm_chain(p)
-    if interval is None:
-        return _variations(chain, None, at_neg_inf=True) - _variations(chain, None)
-    lo, hi = interval.lo, interval.hi
-    count = _variations(chain, lo, at_neg_inf=lo is None) - _variations(chain, hi)
-    if hi is not None and interval.hi_open and p.sign_at(hi) == 0:
-        count -= 1
-    if lo is not None and not interval.lo_open and p.sign_at(lo) == 0:
-        count += 1
-    return count
+    return _variations(chain, lo, at_neg_inf=True) - _variations(chain, hi)
 
 
 def _cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -579,7 +531,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[Interval]:
                             hi = r
                         else:
                             lo = r
-                opens.append(Interval.open(lo, hi))
+                opens.append(Interval(lo, hi))
                 continue
             mid = (lo + hi) / 2
             stack.append((lo, mid))
@@ -598,8 +550,6 @@ def refine_interval(p: IntPolynomial, iv: Interval, max_width: Rational) -> Inte
     midpoint root comes back as a point interval."""
     if iv.is_point:
         return iv
-    if iv.lo is None or iv.hi is None:
-        raise ValueError("cannot refine an unbounded interval")
     max_width = _as_fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
@@ -617,7 +567,7 @@ def refine_interval(p: IntPolynomial, iv: Interval, max_width: Rational) -> Inte
             lo = mid
         else:
             hi = mid
-    return Interval.open(lo, hi)
+    return Interval(lo, hi)
 
 
 # ---------------------------------------------------------------------------

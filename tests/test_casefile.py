@@ -403,13 +403,17 @@ def test_cli_rejects_malformed_cases(tmp_path, capsys):
     assert "unsupported schema version 7" in err
 
 
-def test_cli_unwritable_out_path_exits_2(tmp_path, capsys):
+def test_cli_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch):
+    # the path is opened once the cases load and before any of them runs
+    ran = []
+    monkeypatch.setattr(casefile, "run_case", ran.append)
     target = tmp_path / "missing" / "report.txt"
     assert main(["run", dim7_path(), "--out", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
     assert not target.parent.exists()
+    assert ran == []
 
 
 def test_cli_engine_error_exits_nonzero(tmp_path, capsys, monkeypatch):

@@ -44,7 +44,7 @@ PERMUTATION = GaloisPermutation((1, 0), 5, 1, False)
 # every record class with one value per field, in field order
 SAMPLES = [
     (IntPolynomial, ((1, -3, 0, 1),)),
-    (Interval, (Fraction(1), Fraction(2), False, True)),
+    (Interval, (Fraction(1), Fraction(2))),
     (QuadraticFieldElement, (Fraction(3), Fraction(1), 5)),
     (DNumberVerdict, (True, None)),
     (GaloisStructure, ((2, 4),)),

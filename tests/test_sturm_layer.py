@@ -70,6 +70,8 @@ def test_the_oracles_find_the_roots_beside_zero():
 
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
+# past every root of a squarefree base times (v x - u) for a drawn u/v
+FAR = Fraction(100)
 
 
 def _oracle_roots(q: list[int], extra) -> tuple[list[Fraction], list, list[Fraction]]:
@@ -117,19 +119,23 @@ def test_count_and_isolation_match_the_oracle(q, extra):
 
 @settings(max_examples=120, deadline=None)
 @given(squarefree_bases(), rationals, st.integers(1, 80), st.booleans(),
-       st.booleans(), st.booleans())
-def test_counts_on_intervals_ending_at_roots(q, r, span, to_root, lo_open, hi_open):
-    # r becomes a root of p and the lower end; the upper end is either
-    # the next rational root of q or an arbitrary point
+       st.sampled_from(["both", "no lo", "no hi"]))
+def test_counts_on_intervals_ending_at_roots(q, r, span, to_root, ends):
+    # counts are on (lo, hi]: r becomes a root of p and the lower end,
+    # which is left out; the upper end is either the next rational root
+    # of q, which is counted, or an arbitrary point.  A missing end is
+    # unbounded, and every root of p lies in (-FAR, FAR).
     assume(sign_at(q, r) != 0)
     p = IntPolynomial(tuple(_times_linears(q, [r])))
     rational, irrational, f = _oracle_roots(q, [r])
     above = [x for x in rational if x > r]
-    hi = above[0] if to_root and above else r + Fraction(span, 8)
-    iv = Interval(r, hi, lo_open=lo_open, hi_open=hi_open)
-    expected = sum(iv.contains(x) for x in rational)
-    expected += sum(_inside(f, h, r, hi) for h in irrational)
-    assert sturm_real_root_count(p, iv) == expected
+    lo = None if ends == "no lo" else r
+    hi = None if ends == "no hi" else above[0] if to_root and above else r + Fraction(span, 8)
+    left = -FAR if lo is None else lo
+    right = FAR if hi is None else hi
+    expected = sum(left < x <= right for x in rational)
+    expected += sum(_inside(f, h, left, right) for h in irrational)
+    assert sturm_real_root_count(p, lo, hi) == expected
 
 
 @settings(max_examples=120, deadline=None)
@@ -161,7 +167,7 @@ def test_refinement_with_roots_at_the_endpoints(q, ends, k):
     # no chain is built, with or without a root at an endpoint: there
     # the sign of p' stands in for it
     with mock.patch.object(exactcore, "sturm_chain", side_effect=AssertionError("chain built")):
-        out = refine_interval(IntPolynomial(tuple(p_cs)), Interval.open(*h), w)
+        out = refine_interval(IntPolynomial(tuple(p_cs)), Interval(*h), w)
     assert not out.is_point
     assert out.width() <= w and h[0] <= out.lo and out.hi <= h[1]
     assert _inside(f, h, out.lo, out.hi)
@@ -177,9 +183,9 @@ def test_refinement_lands_on_a_root_at_a_bisection_midpoint(q, whole, den, k, ro
     s = Fraction(1, 2 ** k)
     lo, hi = r - s, r + 3 * s
     p = IntPolynomial(tuple(_times_linears(q, [r, lo] if root_at_lo else [r])))
-    assert refine_interval(p, Interval.open(lo, hi), s) == Interval.point(r)
+    assert refine_interval(p, Interval(lo, hi), s) == Interval.point(r)
     # wide enough to stop after the first midpoint
-    assert refine_interval(p, Interval.open(lo, hi), 2 * s) == Interval.open(lo, r + s)
+    assert refine_interval(p, Interval(lo, hi), 2 * s) == Interval(lo, r + s)
 
 
 @settings(max_examples=120, deadline=None)
