@@ -128,13 +128,20 @@ def _get_int_pair(value: Any, path: str) -> tuple[int, int]:
     return (_get_int(pair[0], f"{path}[0]"), _get_int(pair[1], f"{path}[1]"))
 
 
-def _check_exact(value: Any, path: str) -> None:
+# no result nests more than 4 levels deep, so a deeper expected value can
+# never match; rejecting it at load also keeps rendering from recursing on it
+_EXPECTED_MAX_DEPTH = 4
+
+
+def _check_exact(value: Any, path: str, depth: int = 0) -> None:
     # reports render JSON without floats, so an expected value may not hold one
     if isinstance(value, float):
         _fail(path, f"expected an exact value, got {value!r}")
+    if isinstance(value, (dict, list)) and depth == _EXPECTED_MAX_DEPTH:
+        _fail(path, f"nested more than {_EXPECTED_MAX_DEPTH} levels deep")
     for key, item in (value.items() if isinstance(value, dict)
                       else enumerate(value) if isinstance(value, list) else ()):
-        _check_exact(item, f"{path}.{key}" if isinstance(value, dict) else f"{path}[{key}]")
+        _check_exact(item, f"{path}.{key}" if isinstance(value, dict) else f"{path}[{key}]", depth + 1)
 
 
 def _list_of(getter: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
@@ -602,7 +609,8 @@ def load_case(data: bytes | str, source: str = "<case>") -> Case:
     """
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8 and integers too long to convert
         raise CaseFormatError(f"{source}: not valid JSON: {exc}") from exc
     try:
         obj = _get_object(doc, "$")

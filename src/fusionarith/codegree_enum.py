@@ -4,9 +4,9 @@ A classification branch fixes some rational codegrees and leaves one
 Galois orbit of unknown ones.  The class equation forces the two
 trailing elementary symmetric functions of that orbit, so candidates
 form a one-parameter family of monic integer polynomials.  This module
-derives the forced data, scans the free coefficient, and runs each
-candidate through an ordered filter pipeline, emitting a Certificate
-that records every verdict and the first failure.
+builds them from the admissible products, scans the free coefficient,
+and runs each candidate through one ordered filter pipeline, emitting a
+Certificate that records every verdict up to the first failure.
 
 Three scan shapes cover the branches that occur:
 
@@ -226,38 +226,6 @@ def admissible_products(instance: ClassEquationInstance) -> list[int]:
     return out
 
 
-@record
-class CoefficientAssignment:
-    """Forced trailing coefficients of the orbit polynomial."""
-
-    product: int
-    forced_next: int
-    orbit_degree: int
-
-    def assemble(self, leading_sum: Optional[int] = None) -> IntPolynomial:
-        """Monic polynomial with the forced data; a cubic needs the free
-        coefficient leading_sum (= sum of roots)."""
-        n = self.orbit_degree
-        if n == 1:
-            return IntPolynomial((-self.product, 1))
-        if n == 2:
-            if leading_sum is not None and leading_sum != self.forced_next:
-                raise ValueError("quadratic orbit has no free coefficient")
-            return IntPolynomial((self.product, -self.forced_next, 1))
-        if leading_sum is None:
-            raise ValueError("cubic orbit needs the free coefficient")
-        return IntPolynomial((-self.product, self.forced_next, -leading_sum, 1))
-
-
-def forced_coefficients(instance: ClassEquationInstance, product: int) -> CoefficientAssignment:
-    """e_n = product and e_(n-1) = residual*product; the rest is free."""
-    r = residual_target(instance)
-    e = r * product
-    if e.denominator != 1:
-        raise ValueError(f"product {product} rejected: residual*product = {e} is not an integer")
-    return CoefficientAssignment(product, int(e), instance.orbit_degree)
-
-
 # ---------------------------------------------------------------------------
 # exact root handles
 
@@ -404,17 +372,10 @@ def _filter_subfield_exclusion(
     return FilterResult(FILTER_SUBFIELD, True)
 
 
-def _run_filters(
-    p: IntPolynomial,
-    steps: Sequence[tuple[str, Callable[[IntPolynomial], FilterResult]]],
-    disabled_filters: frozenset[str] = frozenset(),
-) -> Certificate:
-    """Apply the named filters to p in order, skipping disabled names and
-    stopping at the first failure."""
+def _run_filters(p: IntPolynomial, steps: Sequence[Callable[[IntPolynomial], FilterResult]]) -> Certificate:
+    """Apply the filters to p in order, stopping at the first failure."""
     results = []
-    for name, step in steps:
-        if name in disabled_filters:
-            continue
+    for step in steps:
         result = step(p)
         results.append(result)
         if not result.passed:
@@ -422,33 +383,25 @@ def _run_filters(
     return Certificate(p, tuple(results), all(r.passed for r in results))
 
 
-def run_filter_pipeline(
-    p: IntPolynomial,
-    instance: ClassEquationInstance,
-    disabled_filters: frozenset[str] = frozenset(),
-) -> Certificate:
+def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Certificate:
     """Run the canonical pipeline on one monic candidate.
 
     Order: d-number, totally-real, per-root lower bounds, cyclotomic,
     then the optional membership and subfield-exclusion filters.
-    Evaluation stops at the first failure.  disabled_filters skips
-    filters by name; it exists for load-bearing tests, not case files.
+    Evaluation stops at the first failure.
     """
     if not p.is_monic:
         raise ValueError("pipeline candidates must be monic")
     factors = cache(lambda: factor_over_rationals(p))  # shared by the filters
-    steps = [(FILTER_D_NUMBER, _filter_d_number),
-             (FILTER_TOTALLY_REAL, _filter_totally_real),
-             (FILTER_POSITIVE_BOUNDED,
-              lambda q: _filter_positive_bounded(factors(), instance.root_lower_bounds)),
-             (FILTER_CYCLOTOMIC, _filter_cyclotomic)]
+    steps = [_filter_d_number, _filter_totally_real,
+             lambda q: _filter_positive_bounded(factors(), instance.root_lower_bounds),
+             _filter_cyclotomic]
     if instance.membership_conductor is not None:
         conductor = instance.membership_conductor
-        steps.append((FILTER_MEMBERSHIP, lambda q: _filter_membership(factors(), conductor)))
+        steps.append(lambda q: _filter_membership(factors(), conductor))
     if instance.excluded_quadratic_subfields:
-        steps.append((FILTER_SUBFIELD,
-                      lambda q: _filter_subfield_exclusion(factors(), instance.excluded_quadratic_subfields)))
-    return _run_filters(p, steps, disabled_filters)
+        steps.append(lambda q: _filter_subfield_exclusion(factors(), instance.excluded_quadratic_subfields))
+    return _run_filters(p, steps)
 
 
 def _survivors_first(certs: list[Certificate]) -> list[Certificate]:
@@ -464,47 +417,46 @@ def _assert_survivor_sign_pattern(cert: Certificate) -> None:
         assert c == 0 or (c > 0) == (i % 2 == 0), f"sign pattern broken in {p}"
 
 
-def enumerate_candidates(
-    instance: ClassEquationInstance,
-    disabled_filters: frozenset[str] = frozenset(),
-) -> list[Certificate]:
+def enumerate_candidates(instance: ClassEquationInstance) -> list[Certificate]:
     """Certificates for every candidate of the instance, survivors first.
 
-    For a cubic orbit the free coefficient runs over scan_range (default
-    [1, forced e2]) restricted to values whose assembled polynomial is a
-    d-number; when the default range is used, the polynomial just past
-    its top must fail the real-roots filters, which certifies that no
-    totally positive candidate was cut off.  With the d-number filter on,
-    e1 steps over the multiples of m = prod p^ceil(e/3) over p^e || P,
-    the e1 with P | e1^3 (the d-number condition at i = 1).
+    Each admissible product P forces e = residual * P, an integer, as
+    the next symmetric function: the candidates are x - P, x^2 - e x + P
+    and x^3 - e1 x^2 + e x - P.  For a cubic orbit the free coefficient
+    e1 runs over scan_range (default [1, e]) restricted to values whose
+    polynomial is a d-number; when the default range is used, the
+    polynomial with e1 = e + 1 must fail the real-roots filters, which
+    certifies that no totally positive candidate was cut off.  e1 steps
+    over the multiples of m = prod p^ceil(k/3) over p^k || P, the e1
+    with P | e1^3 (the d-number condition at i = 1).
     """
     n = instance.orbit_degree
     if n > 3:
         raise UnsupportedDegreeError(f"orbit degree {n} not supported")
+    r = residual_target(instance)
     certs: list[Certificate] = []
     for product in admissible_products(instance):
-        assignment = forced_coefficients(instance, product)
+        e = int(r * product)
         if n in (1, 2):
-            certs.append(run_filter_pipeline(assignment.assemble(), instance, disabled_filters))
+            p = IntPolynomial((-product, 1) if n == 1 else (product, -e, 1))
+            certs.append(run_filter_pipeline(p, instance))
             continue
         if instance.scan_range is not None:
             lo, hi = instance.scan_range
         else:
-            lo, hi = 1, assignment.forced_next
-            boundary = assignment.assemble(hi + 1)
+            lo, hi = 1, e
+            boundary = IntPolynomial((-product, e, -(e + 1), 1))
             real = _filter_totally_real(boundary).passed
             bounded = _filter_positive_bounded(
                 factor_over_rationals(boundary), instance.root_lower_bounds).passed
             if real and bounded:
                 raise ScanSoundnessError(
                     f"boundary candidate {boundary} passes the real-roots filters")
-        step = 1 if FILTER_D_NUMBER in disabled_filters else math.prod(
-            prime ** -(-e // 3) for prime, e in factor_integer(product))
+        step = math.prod(prime ** -(-k // 3) for prime, k in factor_integer(product))
         for e1 in range(-(-lo // step) * step, hi + 1, step):
-            p = assignment.assemble(e1)
-            if FILTER_D_NUMBER not in disabled_filters and not is_d_number(p).passes:
-                continue
-            certs.append(run_filter_pipeline(p, instance, disabled_filters))
+            p = IntPolynomial((-product, e, -e1, 1))
+            if is_d_number(p).passes:
+                certs.append(run_filter_pipeline(p, instance))
     for cert in certs:
         if cert.survived:
             _assert_survivor_sign_pattern(cert)
@@ -611,10 +563,9 @@ def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> list[Certificat
     squarefree part of a (m is the product of p^ceil(e/2) over p^e || a),
     so b steps over those multiples only.
     """
-    steps = ((FILTER_D_NUMBER, _filter_d_number),
-             (FILTER_TOTALLY_POSITIVE, _filter_totally_positive),
-             (FILTER_REQUIRED_FIELD, lambda p: _filter_required_field(p, instance.required_field)),
-             (FILTER_DIM_SQUARE, lambda p: _filter_dim_square(p, instance)))
+    steps = (_filter_d_number, _filter_totally_positive,
+             lambda p: _filter_required_field(p, instance.required_field),
+             lambda p: _filter_dim_square(p, instance))
     certs = []
     for a in divisors(instance.product_divides):
         b_top = math.floor(instance.trace_ratio_max * a)
@@ -647,7 +598,7 @@ class DimensionPairInstance:
 def enumerate_dimension_pairs(instance: DimensionPairInstance) -> list[Certificate]:
     """Certificates x^2 - trace x + m for every m in range, survivors
     first; the pipeline is d-number then totally-real."""
-    steps = ((FILTER_D_NUMBER, _filter_d_number), (FILTER_TOTALLY_REAL, _filter_totally_real))
+    steps = (_filter_d_number, _filter_totally_real)
     lo, hi = instance.constant_range
     certs = [_run_filters(IntPolynomial((m, -instance.trace, 1)), steps)
              for m in range(lo, hi + 1)]

@@ -26,8 +26,9 @@ and multiplied by sign(lc)^k, a positive multiple of the classical one),
 of p at a/b (b > 0) is that of b^d * p(a/b).  For a
 squarefree p the variation difference V(a) - V(b) counts the distinct
 real roots in (a, b], the one shape ``sturm_real_root_count`` takes.
-``isolate_real_roots`` returns points for rational roots and open
-intervals holding one irrational root each; refinement bisects on the
+``isolate_real_roots`` takes a polynomial with no rational and no
+repeated root, such as an irreducible factor of degree 2 or 3, and
+returns open intervals holding one root each; refinement bisects on the
 sign at the midpoint and needs no chain.
 """
 
@@ -369,13 +370,6 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
     return sorted(roots)
 
 
-def _divide_out_roots(p: IntPolynomial, roots: Sequence[Fraction]) -> IntPolynomial:
-    """Primitive p divided exactly by (v x - u) for each root u/v."""
-    for r in roots:
-        p = _exact_quotient(p, IntPolynomial((-r.numerator, r.denominator)))
-    return p
-
-
 def factor_over_rationals(p: IntPolynomial) -> list[IntPolynomial]:
     """Irreducible factors over Q with integer coefficients.
 
@@ -389,9 +383,10 @@ def factor_over_rationals(p: IntPolynomial) -> list[IntPolynomial]:
     """
     if p.degree < 1:
         raise UnsupportedDegreeError(f"factorization needs degree >= 1, got {p.degree}")
-    p0 = p.primitive()
+    work = p0 = p.primitive()
     roots = rational_roots(p0)
-    work = _divide_out_roots(p0, roots)
+    for r in roots:
+        work = _exact_quotient(work, IntPolynomial((-r.numerator, r.denominator)))
     if work.degree > 3:
         raise UnsupportedDegreeError(f"no factorization of a degree {work.degree} remainder")
     factors = [IntPolynomial((-r.numerator, r.denominator)) for r in roots]
@@ -411,9 +406,8 @@ def factor_over_rationals(p: IntPolynomial) -> list[IntPolynomial]:
 
 @record
 class Interval:
-    """Isolating interval with rational ends: the point lo when lo == hi,
-    else the open interval (lo, hi), holding one real root of its
-    polynomial."""
+    """Open isolating interval (lo, hi) with rational ends, holding one
+    real root of its polynomial."""
 
     lo: Fraction
     hi: Fraction
@@ -421,16 +415,8 @@ class Interval:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", _as_fraction(self.lo))
         object.__setattr__(self, "hi", _as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    @staticmethod
-    def point(r: Rational) -> "Interval":
-        return Interval(r, r)
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
+        if self.lo >= self.hi:
+            raise ValueError("an open interval needs lo < hi")
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -488,81 +474,51 @@ def sturm_real_root_count(p: IntPolynomial, lo: Optional[Rational] = None,
 def _cauchy_bound(p: IntPolynomial) -> Fraction:
     """Strict bound B: every real root lies in (-B, B)."""
     lead = abs(p.leading)
-    top = max(abs(c) for c in p.coeffs[:-1]) if p.degree >= 1 else 0
+    top = max(abs(c) for c in p.coeffs[:-1])
     return 1 + Fraction(top, lead)
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[Interval]:
-    """Disjoint isolating intervals for the real roots of a squarefree p.
-
-    Rational roots come back as degenerate point intervals; every other
-    interval is open with rational endpoints and holds exactly one
-    irrational root.  Sorted ascending.
-    """
-    if p.degree < 1:
-        raise UnsupportedDegreeError("root isolation needs degree >= 1")
-    p0 = p.primitive()
-    roots = rational_roots(p0)
-    if len(set(roots)) < len(roots):
-        # a repeated irrational root makes sturm_chain(work) raise instead
-        raise ValueError("polynomial must be squarefree (divide by gcd(p, p') first)")
-    work = _divide_out_roots(p0, roots)
-    points = [Interval.point(root) for root in roots]
-    opens: list[Interval] = []
-    if work.degree >= 1:
-        chain = sturm_chain(work)
-
-        def count(lo: Fraction, hi: Fraction) -> int:
-            return _variations(chain, lo) - _variations(chain, hi)
-
-        bound = _cauchy_bound(work)
-        stack: list[tuple[Fraction, Fraction]] = [(-bound, bound)]
-        while stack:
-            lo, hi = stack.pop()
-            k = count(lo, hi)
-            if k == 0:
-                continue
-            if k == 1:
-                # shrink past any rational root of the original polynomial,
-                # so intervals stay disjoint from the point results
-                for r in roots:
-                    if lo < r < hi:
-                        if count(lo, r) == 1:
-                            hi = r
-                        else:
-                            lo = r
-                opens.append(Interval(lo, hi))
-                continue
+    """Open isolating intervals, ascending, for the real roots of a p of
+    degree >= 1 with no rational and no repeated root, such as an
+    irreducible factor of degree 2 or 3.  The Sturm chain raises
+    ValueError on a repeated root and so does a root at a bisection
+    midpoint, so no interval ends at a root."""
+    chain = sturm_chain(p)
+    bound = _cauchy_bound(p)
+    stack: list[tuple[Fraction, Fraction]] = [(-bound, bound)]
+    out: list[Interval] = []
+    while stack:
+        lo, hi = stack.pop()
+        k = _variations(chain, lo) - _variations(chain, hi)
+        if k == 1:
+            out.append(Interval(lo, hi))
+        elif k > 1:
             mid = (lo + hi) / 2
+            if p.sign_at(mid) == 0:
+                raise ValueError(f"{p} has the rational root {mid}")
             stack.append((lo, mid))
             stack.append((mid, hi))
-    out = points + opens
     out.sort(key=lambda iv: iv.lo)
     return out
 
 
 def refine_interval(p: IntPolynomial, iv: Interval, max_width: Rational) -> Interval:
-    """Shrink an isolating interval of p below max_width by bisecting on
-    the sign at the midpoint.  When p changes sign between the ends, the
-    one root inside has odd multiplicity and p itself is bisected;
-    otherwise the squarefree part s is, whose sign just right of lo is
-    that of s(lo), or of s'(lo) when lo is a root, which is simple.  A
-    midpoint root comes back as a point interval."""
-    if iv.is_point:
-        return iv
+    """Shrink an interval at whose ends p has opposite signs below
+    max_width, by bisecting on the sign of p at the midpoint; a root at
+    a midpoint raises ValueError."""
     max_width = _as_fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
     lo, hi = iv.lo, iv.hi
-    sf, lo_sign = p, p.sign_at(lo)
+    lo_sign = p.sign_at(lo)
     if lo_sign * p.sign_at(hi) >= 0:
-        sf = p.squarefree_part()
-        lo_sign = sf.sign_at(lo) or sf.derivative().sign_at(lo)
+        raise ValueError(f"{p} does not change sign between {lo} and {hi}")
     while hi - lo > max_width:
         mid = (lo + hi) / 2
-        s = _sign(_eval_hom(sf.coeffs, mid.numerator, mid.denominator))
+        s = p.sign_at(mid)
         if s == 0:
-            return Interval.point(mid)
+            raise ValueError(f"{p} has the rational root {mid}")
         if s == lo_sign:
             lo = mid
         else:

@@ -24,7 +24,7 @@ from fusionarith.codegree_enum import (
     enumerate_candidates,
     enumerate_dimension_pairs,
     enumerate_quadratic_scan,
-    forced_coefficients,
+    residual_target,
 )
 from fusionarith.casefile import bundled_case_paths, load_case_file, render_reports, run_case
 from fusionarith.dimsolve import QuadraticTarget, enumerate_decompositions, fp_square_constraints
@@ -102,8 +102,7 @@ def test_global_dim_7_orbit_is_fully_excluded():
 
 def test_global_dim_9_orbit_fails_conductor_9_membership():
     assert admissible_products(DIM9) == [243, 729]
-    assert {forced_coefficients(DIM9, p).forced_next
-            for p in (243, 729)} == {135, 405}
+    assert {residual_target(DIM9) * p for p in (243, 729)} == {135, 405}
     certs = enumerate_candidates(DIM9)
     assert [c for c in certs if c.survived] == []
     reaching = [c for c in certs

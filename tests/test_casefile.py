@@ -117,6 +117,39 @@ def test_float_in_expected_is_rejected_at_load(tmp_path, capsys, expected, where
     assert capsys.readouterr().out == ""
 
 
+def _in_lists(depth: int):
+    """1 wrapped in depth single-item lists."""
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"schema": 1, "name": "\xff"}', "not valid JSON: 'utf-8' codec"),
+    ('{"schema": ' + "9" * 5000 + "}", None),  # over int's 4300-digit limit on 3.11+
+    ("[" * 100_000 + "]" * 100_000, "not valid JSON: maximum recursion depth"),
+    (make_case(expected={"structures": _in_lists(900)}),
+     "$.expected.structures[0][0][0][0]: nested more than 4 levels deep"),
+], ids=["invalid-utf8", "long-integer", "deep-arrays", "deep-expected"])
+def test_malformed_documents_exit_2(tmp_path, capsys, data, message):
+    if message is not None:
+        assert message in failure_message(data)
+    target = tmp_path / "malformed.case.json"
+    target.write_bytes(data if isinstance(data, bytes) else data.encode())
+    assert main(["validate", str(target)]) == 2
+    assert main(["run", str(target), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed.case.json: ")
+
+
+def test_expected_values_nest_at_most_four_levels():
+    assert load_case(make_case(expected={"structures": _in_lists(4)})).expected
+    assert "$.expected.structures.a[0][0][0]: nested more than 4 levels deep" in failure_message(
+        make_case(expected={"structures": {"a": _in_lists(4)}}))
+
+
 def test_bad_rational_carries_its_json_path():
     params = {"global_dim": 7, "fixed_codegrees": ["7", "7", "7"], "orbit_degree": 3,
               "root_lower_bounds": ["7/4", "1/0"]}

@@ -7,6 +7,7 @@ oracle comparisons live in the acceptance suite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,13 +33,13 @@ from fusionarith.codegree_enum import (
     enumerate_candidates,
     enumerate_dimension_pairs,
     enumerate_quadratic_scan,
-    forced_coefficients,
     residual_target,
     run_filter_pipeline,
     _integer_cube_ceiling,
     _real_triple_feasible,
 )
-from fusionarith.exactcore import IntPolynomial, UnsupportedDegreeError
+from fusionarith.casefile import bundled_case_paths, load_case_file
+from fusionarith.exactcore import IntPolynomial, UnsupportedDegreeError, factor_over_rationals
 
 
 def P(*cs: int) -> IntPolynomial:
@@ -130,28 +131,36 @@ def test_real_roots_mode_drops_products_whose_cube_root_is_under_the_bound(bound
     assert enumerate_candidates(instance) == []
 
 
-def test_forced_coefficients():
-    assert forced_coefficients(DIM7, 343).forced_next == 196
-    assert forced_coefficients(DIM7, 49).forced_next == 28
-    assert forced_coefficients(DIM9, 729).forced_next == 405
-    assert forced_coefficients(DIM9, 243).forced_next == 135
-    assert forced_coefficients(DIM6, 18).forced_next == 12
+def test_forced_coefficients(monkeypatch):
+    # every polynomial the scan builds, d-number or not, has product P
+    # and next symmetric function residual * P
+    built = []
+    real = codegree_enum.is_d_number
+    monkeypatch.setattr(codegree_enum, "is_d_number", lambda p: built.append(p) or real(p))
+    for instance, forced in ((DIM7, {49: 28, 343: 196}),
+                             (DIM9, {243: 135, 729: 405}),
+                             (DIM6, {12: 8, 18: 12, 36: 24})):
+        built.clear()
+        enumerate_candidates(instance)
+        assert {abs(p.coeffs[0]): abs(p.coeffs[1]) for p in built} == forced
 
 
 def test_forced_coefficients_reject_non_integral_products():
-    with pytest.raises(ValueError, match="not an integer"):
-        forced_coefficients(DIM7, 10)
+    # residual 4/7 makes residual * P an integer only for 7 | P
+    inst = ClassEquationInstance(global_dim=7, fixed_codegrees=(7, 7, 7), orbit_degree=3,
+                                 product_divides=70)
+    assert admissible_products(inst) == [7, 14, 35, 70]
 
 
 def test_assembly_shapes():
-    assign = forced_coefficients(DIM7, 343)
-    assert assign.assemble(leading_sum=28) == P(-343, 196, -28, 1)
-    assign2 = forced_coefficients(DIM6, 18)
-    assert assign2.assemble() == P(18, -12, 1)
-    with pytest.raises(ValueError, match="free coefficient"):
-        assign.assemble()
-    with pytest.raises(ValueError, match="no free coefficient"):
-        assign2.assemble(leading_sum=5)
+    linear = ClassEquationInstance(global_dim=6, fixed_codegrees=(2, 3), orbit_degree=1)
+    assert [c.candidate for c in enumerate_candidates(linear)] == [P(-6, 1)]
+    quadratics = sorted(c.candidate.coeffs for c in enumerate_candidates(DIM6))
+    assert quadratics == [(12, -8, 1), (18, -12, 1), (36, -24, 1)]
+    narrowed = ClassEquationInstance(global_dim=7, fixed_codegrees=(7, 7, 7), orbit_degree=3,
+                                     product_divides=343, scan_range=(20, 28))
+    cubics = [c.candidate for c in enumerate_candidates(narrowed)]
+    assert sorted(cubics, key=lambda p: p.coeffs[2]) == [P(-343, 196, -28, 1), P(-343, 196, -21, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +196,6 @@ def test_pipeline_bound_failure_witness():
 def test_pipeline_rejects_non_monic():
     with pytest.raises(ValueError, match="monic"):
         run_filter_pipeline(P(1, 1, 2), DIM7)
-
-
-def test_pipeline_disabled_filters_are_not_recorded():
-    cert = run_filter_pipeline(P(-1, 1), DIM7,
-                               disabled_filters=frozenset({FILTER_POSITIVE_BOUNDED}))
-    names = [r.name for r in cert.filter_results]
-    assert FILTER_POSITIVE_BOUNDED not in names
-    assert cert.survived  # nothing else rejects x-1 here
 
 
 def test_certificate_consistency_guard():
@@ -282,13 +283,12 @@ def test_survivor_sign_pattern_holds():
 def test_default_scan_stops_at_the_forced_coefficient():
     # a trace just past the default cap cannot carry three real roots
     # above the bounds, so nothing totally positive is cut off; skipping
-    # the d-number step aims the check at the realness filters directly
+    # the d-number verdict aims the check at the realness filters directly
     for inst, prod in ((DIM7, 343), (DIM9, 729), (DIM7, 49)):
-        assign = forced_coefficients(inst, prod)
-        boundary = assign.assemble(leading_sum=assign.forced_next + 1)
-        cert = run_filter_pipeline(boundary, inst,
-                                   disabled_filters=frozenset({FILTER_D_NUMBER}))
-        assert cert.failed_filter in (FILTER_TOTALLY_REAL, FILTER_POSITIVE_BOUNDED)
+        e = int(residual_target(inst) * prod)
+        boundary = P(-prod, e, -(e + 1), 1)
+        assert _failed_without(boundary, inst, FILTER_D_NUMBER) in (
+            FILTER_TOTALLY_REAL, FILTER_POSITIVE_BOUNDED)
     assert issubclass(ScanSoundnessError, RuntimeError)
 
 
@@ -305,18 +305,22 @@ def test_scan_range_override_narrows_the_sweep():
         "x^3-21x^2+196x-343", "x^3-28x^2+196x-343"]
 
 
-def _unstepped_certificates(instance, disabled=frozenset()):
+def _unstepped_candidates(instance):
+    """The cubic candidates of every e1 in the scan range, d-number or
+    not."""
+    r = residual_target(instance)
+    for product in admissible_products(instance):
+        e = int(r * product)
+        lo, hi = instance.scan_range or (1, e)
+        for e1 in range(lo, hi + 1):
+            yield P(-product, e, -e1, 1)
+
+
+def _unstepped_certificates(instance):
     """enumerate_candidates for a cubic orbit written out with every e1
     of the range tested, survivors first."""
-    certs = []
-    for product in admissible_products(instance):
-        assignment = forced_coefficients(instance, product)
-        lo, hi = instance.scan_range or (1, assignment.forced_next)
-        for e1 in range(lo, hi + 1):
-            p = assignment.assemble(e1)
-            if FILTER_D_NUMBER not in disabled and not codegree_enum.is_d_number(p).passes:
-                continue
-            certs.append(run_filter_pipeline(p, instance, disabled))
+    certs = [run_filter_pipeline(p, instance) for p in _unstepped_candidates(instance)
+             if codegree_enum.is_d_number(p).passes]
     return [c for c in certs if c.survived] + [c for c in certs if not c.survived]
 
 
@@ -346,16 +350,6 @@ def test_stepped_scan_gives_the_unstepped_certificates(instance):
     assert certs == _unstepped_certificates(instance)
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_cubic_instances(default_range=False))
-def test_without_d_number_every_e1_is_scanned(instance):
-    disabled = frozenset({FILTER_D_NUMBER})
-    certs = enumerate_candidates(instance, disabled)
-    assert certs == _unstepped_certificates(instance, disabled)
-    lo, hi = instance.scan_range
-    assert len(certs) == len(admissible_products(instance)) * (hi - lo + 1)
-
-
 CUBIC13 = ClassEquationInstance(
     global_dim=13, fixed_codegrees=(13, 13, 13), orbit_degree=3,
     product_divides=13 ** 3,
@@ -381,40 +375,77 @@ def test_stepped_scan_tests_fewer_d_numbers(monkeypatch):
 # mutation checks: each filter earns its place
 
 
+def _verdicts(p, instance):
+    """Each filter the instance enables, applied to p on its own, in
+    pipeline order; the pipeline records these up to the first failure."""
+    factors = factor_over_rationals(p)
+    verdicts = [codegree_enum._filter_d_number(p), codegree_enum._filter_totally_real(p),
+                codegree_enum._filter_positive_bounded(factors, instance.root_lower_bounds),
+                codegree_enum._filter_cyclotomic(p)]
+    if instance.membership_conductor is not None:
+        verdicts.append(codegree_enum._filter_membership(factors, instance.membership_conductor))
+    if instance.excluded_quadratic_subfields:
+        verdicts.append(codegree_enum._filter_subfield_exclusion(
+            factors, instance.excluded_quadratic_subfields))
+    return verdicts
+
+
+def _failed_without(p, instance, name):
+    """The first filter other than name that rejects p, or None: the
+    outcome of the pipeline with that filter taken out."""
+    return next((v.name for v in _verdicts(p, instance) if v.name != name and not v.passed), None)
+
+
+def _class_equation_instances():
+    yield DIM7
+    yield DIM9
+    for path in bundled_case_paths():
+        payload = load_case_file(path).payload
+        if isinstance(payload.get("instance"), ClassEquationInstance):
+            yield payload["instance"]
+
+
+def test_pipeline_records_the_verdicts_up_to_the_first_failure():
+    seen = 0
+    for instance in _class_equation_instances():
+        for cert in enumerate_candidates(instance):
+            verdicts = _verdicts(cert.candidate, instance)
+            failed = [i for i, v in enumerate(verdicts) if not v.passed]
+            assert cert.filter_results == tuple(verdicts[:failed[0] + 1] if failed else verdicts)
+            seen += 1
+    # DIM7 and DIM9 give 28 + 45; the bundled dim-6, dim-7 and dim-9 cases 3 + 28 + 45
+    assert seen == 149
+
+
 def test_without_subfield_exclusion_dim7_gains_a_survivor():
-    certs = enumerate_candidates(DIM7, disabled_filters=frozenset({FILTER_SUBFIELD}))
-    assert [str(c.candidate) for c in certs if c.survived] == ["x^3-28x^2+196x-343"]
+    survivors = [str(c.candidate) for c in enumerate_candidates(DIM7)
+                 if _failed_without(c.candidate, DIM7, FILTER_SUBFIELD) is None]
+    assert survivors == ["x^3-28x^2+196x-343"]
 
 
 def test_without_membership_dim9_gains_two_survivors():
-    certs = enumerate_candidates(DIM9, disabled_filters=frozenset({FILTER_MEMBERSHIP}))
-    assert sorted(str(c.candidate) for c in certs if c.survived) == [
+    survivors = [str(c.candidate) for c in enumerate_candidates(DIM9)
+                 if _failed_without(c.candidate, DIM9, FILTER_MEMBERSHIP) is None]
+    assert sorted(survivors) == [
         "x^3-45x^2+405x-729",
         "x^3-54x^2+405x-729",
     ]
 
 
 def test_without_d_number_dim7_blocks_everything_later():
-    certs = enumerate_candidates(DIM7, disabled_filters=frozenset({FILTER_D_NUMBER}))
-    # every trace in both scan windows now gets a certificate: 28 + 196
-    assert len(certs) == 224
-    assert [c for c in certs if c.survived] == []
-    by_name = {}
-    for c in certs:
-        by_name[c.failed_filter] = by_name.get(c.failed_filter, 0) + 1
-    assert by_name == {FILTER_TOTALLY_REAL: 218, FILTER_CYCLOTOMIC: 5,
-                       FILTER_SUBFIELD: 1}
+    # every trace in both scan windows now gets a verdict: 28 + 196
+    candidates = list(_unstepped_candidates(DIM7))
+    assert len(candidates) == 224
+    failures = [_failed_without(p, DIM7, FILTER_D_NUMBER) for p in candidates]
+    assert Counter(failures) == {FILTER_TOTALLY_REAL: 218, FILTER_CYCLOTOMIC: 5,
+                                FILTER_SUBFIELD: 1}
 
 
 def test_without_realness_dim7_outcomes_shift_to_the_bound_filter():
-    mutated = enumerate_candidates(DIM7,
-                                   disabled_filters=frozenset({FILTER_TOTALLY_REAL}))
-    mut_counts = {}
-    for c in mutated:
-        mut_counts[c.failed_filter] = mut_counts.get(c.failed_filter, 0) + 1
+    failures = [_failed_without(c.candidate, DIM7, FILTER_TOTALLY_REAL)
+                for c in enumerate_candidates(DIM7)]
     # candidates with complex roots now die on the bound check instead
-    assert mut_counts == {FILTER_POSITIVE_BOUNDED: 27, FILTER_SUBFIELD: 1}
-    assert [c for c in mutated if c.survived] == []
+    assert Counter(failures) == {FILTER_POSITIVE_BOUNDED: 27, FILTER_SUBFIELD: 1}
 
 
 def test_bound_filter_blocks_an_otherwise_clean_linear_candidate():
@@ -422,9 +453,7 @@ def test_bound_filter_blocks_an_otherwise_clean_linear_candidate():
     # check is the only thing standing between it and survival
     cert = run_filter_pipeline(P(-1, 1), DIM7)
     assert cert.failed_filter == FILTER_POSITIVE_BOUNDED
-    relaxed = run_filter_pipeline(
-        P(-1, 1), DIM7, disabled_filters=frozenset({FILTER_POSITIVE_BOUNDED}))
-    assert relaxed.survived
+    assert _failed_without(P(-1, 1), DIM7, FILTER_POSITIVE_BOUNDED) is None
 
 
 def test_cyclotomic_filter_blocks_a_crafted_candidate():
@@ -437,9 +466,7 @@ def test_cyclotomic_filter_blocks_a_crafted_candidate():
     cert = run_filter_pipeline(crafted, inst)
     assert cert.failed_filter == FILTER_CYCLOTOMIC
     assert cert.filter_results[-1].witness == {"discriminant": "229"}
-    relaxed = run_filter_pipeline(crafted, inst,
-                                  disabled_filters=frozenset({FILTER_CYCLOTOMIC}))
-    assert relaxed.survived
+    assert _failed_without(crafted, inst, FILTER_CYCLOTOMIC) is None
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,12 @@ def test_isolation_rejects_repeated_roots(p):
         isolate_real_roots(p)
 
 
+def test_isolation_rejects_a_rational_root_at_a_bisection_midpoint():
+    # x^3 - 2x bisects (-3, 3) at its root 0
+    with pytest.raises(ValueError, match="rational root 0"):
+        isolate_real_roots(P(0, -2, 0, 1))
+
+
 def test_rendering():
     assert str(P(-343, 196, -28, 1)) == "x^3-28x^2+196x-343"
     assert str(P(18, -12, 1)) == "x^2-12x+18"
@@ -273,10 +279,10 @@ def test_factorization_splits_the_dim7_boundary_cubic():
 
 def test_interval_basics():
     iv = Interval(Fraction(1), Fraction(2))
-    assert not iv.is_point
     assert iv.width() == 1
-    pt = Interval.point(5)
-    assert pt.is_point and pt == Interval(5, 5) and pt.width() == 0
+    for lo, hi in ((2, 1), (5, 5)):
+        with pytest.raises(ValueError, match="needs lo < hi"):
+            Interval(lo, hi)
 
 
 def test_sturm_counts_on_knowns():
@@ -301,25 +307,22 @@ def test_sturm_agrees_with_bisection_oracle_on_seeded_cubics():
 
 def test_isolation_intervals_are_disjoint_sorted_and_exhaustive():
     rng = random.Random(41117)
-    for _ in range(120):
+    tested = 0
+    for _ in range(240):
         cs = [rng.randint(-20, 20) for _ in range(4)]
         p = IntPolynomial(tuple(cs))
-        if p.degree < 1:
+        if p.degree < 1 or rational_roots(p):
             continue
         p = p.squarefree_part()
         ivs = isolate_real_roots(p)
         assert len(ivs) == sturm_real_root_count(p)
         for left, right in zip(ivs, ivs[1:]):
-            hi = left.hi if not left.is_point else left.lo
-            lo = right.lo if not right.is_point else right.lo
-            assert hi <= lo
+            assert left.hi <= right.lo
         for iv in ivs:
-            if iv.is_point:
-                assert p.evaluate(iv.lo) == 0
-            else:
-                # an open interval may end at a rational root of p
-                at_hi = p.sign_at(iv.hi) == 0
-                assert sturm_real_root_count(p, iv.lo, iv.hi) - at_hi == 1
+            assert p.sign_at(iv.lo) * p.sign_at(iv.hi) < 0
+            assert sturm_real_root_count(p, iv.lo, iv.hi) == 1
+        tested += 1
+    assert tested > 120
 
 
 def test_refinement_shrinks_but_keeps_the_root():
@@ -334,10 +337,12 @@ def test_refinement_of_a_repeated_root_matches_its_squarefree_part():
     q = P(-2, 0, 1)
     iv = Interval(1, 2)
     expected = refine_interval(q, iv, Fraction(1, 1000))
-    # odd multiplicity keeps the sign change, even multiplicity loses it;
-    # the last two have a double and a triple root at the lower end
-    for p in (q * q * q, q * q * P(-5, 1), q * P(-1, 1) * P(-1, 1), q * P(-1, 1) * P(-1, 1) * P(-1, 1)):
-        assert refine_interval(p, iv, Fraction(1, 1000)) == expected
+    # odd multiplicity keeps the sign change that refinement bisects on
+    assert refine_interval(q * q * q, iv, Fraction(1, 1000)) == expected
+    # even multiplicity loses it, and so does a root at the lower end
+    for p in (q * q * P(-5, 1), q * P(-1, 1) * P(-1, 1), q * P(-1, 1) * P(-1, 1) * P(-1, 1)):
+        with pytest.raises(ValueError, match="does not change sign"):
+            refine_interval(p, iv, Fraction(1, 1000))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from fusionarith.casefile import Case, Report
 from fusionarith.codegree_enum import (
     Certificate,
     ClassEquationInstance,
-    CoefficientAssignment,
     DimensionPairInstance,
     FilterResult,
     QuadraticScanInstance,
@@ -52,7 +51,6 @@ SAMPLES = [
     (Certificate, (CUBIC, (PASS,), True)),
     (ClassEquationInstance, (7, (Fraction(7),), 3, 343, (Fraction(3, 2),), "real-roots", 7,
                              ((5, 1),), (1, 9))),
-    (CoefficientAssignment, (343, 147, 3)),
     (_CubicRoot, (CUBIC, Interval(Fraction(1), Fraction(2)))),
     (QuadraticScanInstance, (10, 2000, 1, Fraction(1), 5, "cyclotomic", 20)),
     (DimensionPairInstance, (5, (1, 6))),
@@ -81,7 +79,7 @@ def _fields(r) -> tuple:
 
 
 def test_samples_cover_every_record_class():
-    assert len(SAMPLES) == 22
+    assert len(SAMPLES) == 21
     for cls, args in SAMPLES:
         assert len(args) == len(cls.__annotations__), cls.__name__
 

@@ -1,10 +1,11 @@
 """The integer Sturm layer against the Fraction bisection oracle.
 
-Real-root counts, isolation and refinement are checked on squarefree
-integer polynomials of degree 1 to 4, built as a squarefree base q of
-degree at most 3 (the oracle's range) times linear factors whose
-rational roots are placed on purpose: at the ends of isolating
-intervals and at bisection midpoints.  Roots of irreducible cubics,
+Real-root counts are checked on squarefree integer polynomials of
+degree 1 to 4, built as a squarefree base q of degree at most 3 (the
+oracle's range) times linear factors whose rational roots are placed on
+purpose.  Isolation and refinement take the part of q without rational
+roots; rational roots placed at the ends of an interval or at a
+bisection midpoint make refinement raise.  Roots of irreducible cubics,
 which the codegree filters compare by one sign evaluation, are checked
 against the oracle's bisection at points inside, at and outside their
 isolating intervals.
@@ -14,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from fusionarith.exactcore import (
 from oracles import (
     _deflate_rational_roots,
     _pdivmod,
+    _primitive_int,
     _squarefree,
     isolate_roots_bisection,
     refine_past,
@@ -101,6 +104,12 @@ def _inside(f: list[Fraction], h, lo: Fraction, hi: Fraction) -> bool:
     return root_exceeds(h, lo) and not root_exceeds(h, hi)
 
 
+def _irrational_factor(f: list[Fraction]) -> IntPolynomial:
+    """The oracle's factor without rational roots, with integer
+    coefficients."""
+    return IntPolynomial(tuple(_primitive_int(f)))
+
+
 @settings(max_examples=120, deadline=None)
 @given(squarefree_bases(), st.lists(rationals, max_size=1))
 def test_count_and_isolation_match_the_oracle(q, extra):
@@ -108,13 +117,14 @@ def test_count_and_isolation_match_the_oracle(q, extra):
     p = IntPolynomial(tuple(_times_linears(q, extra)))
     rational, irrational, f = _oracle_roots(q, extra)
     assert sturm_real_root_count(p) == len(rational) + len(irrational)
-    ivs = isolate_real_roots(p)
-    assert [iv.lo for iv in ivs if iv.is_point] == rational
-    opens = [iv for iv in ivs if not iv.is_point]
-    assert len(opens) == len(irrational)
-    for iv in opens:
+    if len(f) == 1:
+        return  # every root of q is rational
+    ivs = isolate_real_roots(_irrational_factor(f))
+    assert len(ivs) == len(irrational)
+    assert all(left.hi <= right.lo for left, right in zip(ivs, ivs[1:]))
+    for iv in ivs:
         assert sum(_inside(f, h, iv.lo, iv.hi) for h in irrational) == 1
-        assert not any(iv.lo < r < iv.hi for r in rational)
+        assert sign_at(f, iv.lo) * sign_at(f, iv.hi) < 0
 
 
 @settings(max_examples=120, deadline=None)
@@ -139,17 +149,14 @@ def test_counts_on_intervals_ending_at_roots(q, r, span, to_root, ends):
 
 
 @settings(max_examples=120, deadline=None)
-@given(squarefree_bases(), st.lists(rationals, max_size=1), st.integers(0, 14))
-def test_refinement_keeps_the_oracle_root(q, extra, k):
-    assume(all(sign_at(q, r) != 0 for r in extra))
-    p = IntPolynomial(tuple(_times_linears(q, extra)))
-    _, irrational, f = _oracle_roots(q, extra)
+@given(squarefree_bases(), st.integers(0, 14))
+def test_refinement_keeps_the_oracle_root(q, k):
+    _, irrational, f = _oracle_roots(q, [])
+    assume(irrational)
+    p = _irrational_factor(f)
     for iv in isolate_real_roots(p):
-        if iv.is_point:
-            continue
         w = iv.width() / 2 ** k
         out = refine_interval(p, iv, w)
-        assert not out.is_point
         assert out.width() <= w and iv.lo <= out.lo and out.hi <= iv.hi
         assert sum(_inside(f, h, out.lo, out.hi) for h in irrational) == 1
 
@@ -164,26 +171,31 @@ def test_refinement_with_roots_at_the_endpoints(q, ends, k):
     p_cs = _times_linears(q, [e for e in placed if sign_at(q, e) != 0])
     assume(len(p_cs) <= 5)
     w = (h[1] - h[0]) / 2 ** k
-    # no chain is built, with or without a root at an endpoint: there
-    # the sign of p' stands in for it
+    p = IntPolynomial(tuple(p_cs))
+    # a root at an end leaves no sign change to bisect on
+    if any(sign_at(p_cs, e) == 0 for e in h):
+        with pytest.raises(ValueError, match="does not change sign"):
+            refine_interval(p, Interval(*h), w)
+        return
+    # bisecting on the sign of p builds no chain
     with mock.patch.object(exactcore, "sturm_chain", side_effect=AssertionError("chain built")):
-        out = refine_interval(IntPolynomial(tuple(p_cs)), Interval(*h), w)
-    assert not out.is_point
+        out = refine_interval(p, Interval(*h), w)
     assert out.width() <= w and h[0] <= out.lo and out.hi <= h[1]
     assert _inside(f, h, out.lo, out.hi)
 
 
 @settings(max_examples=120, deadline=None)
-@given(squarefree_bases(max_degree=2), st.integers(0, 40), st.integers(1, 8),
-       st.integers(0, 8), st.booleans())
-def test_refinement_lands_on_a_root_at_a_bisection_midpoint(q, whole, den, k, root_at_lo):
+@given(squarefree_bases(max_degree=2), st.integers(0, 40), st.integers(1, 8), st.integers(0, 8))
+def test_refinement_lands_on_a_root_at_a_bisection_midpoint(q, whole, den, k):
     # r lies past every root of q; (r - s, r + 3s) holds no other root of
-    # q, its first midpoint is r + s and its second is r itself
+    # q, its first midpoint is r + s and its second is r itself, which
+    # raises rather than end an interval at a root
     r = 2 + sum(abs(c) for c in q) + Fraction(whole, den)
     s = Fraction(1, 2 ** k)
     lo, hi = r - s, r + 3 * s
-    p = IntPolynomial(tuple(_times_linears(q, [r, lo] if root_at_lo else [r])))
-    assert refine_interval(p, Interval(lo, hi), s) == Interval.point(r)
+    p = IntPolynomial(tuple(_times_linears(q, [r])))
+    with pytest.raises(ValueError, match=f"rational root {r}$"):
+        refine_interval(p, Interval(lo, hi), s)
     # wide enough to stop after the first midpoint
     assert refine_interval(p, Interval(lo, hi), 2 * s) == Interval(lo, r + s)
 
