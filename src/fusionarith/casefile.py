@@ -27,7 +27,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
 from . import __version__
@@ -93,12 +92,6 @@ def _get_int(value: Any, path: str) -> int:
     return value
 
 
-def _get_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(path, f"expected a boolean, got {value!r}")
-    return value
-
-
 def _get_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {value!r}")
@@ -134,7 +127,7 @@ _EXPECTED_MAX_DEPTH = 4
 
 
 def _check_exact(value: Any, path: str, depth: int = 0) -> None:
-    # reports render JSON without floats, so an expected value may not hold one
+    # reports hold exact values only, so an expected value may not hold a float
     if isinstance(value, float):
         _fail(path, f"expected an exact value, got {value!r}")
     if isinstance(value, (dict, list)) and depth == _EXPECTED_MAX_DEPTH:
@@ -457,14 +450,11 @@ class _Decomposition(_CaseKind):
 
 class _DimDecomposition(_Decomposition):
     spec = {"n": (_get_int, True), "target": (_get_scalar, True, "n"),
-            "term_counts": (_list_of(_get_int), True),
-            "require_algebraic_integer": (_get_bool, False)}
+            "term_counts": (_list_of(_get_int), True)}
 
     def build(self, values: dict, path: str) -> dict:
-        require = values.get("require_algebraic_integer", True)
         return {"targets": tuple(
-            _integral_target(path, n=values["n"], target=values["target"], rank_terms=count,
-                             require_algebraic_integer=require)
+            _integral_target(path, n=values["n"], target=values["target"], rank_terms=count)
             for count in values["term_counts"])}
 
     def solve(self, payload: dict) -> list:
@@ -684,45 +674,20 @@ def run_case(case: Case) -> Report:
     )
 
 
-_JSON_SPLIT_DEPTH = 6  # containers nearer the root go to _to_json's parts piece by piece
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
-def _to_json(value: Any) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) without its pure-Python indent path, for
-    dicts with str keys, lists, tuples, str, int, bool and None; TypeError on anything else."""
-    parts: list[str] = []
-
-    def render(v: Any, indent: str) -> str:
-        if isinstance(v, str):
-            return encode_basestring_ascii(v)
-        if v is None or isinstance(v, int):
-            return ("null" if v is None else "true" if v is True else "false" if v is False
-                    else int.__repr__(v))
-        keyed = isinstance(v, dict)
-        if not (keyed or isinstance(v, (list, tuple))):
-            raise TypeError(f"{type(v).__name__} is not rendered as JSON")
-        opening, closing = ("{", "}") if keyed else ("[", "]")
-        if not v:
-            return opening + closing
-        inner = indent + "  "
-        if len(indent) >= 2 * _JSON_SPLIT_DEPTH:
-            body = f",\n{inner}".join([encode_basestring_ascii(k) + ": " + render(v[k], inner)
-                                       for k in sorted(v)] if keyed
-                                      else [render(x, inner) for x in v])
-            return f"{opening}\n{inner}{body}\n{indent}{closing}"
-        # near the root, one string per container would copy the whole text at
-        # each level, and those large copies make a run's peak RSS depend on
-        # the order of its reports
-        head = opening + "\n"
-        for k in sorted(v) if keyed else range(len(v)):
-            parts.append(head + inner + (encode_basestring_ascii(k) + ": " if keyed else ""))
-            parts.append(render(v[k], inner))
-            head = ",\n"
-        parts.append(f"\n{indent}{closing}")
-        return ""
-
-    parts.append(render(value, ""))
-    return "".join(parts)
+def _to_json(value: Any, indent: str = "") -> str:
+    """value as sorted JSON with each dict outside a list indented, one
+    key per line, and each entry of a list on one line of _encode."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        body = ",\n".join(f"{inner}{_encode(k)}: {_to_json(value[k], inner)}"
+                           for k in sorted(value))
+        return f"{{\n{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n" + ",\n".join(inner + _encode(v) for v in value) + f"\n{indent}]"
+    return _encode(value)
 
 
 def render_report(report: Report, format: str = "text") -> str:
@@ -746,11 +711,8 @@ def render_report(report: Report, format: str = "text") -> str:
 def render_reports(reports: list[Report], format: str = "text") -> str:
     """All reports, merged in input order, as one deterministic document."""
     if format == "json":
-        body = {
-            "schema": SCHEMA_VERSION,
-            "reports": [r.to_payload() for r in reports],
-        }
-        return _to_json(body) + "\n"
+        body = ",".join(f"\n    {_to_json(r.to_payload(), '    ')}" for r in reports)
+        return f'{{\n  "reports": [{body}\n  ],\n  "schema": {SCHEMA_VERSION}\n}}\n'
     return "\n".join(render_report(r, "text") for r in reports)
 
 
@@ -761,14 +723,6 @@ def bundled_case_paths() -> list[str]:
     paths = [str(entry) for entry in root.iterdir()
              if entry.name.endswith(".case.json")]
     return sorted(paths, key=os.path.basename)
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("FUSION_ARITH_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _cannot_write(path: str, exc: OSError) -> int:
@@ -793,15 +747,14 @@ def _run_command(args: argparse.Namespace) -> int:
         fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     except OSError as exc:
         return _cannot_write(args.out, exc)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     start = time.monotonic()
-    if jobs > 1 and len(cases) > 1:
+    if args.jobs > 1 and len(cases) > 1:
         # imported here: the process pool costs start-up time that a
         # serial run does not need; a pool forks all its workers up
         # front, so it gets no more workers than there are cases
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cases))) as pool:
             reports = list(pool.map(run_case, cases))
     else:
         reports = [run_case(c) for c in cases]
@@ -844,8 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--all", action="store_true", help="include bundled cases")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     run_p.add_argument("--out", help="write the report here instead of stdout")
-    run_p.add_argument("--jobs", type=int,
-                       help="parallel case workers (default $FUSION_ARITH_JOBS or 1)")
+    run_p.add_argument("--jobs", type=int, default=1, help="parallel case workers (default 1)")
     run_p.set_defaults(func=_run_command)
     val_p = sub.add_parser("validate", help="check case files against the schema")
     val_p.add_argument("cases", nargs="+", help="case file paths")

@@ -5,8 +5,7 @@ simple-object contributions:
 
 * quadratic-field squares: write a target (a + b*sqrt(n))/2 as a sum of
   r squares ((alpha + beta*sqrt(n))/2)^2 with positive integer alpha,
-  beta, optionally forcing each summand to be the square of an
-  algebraic integer;
+  beta, each summand the square of an algebraic integer;
 * plain integer squares: write total - 1 as a sum of positive integers
   each dividing a fixed bound.
 
@@ -42,15 +41,13 @@ def algebraic_integer_check(alpha: int, beta: int, n: int) -> bool:
 class QuadraticTarget:
     """A sum-of-squares instance in the real quadratic field of n.
 
-    rank_terms is the exact number of summands; set
-    require_algebraic_integer to False to drop the per-term parity
-    congruence (kept on for every bundled case).
+    rank_terms is the exact number of summands, each the square of an
+    algebraic integer.
     """
 
     n: int
     target: QuadraticFieldElement
     rank_terms: int
-    require_algebraic_integer: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 2 or squarefree_part(self.n) != self.n:
@@ -113,7 +110,6 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     # a negative conjugate admits no decomposition at all
     if not instance.target.is_totally_positive():
         return []
-    need_integral = instance.require_algebraic_integer
     # n is squarefree (checked by QuadraticTarget), so the parity test of
     # algebraic_integer_check applies as is
     pairs = [
@@ -121,7 +117,7 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
         for beta in range(1, math.isqrt(a_total // n) + 1)
         for alpha in range(1, math.isqrt(a_total - n * beta * beta) + 1)
         if alpha * beta <= b_total
-        and (not need_integral or (alpha * alpha - n * beta * beta) % 4 == 0)
+        and (alpha * alpha - n * beta * beta) % 4 == 0
     ]
     qs = [alpha * alpha + n * beta * beta for alpha, beta in pairs]
     ps = [alpha * beta for alpha, beta in pairs]

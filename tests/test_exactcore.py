@@ -455,6 +455,7 @@ def test_total_positivity_needs_both_embeddings():
     assert sqrt5.sign() > 0
     assert not sqrt5.is_totally_positive()
     assert phi_like.is_totally_positive()
+    assert not QuadraticFieldElement(Fraction(0), Fraction(0), 5).is_totally_positive()
 
 
 @given(small_frac, small_frac)

@@ -10,9 +10,12 @@ the files only for a deliberate report change, and say so in CHANGES.md:
     fusion-arith run tests/golden/quadratic/*.case.json --format text --out tests/golden/quadratic.txt
 
 and the same four with --format json into bundled.json, extra.json,
-cubic.json and quadratic.json.  The extra cases cover what the bundled
-ones do not: field membership both ways, expectations that do not
-match, an S-matrix that fails orthogonality, and an engine error.  The
+cubic.json and quadratic.json.  The JSON is sorted; each dict outside a
+list has one key per line, and each list entry is one line of json's
+compact encoder, so a coefficient list or a certificate reads as one
+line.  The extra cases cover what the bundled ones do not: field
+membership both ways, expectations that do not match, an S-matrix that
+fails orthogonality, and an engine error.  The
 engine error pins today's UnsupportedSquareClassError text on a
 cyclotomic sum scan; deciding that case exactly will change the report
 and re-record it.  The cubic cases are the benchmark's codegree scans
@@ -26,6 +29,7 @@ solution lists.
 from __future__ import annotations
 
 import glob
+import json
 import os
 
 import pytest
@@ -57,3 +61,13 @@ def test_extra_cases_are_all_rendered():
     assert len(EXTRA_CASES) == 6
     assert len(CUBIC_CASES) == 2
     assert len(QUADRATIC_CASES) == 2
+
+
+def _no_float(text: str):
+    raise AssertionError(f"float {text} in a golden report")
+
+
+def test_golden_json_reports_hold_no_floats():
+    for name in ("bundled", "extra", "cubic", "quadratic"):
+        with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
+            json.loads(fh.read(), parse_float=_no_float)

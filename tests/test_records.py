@@ -54,7 +54,7 @@ SAMPLES = [
     (_CubicRoot, (CUBIC, Interval(Fraction(1), Fraction(2)))),
     (QuadraticScanInstance, (10, 2000, 1, Fraction(1), 5, "cyclotomic", 20)),
     (DimensionPairInstance, (5, (1, 6))),
-    (QuadraticTarget, (5, Q(28, 10, 5), 5, False)),
+    (QuadraticTarget, (5, Q(28, 10, 5), 5)),
     (Decomposition, (((1, 1), (3, 1)),)),
     (CandidateSMatrix, (((ONE, R5), (R5, -ONE)), 0, Q(12, 0, 5), "modular", 5)),
     (OrthogonalityReport, (False, (0, 1))),
