@@ -482,18 +482,19 @@ class _SmatrixVerify(_CaseKind):
                           "galois_permutation", "galois_unit_image_dim_square_is_one"})
 
     def build(self, values: dict, path: str) -> dict:
-        rows = values["entries"]
-        unit_index = values.get("unit_index", 0)
+        rows, unit = values["entries"], values.get("unit_index", 0)
+        if rows:  # an empty matrix is the constructor's to reject
+            if not 0 <= unit < len(rows):
+                _fail(f"{path}.unit_index", f"must be in 0..{len(rows) - 1}, got {unit}")
+            # before construction, so the error names the zero entry
+            for w, pair in enumerate(rows[unit]):
+                if pair == (0, 0):
+                    _fail(f"{path}.entries[{unit}][{w}]", f"dimension column {w} is zero")
         try:
-            matrix = CandidateSMatrix.from_half_pairs(
-                rows, values["n"], values["declared_dim"], unit_index=unit_index,
-                kind=values["kind"])
+            return {"matrix": CandidateSMatrix(rows, values["n"], values["declared_dim"], unit,
+                                               values["kind"])}
         except ValueError as exc:
             _fail(f"{path}.entries", str(exc))
-        for w, (a, b) in enumerate(rows[unit_index]):
-            if a == b == 0:
-                _fail(f"{path}.entries[{unit_index}][{w}]", f"dimension column {w} is zero")
-        return {"matrix": matrix}
 
     def run(self, payload: dict) -> dict:
         matrix = payload["matrix"]
@@ -731,6 +732,9 @@ def _cannot_write(path: str, exc: OSError) -> int:
 
 
 def _run_command(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     paths = list(args.cases)
     if args.all:
         paths.extend(bundled_case_paths())
@@ -797,7 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--all", action="store_true", help="include bundled cases")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     run_p.add_argument("--out", help="write the report here instead of stdout")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel case workers (default 1)")
+    run_p.add_argument("--jobs", type=int, default=1,
+                       help="parallel case workers, at least 1 (default 1)")
     run_p.set_defaults(func=_run_command)
     val_p = sub.add_parser("validate", help="check case files against the schema")
     val_p.add_argument("cases", nargs="+", help="case file paths")

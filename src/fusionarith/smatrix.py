@@ -1,9 +1,11 @@
 """Verification of candidate S-matrices over a real quadratic field.
 
-A candidate matrix is given exactly: every entry is (a + b*sqrt(n))/2
-for integers or rationals a, b over one shared squarefree n.  The
-checks are the ones that certify (or refute) modular / super-modular
-data at small rank:
+A candidate matrix is given exactly, as a case file holds it: every
+entry is (a + b*sqrt(n))/2 for an integer half-pair (a, b) over one
+shared squarefree n.  With s_II = 1 every entry is an algebraic
+integer, so integer half-pairs express them all.  The checks are the
+ones that certify (or refute) modular / super-modular data at small
+rank:
 
 * row orthogonality against the declared global dimension,
 * non-negative integrality of the Verlinde coefficients,
@@ -12,13 +14,13 @@ data at small rank:
 * existence of the permutation realizing sqrt(n) -> -sqrt(n) on
   character ratios.
 
-Orthogonality and Verlinde run on an exact integer kernel: the entries
-are rescaled once to integer half-pairs (A, B) over one common
-denominator L, so an entry is (A + B*sqrt(n))/(2L), and every inner
-product or Verlinde sum is accumulated as a pair of Python ints.  The
+Orthogonality, dimension consistency, Verlinde and the Galois search
+read the integer grid directly: every inner product, Verlinde sum or
+cross-multiplied ratio is accumulated as a pair of Python ints.  The
 Verlinde coefficients are symmetric in X, Y, Z, so only X <= Y <= Z is
-computed.  Field elements are built only for the per-column weights
-1/(declared_dim * d_W) and for the text of a failing value.
+computed.  Field elements are built only for the declared dimension,
+the per-column weights 1/(declared_dim * d_W), the formal codegrees,
+dims and the text of a failing value.
 
 Everything is verification of supplied data; nothing here solves for
 unknown entries.
@@ -28,66 +30,58 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 from .exactcore import QuadraticFieldElement, record
 
 
 class DegenerateColumnError(ValueError):
-    """A dimension entry is zero where a division by it is required."""
-
-
-Scalar = Union[int, Fraction, QuadraticFieldElement]
+    """A dimension entry is zero, so no column ratio is defined."""
 
 
 @record
 class CandidateSMatrix:
-    """Symmetric square matrix of field elements with a declared total.
+    """Symmetric square matrix of integer half-pairs with a declared total.
 
-    kind is "modular" for a full S-matrix (declared_dim = dim C) or
+    entries[x][y] = (a, b) stands for s_XY = (a + b*sqrt(n))/2.  kind is
+    "modular" for a full S-matrix (declared_dim = dim C) or
     "super-modular-hat" for the hat block (declared_dim = dim C / 2).
-    The unit row lists the dimensions d_X and must have d_I = 1.
+    The unit row lists the dimensions d_X: d_I = 1 and no d_X is zero.
+    A rational declared_dim joins the field Q(sqrt(n)).
     """
 
-    entries: tuple[tuple[QuadraticFieldElement, ...], ...]
-    unit_index: int
-    declared_dim: QuadraticFieldElement
-    kind: str
+    entries: tuple[tuple[tuple[int, int], ...], ...]
     n: int
+    declared_dim: QuadraticFieldElement
+    unit_index: int = 0
+    kind: str = "modular"
 
     def __post_init__(self) -> None:
-        size = len(self.entries)
-        if size == 0 or any(len(row) != size for row in self.entries):
+        entries = tuple(tuple((a, b) for a, b in row) for row in self.entries)
+        declared = QuadraticFieldElement(0, 0, self.n) + self.declared_dim
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "declared_dim", declared)
+        size = len(entries)
+        if size == 0 or any(len(row) != size for row in entries):
             raise ValueError("entries must form a nonempty square matrix")
+        if any(type(v) is not int for row in entries for pair in row for v in pair):
+            raise TypeError("entries must be integer half-pairs")
         if not 0 <= self.unit_index < size:
             raise ValueError("unit_index out of range")
         if self.kind not in ("modular", "super-modular-hat"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        for value in (self.declared_dim, *(e for row in self.entries for e in row)):
-            if not value.is_rational and value.n != self.n:
-                raise ValueError(f"mixed field generators: sqrt({value.n}) vs sqrt({self.n})")
+        if not declared.is_rational and declared.n != self.n:
+            raise ValueError(f"mixed field generators: sqrt({declared.n}) vs sqrt({self.n})")
         for i in range(size):
-            for j in range(size):
-                if self.entries[i][j] != self.entries[j][i]:
+            for j in range(i + 1, size):
+                if entries[i][j] != entries[j][i]:
                     raise ValueError(f"matrix not symmetric at ({i}, {j})")
-        if self.entries[self.unit_index][self.unit_index] != 1:
+        unit_row = entries[self.unit_index]
+        if unit_row[self.unit_index] != (2, 0):
             raise ValueError("unit diagonal entry must be 1")
-
-    @staticmethod
-    def from_half_pairs(
-        rows: list[list[tuple[int, int]]],
-        n: int,
-        declared_dim: Scalar,
-        unit_index: int = 0,
-        kind: str = "modular",
-    ) -> "CandidateSMatrix":
-        """Build from (a, b) integer pairs, each meaning (a + b*sqrt(n))/2."""
-        grid = tuple(
-            tuple(QuadraticFieldElement(Fraction(a), Fraction(b), n) for a, b in row)
-            for row in rows
-        )
-        zero = QuadraticFieldElement(Fraction(0), Fraction(0), n)
-        return CandidateSMatrix(grid, unit_index, zero + declared_dim, kind, n)
+        for w, pair in enumerate(unit_row):
+            if pair == (0, 0):
+                raise DegenerateColumnError(f"dimension column {w} is zero")
 
     @property
     def size(self) -> int:
@@ -95,7 +89,7 @@ class CandidateSMatrix:
 
     @property
     def dims(self) -> tuple[QuadraticFieldElement, ...]:
-        return self.entries[self.unit_index]
+        return tuple(QuadraticFieldElement(a, b, self.n) for a, b in self.entries[self.unit_index])
 
 
 @record
@@ -108,65 +102,43 @@ class OrthogonalityReport:
     violating_pair: Optional[tuple[int, int]] = None
 
 
-def _integer_half_pairs(
-    elements: Iterable[QuadraticFieldElement],
-) -> tuple[int, list[tuple[int, int]]]:
-    """(L, pairs) with each element equal to (A + B*sqrt(n))/(2L) for its
-    pair (A, B); L is the lcm of every half-coordinate denominator."""
-    elements = list(elements)
-    scale = 1
-    for e in elements:
-        scale = math.lcm(scale, e.a.denominator, e.b.denominator)
-    return scale, [
-        (e.a.numerator * (scale // e.a.denominator), e.b.numerator * (scale // e.b.denominator))
-        for e in elements
-    ]
+def _inner(u: tuple[tuple[int, int], ...], v: tuple[tuple[int, int], ...],
+           n: int) -> tuple[int, int]:
+    """(A, B) with sum_k u_k v_k = (A + B*sqrt(n))/4."""
+    a = b = 0
+    for (p, q), (r, s) in zip(u, v):
+        a += p * r + n * q * s
+        b += p * s + q * r
+    return a, b
 
 
-def _integer_rows(matrix: CandidateSMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    size = matrix.size
-    scale, flat = _integer_half_pairs(e for row in matrix.entries for e in row)
-    return scale, [flat[i * size:(i + 1) * size] for i in range(size)]
+def _squared_norm(matrix: CandidateSMatrix) -> tuple[Fraction, Fraction]:
+    """The declared total (a + b*sqrt(n))/2 on _inner's denominator."""
+    return 2 * matrix.declared_dim.a, 2 * matrix.declared_dim.b
 
 
 def check_orthogonality(matrix: CandidateSMatrix) -> OrthogonalityReport:
-    n = matrix.n
-    scale, rows = _integer_rows(matrix)
-    # a row inner product is (a + b*sqrt(n))/(4 L^2); the declared total
-    # (a' + b'*sqrt(n))/2 on that denominator is 2 L^2 (a', b')
-    norm = (2 * scale * scale * matrix.declared_dim.a, 2 * scale * scale * matrix.declared_dim.b)
+    n, rows = matrix.n, matrix.entries
+    norm = _squared_norm(matrix)
     for i, row_i in enumerate(rows):
         for j in range(i, matrix.size):
-            a = b = 0
-            for (p, q), (r, s) in zip(row_i, rows[j]):
-                a += p * r + n * q * s
-                b += p * s + q * r
-            if (a, b) != (norm if i == j else (0, 0)):
+            if _inner(row_i, rows[j], n) != (norm if i == j else (0, 0)):
                 return OrthogonalityReport(False, (i, j))
     return OrthogonalityReport(True)
-
-
-@record
-class FusionTensor:
-    """Cubical array of fusion coefficients, indexed N[X][Y][Z]."""
-
-    coefficients: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __getitem__(self, index: int) -> tuple[tuple[int, ...], ...]:
-        return self.coefficients[index]
 
 
 @record
 class VerlindeReport:
     """Integrality verdict for the (naive) Verlinde coefficients.
 
-    tensor is present exactly when every coefficient is a non-negative
-    integer; otherwise first_violation holds the offending (X, Y, Z)
-    and first_value its exact value as text.
+    tensor, indexed tensor[X][Y][Z], is present exactly when every
+    coefficient is a non-negative integer; otherwise first_violation
+    holds the offending (X, Y, Z) and first_value its exact value as
+    text.
     """
 
     nonnegative_integral: bool
-    tensor: Optional[FusionTensor] = None
+    tensor: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = None
     first_violation: Optional[tuple[int, int, int]] = None
     first_value: Optional[str] = None
 
@@ -191,16 +163,15 @@ def verlinde_fusion(
         orthogonality = check_orthogonality(matrix)
     if not orthogonality.passes:
         raise ValueError(f"orthogonality fails at {orthogonality.violating_pair}")
-    dims = matrix.dims
-    for w, d in enumerate(dims):
-        if d == 0:
-            raise DegenerateColumnError(f"dimension column {w} is zero")
-    n, size = matrix.n, matrix.size
-    scale, rows = _integer_rows(matrix)
-    # c_W = 1/(declared_dim * d_W) = (P + Q*sqrt(n))/(2M)
-    weight_scale, weights = _integer_half_pairs(1 / (matrix.declared_dim * d) for d in dims)
-    # each term s_XW s_YW c_W s_ZW is a product of four half-pairs
-    denominator = 16 * scale**3 * weight_scale
+    n, size, rows = matrix.n, matrix.size, matrix.entries
+    # c_W = 1/(declared_dim * d_W) = (P + Q*sqrt(n))/(2M), M the lcm of
+    # every half-coordinate denominator
+    fields = [1 / (matrix.declared_dim * d) for d in matrix.dims]
+    scale = math.lcm(*(c.a.denominator for c in fields), *(c.b.denominator for c in fields))
+    weights = [(c.a.numerator * (scale // c.a.denominator),
+                c.b.numerator * (scale // c.b.denominator)) for c in fields]
+    # each term s_XW s_YW c_W s_ZW is three half-pairs and a weight
+    denominator = 16 * scale
     cube: list[list[list[int]]] = [[[0] * size for _ in range(size)] for _ in range(size)]
     for x in range(size):
         for y in range(x, size):
@@ -220,25 +191,18 @@ def verlinde_fusion(
                 c = a // denominator
                 cube[x][y][z] = cube[x][z][y] = cube[y][x][z] = c
                 cube[y][z][x] = cube[z][x][y] = cube[z][y][x] = c
-    tensor = FusionTensor(tuple(tuple(tuple(row) for row in plane) for plane in cube))
-    return VerlindeReport(True, tensor)
+    return VerlindeReport(True, tuple(tuple(tuple(row) for row in plane) for plane in cube))
 
 
 def formal_codegrees(matrix: CandidateSMatrix) -> list[QuadraticFieldElement]:
     """The multiset {declared_dim / d_X^2 : X}, ascending."""
-    for w, d in enumerate(matrix.dims):
-        if d == 0:
-            raise DegenerateColumnError(f"dimension column {w} is zero")
     return sorted(matrix.declared_dim / (d * d) for d in matrix.dims)
 
 
 def dimension_consistency(matrix: CandidateSMatrix) -> bool:
     """Whether the squared dimensions sum to the declared total."""
-    total = sum(
-        (d * d for d in matrix.dims),
-        QuadraticFieldElement.from_rational(Fraction(0), matrix.n),
-    )
-    return total == matrix.declared_dim
+    dims = matrix.entries[matrix.unit_index]
+    return _inner(dims, dims, matrix.n) == _squared_norm(matrix)
 
 
 @record
@@ -267,22 +231,22 @@ def find_galois_permutation(matrix: CandidateSMatrix) -> GaloisSearchReport:
     """Search for the permutation matching conjugated character ratios.
 
     Column y maps to the unique column y' with
-    conj(s_XY / s_IY) = s_XY' / s_IY' for every X; the report says so
-    when no column or more than one column matches.
+    conj(s_XY / d_Y) = s_XY' / d_Y' for every X; the report says so
+    when no column or more than one column matches.  No dimension is
+    zero, so the test is conj(s_XY) d_Y' = s_XY' conj(d_Y), on ints.
+    The matrix is symmetric, so column y is row y.
     """
-    dims = matrix.dims
-    for w, d in enumerate(dims):
-        if d == 0:
-            return GaloisSearchReport(False, reason=f"dimension column {w} is zero")
-    size = matrix.size
-    ratios = [
-        tuple(matrix.entries[x][y] / dims[y] for x in range(size))
-        for y in range(size)
-    ]
+    n, size, unit, rows = matrix.n, matrix.size, matrix.unit_index, matrix.entries
     mapping = []
-    for y in range(size):
-        image = tuple(r.conjugate() for r in ratios[y])
-        matches = [yy for yy in range(size) if ratios[yy] == image]
+    for y, column in enumerate(rows):
+        e, f = column[unit]
+        matches = []
+        for image, other in enumerate(rows):
+            u, v = other[unit]
+            # 4 conj(s_XY) d_Y' and 4 s_XY' conj(d_Y), coordinate by coordinate
+            if all(p * u - n * q * v == r * e - n * s * f and p * v - q * u == s * e - r * f
+                   for (p, q), (r, s) in zip(column, other)):
+                matches.append(image)
         if not matches:
             return GaloisSearchReport(False, reason=f"no column matches conjugated ratios of column {y}")
         if len(matches) > 1:
@@ -290,7 +254,8 @@ def find_galois_permutation(matrix: CandidateSMatrix) -> GaloisSearchReport:
         mapping.append(matches[0])
     if sorted(mapping) != list(range(size)):
         return GaloisSearchReport(False, reason=f"mapping {mapping} is not a permutation")
-    unit_image = mapping[matrix.unit_index]
-    square = dims[unit_image] * dims[unit_image]
-    perm = GaloisPermutation(tuple(mapping), matrix.n, unit_image, square == 1)
+    unit_image = mapping[unit]
+    # d^2 = 1 exactly when d = +-1, the half-pairs (+-2, 0)
+    square_is_one = rows[unit][unit_image] in ((2, 0), (-2, 0))
+    perm = GaloisPermutation(tuple(mapping), n, unit_image, square_is_one)
     return GaloisSearchReport(True, permutation=perm)

@@ -654,3 +654,29 @@ def verlinde_oracle(rows: Sequence[Sequence[tuple]], n: int, declared: tuple,
                     return None, (x, y, z), _quad_text(total, n)
                 tensor[x][y][z] = tensor[y][x][z] = int(rat)
     return tensor, None, None
+
+
+def galois_oracle(rows: Sequence[Sequence[tuple]], n: int,
+                  unit_index: int = 0) -> Optional[tuple[tuple[int, ...], int, bool]]:
+    """(mapping, unit_image, unit_image_dim_square_is_one) of the column
+    permutation realizing sqrt(n) -> -sqrt(n) on character ratios, or
+    None when there is none.  Straight from the definition: column y's
+    ratio vector is (s_XY / d_Y)_X, with d = the unit row, and y maps to
+    the one column whose ratio vector is the conjugate of y's.  rows are
+    half-pairs; every d_Y must be nonzero."""
+    s = [[_quad(e) for e in row] for row in rows]
+    dims = s[unit_index]
+    size = len(s)
+    ratios = [tuple(_quad_mul(s[x][y], _quad_inverse(dims[y], n), n) for x in range(size))
+              for y in range(size)]
+    mapping = []
+    for y in range(size):
+        conjugated = tuple((p, -q) for p, q in ratios[y])
+        matches = [image for image in range(size) if ratios[image] == conjugated]
+        if len(matches) != 1:
+            return None
+        mapping.append(matches[0])
+    if sorted(mapping) != list(range(size)):
+        return None
+    image = mapping[unit_index]
+    return tuple(mapping), image, _quad_mul(dims[image], dims[image], n) == (1, 0)

@@ -184,7 +184,7 @@ def test_trace_three_pair_scan_keeps_only_unit_constant():
     assert [str(c.candidate) for c in certs if c.survived] == ["x^2-3x+1"]
 
 
-RANK3_HAT = CandidateSMatrix.from_half_pairs(
+RANK3_HAT = CandidateSMatrix(
     [[(2, 0), (2, 0), (0, 2)],
      [(2, 0), (2, 0), (0, -2)],
      [(0, 2), (0, -2), (0, 0)]],
@@ -193,7 +193,7 @@ RANK3_HAT = CandidateSMatrix.from_half_pairs(
     kind="super-modular-hat",
 )
 
-RANK4_HAT = CandidateSMatrix.from_half_pairs(
+RANK4_HAT = CandidateSMatrix(
     [[(2, 0), (-2, 0), (1, 1), (1, -1)],
      [(-2, 0), (2, 0), (-1, 1), (-1, -1)],
      [(1, 1), (-1, 1), (-2, 0), (-2, 0)],

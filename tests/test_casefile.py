@@ -23,7 +23,7 @@ from fusionarith.casefile import (
     _to_json,
 )
 from fusionarith.exactcore import IntPolynomial, QuadraticFieldElement
-from fusionarith.smatrix import CandidateSMatrix, DegenerateColumnError, verlinde_fusion
+from fusionarith.smatrix import CandidateSMatrix, DegenerateColumnError
 
 
 def make_case(**overrides) -> str:
@@ -201,12 +201,10 @@ def test_smatrix_zero_dimension_is_rejected_at_load(tmp_path, capsys):
     assert main(["validate", str(target)]) == 2
     assert main(["run", str(target)]) == 2
     assert "dimension column 1 is zero" in capsys.readouterr().err
-    # the matrix itself is orthogonal; direct library callers still get
-    # the engine's error
-    matrix = CandidateSMatrix.from_half_pairs(
-        params["entries"], 5, QuadraticFieldElement.parse("1", default_n=5))
+    # the matrix itself is orthogonal; direct library callers get the
+    # engine's error when they build it
     with pytest.raises(DegenerateColumnError, match="dimension column 1 is zero"):
-        verlinde_fusion(matrix)
+        CandidateSMatrix(params["entries"], 5, QuadraticFieldElement.parse("1", default_n=5))
 
 
 @pytest.mark.parametrize("params, where", [
@@ -260,6 +258,16 @@ def test_integer_decomposition_bounds_are_rejected_at_load(tmp_path, capsys, par
                         "trace_exceeds": 10, "trace_ratio_max": "3/5", "required_field": 5,
                         "dim_square_mode": "cyclotomic", "cyclotomic_modulus": 0},
      "$.parameters.cyclotomic_modulus"),
+    # the zero-dimension check indexes the unit row before construction,
+    # and leaves an empty matrix to the constructor
+    ("smatrix-verify", {"n": 5, "kind": "modular", "declared_dim": "4", "entries": []},
+     "$.parameters.entries"),
+    ("smatrix-verify", {"n": 5, "kind": "modular", "declared_dim": "4", "unit_index": -1,
+                        "entries": [[[2, 0], [2, 0]], [[2, 0], [-2, 0]]]},
+     "$.parameters.unit_index"),
+    ("smatrix-verify", {"n": 5, "kind": "modular", "declared_dim": "4", "unit_index": 7,
+                        "entries": [[[2, 0], [2, 0]], [[2, 0], [-2, 0]]]},
+     "$.parameters.unit_index"),
 ])
 def test_inputs_the_engines_reject_are_rejected_at_load(tmp_path, capsys, kind, params, where):
     doc = make_case(kind=kind, parameters=params)
@@ -527,6 +535,14 @@ def test_cli_parallel_run_matches_serial_output(capsys):
     assert main(["run", "--all", "--jobs", "3"]) == 0
     parallel = capsys.readouterr().out
     assert parallel == serial
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_cli_rejects_fewer_than_one_worker(tmp_path, capsys, jobs):
+    out = tmp_path / "report.txt"
+    assert main(["run", "--all", "--jobs", jobs, "--out", str(out)]) == 2
+    assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_validate(tmp_path, capsys):

@@ -26,7 +26,6 @@ from fusionarith.dimsolve import Decomposition, QuadraticTarget
 from fusionarith.exactcore import IntPolynomial, Interval, QuadraticFieldElement
 from fusionarith.smatrix import (
     CandidateSMatrix,
-    FusionTensor,
     GaloisPermutation,
     GaloisSearchReport,
     OrthogonalityReport,
@@ -34,10 +33,8 @@ from fusionarith.smatrix import (
 )
 
 Q = QuadraticFieldElement
-ONE, R5 = Q(2, 0, 5), Q(0, 2, 5)
 CUBIC = IntPolynomial((1, -3, 0, 1))
 PASS = FilterResult("d-number", True)
-TENSOR = FusionTensor((((1,),),))
 PERMUTATION = GaloisPermutation((1, 0), 5, 1, False)
 
 # every record class with one value per field, in field order
@@ -56,10 +53,9 @@ SAMPLES = [
     (DimensionPairInstance, (5, (1, 6))),
     (QuadraticTarget, (5, Q(28, 10, 5), 5)),
     (Decomposition, (((1, 1), (3, 1)),)),
-    (CandidateSMatrix, (((ONE, R5), (R5, -ONE)), 0, Q(12, 0, 5), "modular", 5)),
+    (CandidateSMatrix, ((((2, 0), (0, 2)), ((0, 2), (-2, 0))), 5, Q(12, 0, 5), 0, "modular")),
     (OrthogonalityReport, (False, (0, 1))),
-    (FusionTensor, ((((1, 0), (0, 1)), ((0, 1), (1, 1))),)),
-    (VerlindeReport, (False, TENSOR, (0, 1, 2), "1/2")),
+    (VerlindeReport, (False, (((1,),),), (0, 1, 2), "1/2")),
     (GaloisPermutation, ((1, 0), 5, 1, False)),
     (GaloisSearchReport, (True, PERMUTATION, "found")),
     (Case, ("c", "galois-structure", {"moduli": [8]}, {"moduli": [8]}, None, ("n",), "c.json")),
@@ -79,7 +75,7 @@ def _fields(r) -> tuple:
 
 
 def test_samples_cover_every_record_class():
-    assert len(SAMPLES) == 21
+    assert len(SAMPLES) == 20
     for cls, args in SAMPLES:
         assert len(args) == len(cls.__annotations__), cls.__name__
 

@@ -22,11 +22,11 @@ from fusionarith.smatrix import (
     formal_codegrees,
     verlinde_fusion,
 )
-from oracles import orthogonality_oracle, verlinde_oracle
+from oracles import galois_oracle, orthogonality_oracle, verlinde_oracle
 
 # 3x3 matrix over Q(sqrt2) with row norm 4: the sqrt2-dimension object
 # sits in the last slot.
-ISING_HAT = CandidateSMatrix.from_half_pairs(
+ISING_HAT = CandidateSMatrix(
     [[(2, 0), (2, 0), (0, 2)],
      [(2, 0), (2, 0), (0, -2)],
      [(0, 2), (0, -2), (0, 0)]],
@@ -36,7 +36,7 @@ ISING_HAT = CandidateSMatrix.from_half_pairs(
 )
 
 # 4x4 matrix over Q(sqrt5) with row norm 5 and a dimension -1 object.
-DIM10_HAT = CandidateSMatrix.from_half_pairs(
+DIM10_HAT = CandidateSMatrix(
     [[(2, 0), (-2, 0), (1, 1), (1, -1)],
      [(-2, 0), (2, 0), (-1, 1), (-1, -1)],
      [(1, 1), (-1, 1), (-2, 0), (-2, 0)],
@@ -47,7 +47,7 @@ DIM10_HAT = CandidateSMatrix.from_half_pairs(
 )
 
 # [[1, phi], [phi, -1]] over Q(sqrt5) with row norm 1 + phi^2 = 2 + phi.
-FIB = CandidateSMatrix.from_half_pairs(
+FIB = CandidateSMatrix(
     [[(2, 0), (1, 1)],
      [(1, 1), (-2, 0)]],
     n=5,
@@ -67,23 +67,27 @@ def test_half_pair_construction_and_dims():
 
 def test_construction_validation():
     with pytest.raises(ValueError, match="square"):
-        CandidateSMatrix.from_half_pairs([[(2, 0), (2, 0)]], n=2,
-                                         declared_dim=QuadraticFieldElement.parse("4", default_n=2))
+        CandidateSMatrix([[(2, 0), (2, 0)]], n=2,
+                         declared_dim=QuadraticFieldElement.parse("4", default_n=2))
     with pytest.raises(ValueError, match="symmetric"):
-        CandidateSMatrix.from_half_pairs(
+        CandidateSMatrix(
             [[(2, 0), (2, 0)], [(0, 2), (2, 0)]], n=2,
             declared_dim=QuadraticFieldElement.parse("4", default_n=2))
     with pytest.raises(ValueError, match="unit diagonal"):
-        CandidateSMatrix.from_half_pairs(
+        CandidateSMatrix(
             [[(4, 0), (2, 0)], [(2, 0), (4, 0)]], n=2,
             declared_dim=QuadraticFieldElement.parse("4", default_n=2))
     with pytest.raises(ValueError, match="unit_index"):
-        CandidateSMatrix.from_half_pairs(
+        CandidateSMatrix(
             [[(2, 0), (2, 0)], [(2, 0), (2, 0)]], n=2, unit_index=5,
             declared_dim=QuadraticFieldElement.parse("4", default_n=2))
     with pytest.raises(ValueError, match="kind"):
-        CandidateSMatrix.from_half_pairs(
+        CandidateSMatrix(
             [[(2, 0), (2, 0)], [(2, 0), (2, 0)]], n=2, kind="mysterious",
+            declared_dim=QuadraticFieldElement.parse("4", default_n=2))
+    with pytest.raises(TypeError, match="integer half-pairs"):
+        CandidateSMatrix(
+            [[(2, 0), (Fraction(1, 2), 0)], [(Fraction(1, 2), 0), (2, 0)]], n=2,
             declared_dim=QuadraticFieldElement.parse("4", default_n=2))
 
 
@@ -93,7 +97,7 @@ def test_orthogonality_passes_on_both_references():
 
 
 def test_orthogonality_reports_first_violation():
-    bad = CandidateSMatrix.from_half_pairs(
+    bad = CandidateSMatrix(
         [[(2, 0), (2, 0), (0, 2)],
          [(2, 0), (2, 0), (0, 2)],
          [(0, 2), (0, 2), (0, 0)]],
@@ -109,6 +113,14 @@ def test_orthogonality_reports_first_violation():
 def test_dimension_consistency_on_references():
     assert dimension_consistency(ISING_HAT)
     assert dimension_consistency(DIM10_HAT)
+
+
+def test_dimension_consistency_fails_on_a_wrong_total():
+    for matrix in (ISING_HAT, DIM10_HAT, FIB):
+        wrong = CandidateSMatrix(matrix.entries, matrix.n, matrix.declared_dim + 1,
+                                 matrix.unit_index, matrix.kind)
+        assert not dimension_consistency(wrong)
+    assert dimension_consistency(FIB)
 
 
 def test_formal_codegrees_ising():
@@ -153,7 +165,7 @@ def test_verlinde_unit_row_is_identity_like():
 def test_verlinde_flags_non_integral_coefficients():
     # rows (1, sqrt5) and (sqrt5, -1): orthogonal with norm 6, but the
     # coefficient at (1,1,1) comes out 4*sqrt(5)/5
-    matrix = CandidateSMatrix.from_half_pairs(
+    matrix = CandidateSMatrix(
         [[(2, 0), (0, 2)], [(0, 2), (-2, 0)]],
         n=5,
         declared_dim=QuadraticFieldElement.parse("6", default_n=5),
@@ -167,8 +179,19 @@ def test_verlinde_flags_non_integral_coefficients():
     assert report.tensor is None
 
 
+@pytest.mark.parametrize("k, value", [(2, "5/4+3/4r5"), (3, "5/3+4/3r5")])
+def test_verlinde_flags_an_irrational_non_integral_coefficient(k, value):
+    # [[1, k*phi], [k*phi, -1]], a matrix the property below draws:
+    # orthogonal with norm 1 + k^2 phi^2
+    rows = [[(2, 0), (k, k)], [(k, k), (-2, 0)]]
+    declared = 1 + QuadraticFieldElement(k, k, 5) * QuadraticFieldElement(k, k, 5)
+    report = verlinde_fusion(CandidateSMatrix(rows, n=5, declared_dim=declared))
+    assert (report.first_violation, report.first_value) == ((1, 1, 1), value)
+    assert verlinde_oracle(rows, 5, (declared.a, declared.b)) == (None, (1, 1, 1), value)
+
+
 def test_verlinde_requires_orthogonality():
-    bad = CandidateSMatrix.from_half_pairs(
+    bad = CandidateSMatrix(
         [[(2, 0), (2, 0)], [(2, 0), (2, 0)]], n=2,
         declared_dim=QuadraticFieldElement.parse("4", default_n=2))
     with pytest.raises(ValueError, match="orthogonality"):
@@ -193,14 +216,14 @@ def test_galois_permutation_on_ising_swaps_the_unit_pair():
 
 
 def test_galois_permutation_is_an_involution_on_references():
-    for matrix in (ISING_HAT, DIM10_HAT):
+    for matrix in (ISING_HAT, DIM10_HAT, FIB):
         mapping = find_galois_permutation(matrix).permutation.mapping
         for x, image in enumerate(mapping):
             assert mapping[image] == x
 
 
 def test_galois_search_reports_failure_reason():
-    matrix = CandidateSMatrix.from_half_pairs(
+    matrix = CandidateSMatrix(
         [[(2, 0), (2, 0)], [(2, 0), (-2, 0)]], n=2,
         declared_dim=QuadraticFieldElement.parse("4", default_n=2))
     report = find_galois_permutation(matrix)
@@ -217,28 +240,20 @@ def test_deterministic_reports():
 
 
 def test_construction_rejects_mixed_field_generators():
-    with pytest.raises(ValueError, match="mixed field generators"):
-        CandidateSMatrix(
-            ((QuadraticFieldElement.parse("1", default_n=2),),),
-            unit_index=0,
-            declared_dim=QuadraticFieldElement.parse("1r3"),
-            kind="modular",
-            n=2,
-        )
     with pytest.raises(ValueError, match=re.escape("mixed field generators: sqrt(3) vs sqrt(2)")):
-        CandidateSMatrix.from_half_pairs([[(2, 0)]], n=2, declared_dim=QuadraticFieldElement.parse("1r3"))
+        CandidateSMatrix([[(2, 0)]], n=2, declared_dim=QuadraticFieldElement.parse("1r3"))
 
 
 @pytest.mark.parametrize("declared", [1, Fraction(1), QuadraticFieldElement.from_rational(1, 3)],
                          ids=["int", "Fraction", "rational-in-Q(sqrt3)"])
 def test_rational_declared_dim_joins_the_matrix_field(declared):
-    matrix = CandidateSMatrix.from_half_pairs([[(2, 0)]], n=2, declared_dim=declared)
+    matrix = CandidateSMatrix([[(2, 0)]], n=2, declared_dim=declared)
     assert matrix.declared_dim.n == 2 and matrix.declared_dim == 1
 
 
 def test_float_declared_dim_is_a_type_error():
     with pytest.raises(TypeError):
-        CandidateSMatrix.from_half_pairs([[(2, 0)]], n=2, declared_dim=1.0)
+        CandidateSMatrix([[(2, 0)]], n=2, declared_dim=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +268,11 @@ def _kron(left: list[list], right: list[list]) -> list[list]:
             for i in range(size)]
 
 
-def _fib_divided(k: int) -> tuple[list[list], QuadraticFieldElement]:
-    """[[1, t], [t, -1]] with t = phi/k: orthogonal with row norm 1 + t^2,
-    integral Verlinde only at k = 1 (the Fibonacci matrix)."""
-    t = QuadraticFieldElement(Fraction(1, k), Fraction(1, k), 5)
+def _fib_scaled(k: int) -> tuple[list[list], QuadraticFieldElement]:
+    """[[1, t], [t, -1]] with t = k*phi, half-pair (k, k): orthogonal with
+    row norm 1 + t^2, integral Verlinde only at k = 1 (the Fibonacci
+    matrix)."""
+    t = QuadraticFieldElement(k, k, 5)
     one = QuadraticFieldElement.from_rational(1, 5)
     return [[one, t], [t, -one]], one + t * t
 
@@ -267,9 +283,10 @@ def candidate_matrices(draw):
 
     Orthogonal shapes: Kronecker products of ISING_HAT (over Q(sqrt2))
     or of DIM10_HAT and Fibonacci factors (over Q(sqrt5)), up to rank 9.
-    A Fibonacci factor may have its off-diagonal half-coordinates divided
-    by k, with declared_dim scaled to the new norm 1 + (phi/k)^2: the
-    common-denominator path, and non-integral coefficients.  Then the
+    A Fibonacci factor may have its off-diagonal entries multiplied by
+    k, with declared_dim scaled to the new norm 1 + (k*phi)^2:
+    irrational non-integral coefficients.  Every entry stays an integer
+    half-pair, as a case file holds it.  Then the
     Galois conjugation, conjugation by a +-1 diagonal fixing the unit
     (negative coefficients), and a relabelling of simple objects.  Some
     matrices are made non-orthogonal by scaling declared_dim alone or by
@@ -287,10 +304,12 @@ def candidate_matrices(draw):
     declared = QuadraticFieldElement.from_rational(1, n)
     for name in names:
         if name == "fib":
-            factor, norm = _fib_divided(draw(st.sampled_from([1, 1, 2, 3])))
+            factor, norm = _fib_scaled(draw(st.sampled_from([1, 1, 2, 3])))
         else:
             reference = ISING_HAT if name == "ising" else DIM10_HAT
-            factor, norm = [list(row) for row in reference.entries], reference.declared_dim
+            factor = [[QuadraticFieldElement(a, b, n) for a, b in row]
+                      for row in reference.entries]
+            norm = reference.declared_dim
         matrix, declared = _kron(matrix, factor), declared * norm
     size = len(matrix)
     if draw(st.booleans()):
@@ -312,16 +331,28 @@ def candidate_matrices(draw):
         matrix[i][j] = matrix[i][j] + delta
         if i != j:
             matrix[j][i] = matrix[j][i] + delta
-    rows = [[(e.a, e.b) for e in row] for row in matrix]
+    assert all(e.a.denominator == e.b.denominator == 1 for row in matrix for e in row)
+    rows = [[(e.a.numerator, e.b.numerator) for e in row] for row in matrix]
     return rows, n, (declared.a, declared.b), unit
 
 
 @settings(max_examples=60, deadline=None)
 @given(candidate_matrices())
 def test_orthogonality_and_verlinde_match_the_oracle(candidate):
+    """And the Galois search matches its oracle on every drawn matrix."""
     rows, n, declared, unit = candidate
-    matrix = CandidateSMatrix.from_half_pairs(
-        rows, n, QuadraticFieldElement(declared[0], declared[1], n), unit_index=unit)
+    declared_dim = QuadraticFieldElement(declared[0], declared[1], n)
+    if (0, 0) in rows[unit]:
+        with pytest.raises(DegenerateColumnError):
+            CandidateSMatrix(rows, n, declared_dim, unit_index=unit)
+        return
+    matrix = CandidateSMatrix(rows, n, declared_dim, unit_index=unit)
+    galois, expected = find_galois_permutation(matrix), galois_oracle(rows, n, unit)
+    assert galois.found == (expected is not None)
+    if galois.found:
+        permutation = galois.permutation
+        assert (permutation.mapping, permutation.unit_image,
+                permutation.unit_image_dim_square_is_one) == expected
     orth = check_orthogonality(matrix)
     pair = orthogonality_oracle(rows, n, declared)
     assert orth.passes == (pair is None)
@@ -331,10 +362,6 @@ def test_orthogonality_and_verlinde_match_the_oracle(candidate):
             with pytest.raises(ValueError, match=re.escape(f"orthogonality fails at {pair}")):
                 verlinde_fusion(matrix, held)
         return
-    if any(d == 0 for d in matrix.dims):
-        with pytest.raises(DegenerateColumnError):
-            verlinde_fusion(matrix)
-        return
     tensor, first, value = verlinde_oracle(rows, n, declared, unit)
     report = verlinde_fusion(matrix)
     assert report == verlinde_fusion(matrix, orth)
@@ -342,7 +369,7 @@ def test_orthogonality_and_verlinde_match_the_oracle(candidate):
     assert report.first_value == value
     assert report.nonnegative_integral == (first is None)
     if first is None:
-        assert report.tensor.coefficients == tuple(
+        assert report.tensor == tuple(
             tuple(tuple(row) for row in plane) for plane in tensor)
 
 
@@ -356,7 +383,8 @@ FIB_RULES = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
 def test_fib_fourth_power_through_run_case():
     entries = [[QuadraticFieldElement.from_rational(1, 5)]]
     for _ in range(4):
-        entries = _kron(entries, [list(row) for row in FIB.entries])
+        entries = _kron(entries, [[QuadraticFieldElement(a, b, 5) for a, b in row]
+                                  for row in FIB.entries])
     declared = FIB.declared_dim * FIB.declared_dim * FIB.declared_dim * FIB.declared_dim
     doc = {
         "schema": 1, "name": "fib-kron16", "kind": "smatrix-verify",
