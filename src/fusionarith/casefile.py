@@ -483,6 +483,9 @@ class _SmatrixVerify(_CaseKind):
 
     def build(self, values: dict, path: str) -> dict:
         rows, unit = values["entries"], values.get("unit_index", 0)
+        declared, n = values["declared_dim"], values["n"]
+        if not declared.is_rational and declared.n != n:
+            _fail(f"{path}.declared_dim", f"mixed field generators: sqrt({declared.n}) vs sqrt({n})")
         if rows:  # an empty matrix is the constructor's to reject
             if not 0 <= unit < len(rows):
                 _fail(f"{path}.unit_index", f"must be in 0..{len(rows) - 1}, got {unit}")
@@ -491,8 +494,7 @@ class _SmatrixVerify(_CaseKind):
                 if pair == (0, 0):
                     _fail(f"{path}.entries[{unit}][{w}]", f"dimension column {w} is zero")
         try:
-            return {"matrix": CandidateSMatrix(rows, values["n"], values["declared_dim"], unit,
-                                               values["kind"])}
+            return {"matrix": CandidateSMatrix(rows, n, declared, unit, values["kind"])}
         except ValueError as exc:
             _fail(f"{path}.entries", str(exc))
 

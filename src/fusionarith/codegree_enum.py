@@ -307,10 +307,12 @@ def _filter_d_number(p: IntPolynomial) -> FilterResult:
 
 
 def _filter_totally_real(p: IntPolynomial) -> FilterResult:
-    sf = p.squarefree_part()
-    count = sturm_real_root_count(sf)
-    ok = count == sf.degree
-    witness = None if ok else {"real_root_count": count, "distinct_root_count": sf.degree}
+    """All roots of p, of degree 1 to 3, are real exactly when p is
+    linear or its discriminant is >= 0.  A negative discriminant means
+    distinct roots, one conjugate pair of them not real, so the witness
+    counts degree - 2 real roots among degree distinct ones."""
+    ok = p.degree == 1 or poly_discriminant(p) >= 0
+    witness = None if ok else {"real_root_count": p.degree - 2, "distinct_root_count": p.degree}
     return FilterResult(FILTER_TOTALLY_REAL, ok, witness)
 
 

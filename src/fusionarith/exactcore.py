@@ -23,13 +23,15 @@ Polynomials stay in plain ``int``: one primitive pseudo-remainder
 sequence gives Sturm chains and gcd(p, p') alike (a member is negated
 and multiplied by sign(lc)^k, a positive multiple of the classical one),
 ``evaluate`` at a polynomial composes, division is exact, and the sign
-of p at a/b (b > 0) is that of b^d * p(a/b).  For a
-squarefree p the variation difference V(a) - V(b) counts the distinct
-real roots in (a, b], the one shape ``sturm_real_root_count`` takes.
-``isolate_real_roots`` takes a polynomial with no rational and no
-repeated root, such as an irreducible factor of degree 2 or 3, and
-returns open intervals holding one root each; refinement bisects on the
-sign at the midpoint and needs no chain.
+of p at a/b (b > 0) is that of b^d * p(a/b), with (+-1, 0) standing for
++-oo.  For a squarefree p the variation difference V(a) - V(b) counts
+the distinct real roots in (a, b], the one shape
+``sturm_real_root_count`` takes.  ``isolate_real_roots`` takes a
+polynomial with no rational and no repeated root, such as an
+irreducible factor of degree 2 or 3, and returns open intervals holding
+one root each; refinement bisects on the sign at the midpoint and needs
+no chain.  Both bisect on integer ends over a doubling denominator, and
+``Fraction`` appears only in the intervals they return.
 """
 
 from __future__ import annotations
@@ -282,7 +284,8 @@ def _divide_content(cs: list[int]) -> list[int]:
 
 def _eval_hom(cs: Sequence[int], a: int, b: int) -> int:
     """b^d * p(a/b) for p = cs of degree d, by homogenised Horner; for
-    b > 0 it has the sign of p(a/b)."""
+    b > 0 it has the sign of p(a/b), and (a, b) = (+-1, 0) gives
+    lc * (+-1)^d, the sign of p at +-oo."""
     if not cs:
         return 0
     acc, scale = cs[-1], 1
@@ -453,14 +456,11 @@ def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
 
 
-def _variations(chain: Sequence[Sequence[int]], x: Optional[Rational], at_neg_inf: bool = False) -> int:
-    if x is None:
-        odd = -1 if at_neg_inf else 1
-        signs = [_sign(cs[-1]) * (odd if (len(cs) - 1) % 2 else 1) for cs in chain]
-    else:
-        a, b = x.numerator, x.denominator
-        signs = [s for cs in chain if (s := _sign(_eval_hom(cs, a, b))) != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def _variations(chain: Sequence[Sequence[int]], a: int, b: int) -> int:
+    """Sign changes along the chain at a/b, zeros skipped, from the
+    integers b^d * member(a/b); b > 0, or (a, b) = (+-1, 0) for +-oo."""
+    signs = [s for cs in chain if (s := _sign(_eval_hom(cs, a, b)))]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def sturm_real_root_count(p: IntPolynomial, lo: Optional[Rational] = None,
@@ -468,7 +468,9 @@ def sturm_real_root_count(p: IntPolynomial, lo: Optional[Rational] = None,
     """Distinct real roots of a squarefree p in (lo, hi]; a missing end
     is unbounded, so with neither end the count is over all of R."""
     chain = sturm_chain(p)
-    return _variations(chain, lo, at_neg_inf=True) - _variations(chain, hi)
+    a, b = (-1, 0) if lo is None else (lo.numerator, lo.denominator)
+    c, d = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    return _variations(chain, a, b) - _variations(chain, c, d)
 
 
 def _cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -483,22 +485,26 @@ def isolate_real_roots(p: IntPolynomial) -> list[Interval]:
     degree >= 1 with no rational and no repeated root, such as an
     irreducible factor of degree 2 or 3.  The Sturm chain raises
     ValueError on a repeated root and so does a root at a bisection
-    midpoint, so no interval ends at a root."""
+    midpoint, so no interval ends at a root.  A stack entry holds two
+    integer ends over one denominator, the Cauchy bound's times a power
+    of 2, and the variation counts there, so each midpoint's chain is
+    evaluated once."""
     chain = sturm_chain(p)
     bound = _cauchy_bound(p)
-    stack: list[tuple[Fraction, Fraction]] = [(-bound, bound)]
+    u, v = bound.numerator, bound.denominator
+    stack = [(-u, u, v, _variations(chain, -u, v), _variations(chain, u, v))]
     out: list[Interval] = []
     while stack:
-        lo, hi = stack.pop()
-        k = _variations(chain, lo) - _variations(chain, hi)
-        if k == 1:
-            out.append(Interval(lo, hi))
-        elif k > 1:
-            mid = (lo + hi) / 2
-            if p.sign_at(mid) == 0:
-                raise ValueError(f"{p} has the rational root {mid}")
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+        lo, hi, den, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            out.append(Interval(Fraction(lo, den), Fraction(hi, den)))
+        elif v_lo - v_hi > 1:
+            mid, den = lo + hi, 2 * den
+            if _eval_hom(chain[0], mid, den) == 0:
+                raise ValueError(f"{p} has the rational root {Fraction(mid, den)}")
+            v_mid = _variations(chain, mid, den)
+            stack.append((2 * lo, mid, den, v_lo, v_mid))
+            stack.append((mid, 2 * hi, den, v_mid, v_hi))
     out.sort(key=lambda iv: iv.lo)
     return out
 
@@ -510,20 +516,23 @@ def refine_interval(p: IntPolynomial, iv: Interval, max_width: Rational) -> Inte
     max_width = _as_fraction(max_width)
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    lo, hi = iv.lo, iv.hi
-    lo_sign = p.sign_at(lo)
-    if lo_sign * p.sign_at(hi) >= 0:
-        raise ValueError(f"{p} does not change sign between {lo} and {hi}")
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        s = p.sign_at(mid)
+    lo_sign = p.sign_at(iv.lo)
+    if lo_sign * p.sign_at(iv.hi) >= 0:
+        raise ValueError(f"{p} does not change sign between {iv.lo} and {iv.hi}")
+    den = math.lcm(iv.lo.denominator, iv.hi.denominator)
+    lo, hi = iv.lo.numerator * den // iv.lo.denominator, iv.hi.numerator * den // iv.hi.denominator
+    # halving doubles den and keeps hi - lo
+    span, w_num, w_den = hi - lo, max_width.numerator, max_width.denominator
+    while span * w_den > w_num * den:
+        mid, den = lo + hi, 2 * den
+        s = _sign(_eval_hom(p.coeffs, mid, den))
         if s == 0:
-            raise ValueError(f"{p} has the rational root {mid}")
+            raise ValueError(f"{p} has the rational root {Fraction(mid, den)}")
         if s == lo_sign:
-            lo = mid
+            lo, hi = mid, 2 * hi
         else:
-            hi = mid
-    return Interval(lo, hi)
+            lo, hi = 2 * lo, mid
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 # ---------------------------------------------------------------------------

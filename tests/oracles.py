@@ -263,6 +263,55 @@ def sign_at(coeffs: Sequence, x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
+def _sturm_variations(seq: Sequence[Sequence[Fraction]], x: Fraction) -> int:
+    signs = [s for m in seq if (s := sign_at(m, x))]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def sturm_bisection_intervals(coeffs: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the real roots of a squarefree integer
+    polynomial, by the classical Sturm bisection (Collins & Loos, *Real
+    zeros of polynomials*, 1982) in plain Fractions: start from +-B with
+    B = 1 + max|c| / |lead| over the lower coefficients, pop the last
+    interval pushed, keep it when the Sturm sequence counts one root
+    there, and split at the midpoint, lower half pushed first, when it
+    counts more.  A root at a midpoint raises ValueError.  Ascending."""
+    seq = sturm_sequence_oracle(coeffs)
+    bound = 1 + Fraction(max(abs(c) for c in coeffs[:-1]), abs(coeffs[-1]))
+    stack = [(-bound, bound)]
+    out = []
+    while stack:
+        lo, hi = stack.pop()
+        k = _sturm_variations(seq, lo) - _sturm_variations(seq, hi)
+        if k == 1:
+            out.append((lo, hi))
+        elif k > 1:
+            mid = (lo + hi) / 2
+            if sign_at(coeffs, mid) == 0:
+                raise ValueError(f"rational root {mid}")
+            stack.append((lo, mid))
+            stack.append((mid, hi))
+    return sorted(out)
+
+
+def sign_bisection(coeffs: Sequence[int], lo: Fraction, hi: Fraction,
+                   width: Fraction) -> tuple[Fraction, Fraction]:
+    """Halve (lo, hi), across whose ends the polynomial changes sign,
+    keeping the half with the sign change, until it is at most width
+    wide.  A root at a midpoint raises ValueError."""
+    lo_sign = sign_at(coeffs, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s = sign_at(coeffs, mid)
+        if s == 0:
+            raise ValueError(f"rational root {mid}")
+        if s == lo_sign:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic predicates, recomputed from their definitions.
 

@@ -268,6 +268,9 @@ def test_integer_decomposition_bounds_are_rejected_at_load(tmp_path, capsys, par
     ("smatrix-verify", {"n": 5, "kind": "modular", "declared_dim": "4", "unit_index": 7,
                         "entries": [[[2, 0], [2, 0]], [[2, 0], [-2, 0]]]},
      "$.parameters.unit_index"),
+    # a declared_dim in another field than n is the declared_dim's fault
+    ("smatrix-verify", {"n": 2, "kind": "modular", "declared_dim": "1r3", "entries": [[[2, 0]]]},
+     "$.parameters.declared_dim"),
 ])
 def test_inputs_the_engines_reject_are_rejected_at_load(tmp_path, capsys, kind, params, where):
     doc = make_case(kind=kind, parameters=params)

@@ -19,8 +19,9 @@ fails orthogonality, and an engine error.  The
 engine error pins today's UnsupportedSquareClassError text on a
 cyclotomic sum scan; deciding that case exactly will change the report
 and re-record it.  The cubic cases are the benchmark's codegree scans
-at N = 13 and 14; their JSON holds dozens of refined cubic witness
-intervals, which the bundled cases barely exercise.  The quadratic
+at N = 13, 14, 17, 19 and 22, the whole ladder; their JSON holds
+hundreds of refined cubic witness intervals, which the bundled cases
+barely exercise.  The quadratic
 cases are the benchmark's decomposition and field-mode sum-scan shapes:
 56+20r5 at 5 and 6 terms, and a scan over a | 2000 whose JSON holds
 119 certificates with null and dict witnesses and three-deep integer
@@ -59,7 +60,7 @@ def test_reports_match_golden_bytes(tmp_path, capsys, name, args, status, fmt, e
 
 def test_extra_cases_are_all_rendered():
     assert len(EXTRA_CASES) == 6
-    assert len(CUBIC_CASES) == 2
+    assert len(CUBIC_CASES) == 5
     assert len(QUADRATIC_CASES) == 2
 
 

@@ -8,7 +8,11 @@ roots; rational roots placed at the ends of an interval or at a
 bisection midpoint make refinement raise.  Roots of irreducible cubics,
 which the codegree filters compare by one sign evaluation, are checked
 against the oracle's bisection at points inside, at and outside their
-isolating intervals.
+isolating intervals.  On irreducible quadratics and cubics with leads
+up to +-7, isolation and refinement return exactly the intervals of the
+oracle's Fraction Sturm bisection.  The totally-real filter's
+discriminant rule is checked against the Sturm count on the squarefree
+part, repeated and non-real roots included.
 """
 from __future__ import annotations
 
@@ -16,11 +20,17 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fusionarith import exactcore
-from fusionarith.codegree_enum import _CubicRoot, _handle_cmp, _handle_str, _real_root_handles
+from fusionarith.codegree_enum import (
+    _CubicRoot,
+    _filter_totally_real,
+    _handle_cmp,
+    _handle_str,
+    _real_root_handles,
+)
 from fusionarith.exactcore import (
     Interval,
     IntPolynomial,
@@ -34,11 +44,15 @@ from oracles import (
     _deflate_rational_roots,
     _pdivmod,
     _primitive_int,
+    _rational_root_candidates,
     _squarefree,
+    bisection_real_root_count,
     isolate_roots_bisection,
     refine_past,
     root_exceeds,
     sign_at,
+    sign_bisection,
+    sturm_bisection_intervals,
     sturm_sequence_oracle,
 )
 
@@ -276,3 +290,90 @@ def test_a_linear_times_cubic_quartic_sorts_as_the_oracle_orders_it(cubic, which
     assert all(isinstance(root, _CubicRoot) for root in cubic_roots)
     assert all(_inside(cs, h, root.interval.lo, root.interval.hi)
                for root, h in zip(cubic_roots, oracle))
+
+
+@st.composite
+def irreducible_polys(draw) -> list[int]:
+    """An integer quadratic or cubic with no rational root, so
+    irreducible, and a lead up to +-7, constant first."""
+    deg = draw(st.integers(2, 3))
+    cs = draw(st.lists(st.integers(-30, 30), min_size=deg, max_size=deg))
+    cs.append(draw(st.sampled_from([c for c in range(-7, 8) if c])))
+    assume(cs[0] != 0 and all(sign_at(cs, r) != 0 for r in _rational_root_candidates(cs)))
+    return cs
+
+
+@settings(max_examples=150, deadline=None)
+@given(irreducible_polys(), st.integers(0, 6),
+       st.fractions(min_value=Fraction(1, 100), max_value=2, max_denominator=100))
+@example([1, -7, 0, 3], 3, Fraction(1, 7))  # Cauchy bound 10/3: every end is over 3 * 2^k
+@example([5, 0, -6], 0, Fraction(1, 3))     # bound 11/6
+def test_isolation_and_refinement_give_the_reference_intervals(cs, k, width):
+    p = IntPolynomial(tuple(cs))
+    ivs = isolate_real_roots(p)
+    assert [(iv.lo, iv.hi) for iv in ivs] == sturm_bisection_intervals(cs)
+    for iv in ivs:
+        for w in (iv.width() / 4 ** k, width):
+            out = refine_interval(p, iv, w)
+            assert (out.lo, out.hi) == sign_bisection(cs, iv.lo, iv.hi, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_polys())
+def test_a_root_at_a_bisection_midpoint_still_raises(cs):
+    # x q(x) has the root 0 and one of q, at least: isolation splits
+    # (-B, B) at 0 first
+    assume(sturm_bisection_intervals(cs))
+    xq = [0, *cs]
+    with pytest.raises(ValueError, match="rational root 0$"):
+        isolate_real_roots(IntPolynomial(tuple(xq)))
+    with pytest.raises(ValueError, match="rational root 0$"):
+        sturm_bisection_intervals(xq)
+    # every root of q exceeds 1/m in size, m = 1 + max|c_i| / |c_0| over
+    # i >= 1, so (-s, 3s) with 3s <= 1/m holds 0 alone; its midpoints
+    # are s, then 0
+    m = 1 + Fraction(max(abs(c) for c in cs[1:]), abs(cs[0]))
+    s = Fraction(1)
+    while 3 * s * m > 1:
+        s /= 2
+    with pytest.raises(ValueError, match="rational root 0$"):
+        refine_interval(IntPolynomial(tuple(xq)), Interval(-s, 3 * s), s)
+    with pytest.raises(ValueError, match="rational root 0$"):
+        sign_bisection(xq, -s, 3 * s, s)
+
+
+@st.composite
+def low_degree_polys(draw) -> list[int]:
+    """Degree 1 to 3, constant first: free coefficients; a product of
+    linear factors with one repeated (discriminant 0); or a quadratic
+    without real roots, times a linear factor or not (discriminant < 0)."""
+    lead = draw(st.sampled_from([c for c in range(-5, 6) if c]))
+    shape = draw(st.sampled_from(["free", "repeated", "non-real"]))
+    roots = draw(st.lists(rationals, min_size=1, max_size=2))
+    if shape == "free":
+        deg = draw(st.integers(1, 3))
+        return draw(st.lists(st.integers(-20, 20), min_size=deg, max_size=deg)) + [lead]
+    if shape == "repeated":
+        return _times_linears([lead], [roots[0], *roots])
+    b = draw(st.integers(-8, 8))
+    c = b * b // 4 + draw(st.integers(1, 10))  # b^2 < 4c
+    return _times_linears([lead * c, lead * b, lead], roots[1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(low_degree_polys())
+@example([-1, 3, -3, 1])     # (x - 1)^3
+@example([4, 0, -3, 1])      # (x + 1)(x - 2)^2
+@example([2, 0, 0, 1])       # one real root, two non-real ones
+@example([5, 2, 1])          # no real root
+@example([-7, 2])
+def test_total_reality_is_the_sign_of_the_discriminant(cs):
+    p = IntPolynomial(tuple(cs))
+    sf = p.squarefree_part()
+    count = sturm_real_root_count(sf)
+    assert count == bisection_real_root_count(cs)
+    real = count == sf.degree
+    result = _filter_totally_real(p)
+    assert result.passed == real
+    assert result.witness == (None if real else
+                              {"real_root_count": count, "distinct_root_count": sf.degree})
