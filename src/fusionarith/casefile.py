@@ -12,6 +12,11 @@ All numbers in case files are exact strings: integers, fractions like
 Durations are kept off the rendered payload for determinism; the CLI
 prints timing to stderr only.
 
+The run command writes reports case by case: each case's report is
+rendered, written and flushed before the next case runs, so a run holds
+one report at a time.  A write to --out that fails stops the run with
+exit 2.
+
 Every case kind, and every mode of the class-equation kind, is one
 entry of the _CASE_KINDS table: its parameter spec, the hook that turns
 the parsed parameters into engine inputs, its run function, its text
@@ -22,12 +27,13 @@ each look the entry up once and know nothing else about the kinds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from . import __version__
 from .algint import _CUBIC_FIELDS, cyclotomic_galois_structure, in_cyclic_cubic_field
@@ -680,23 +686,32 @@ def run_case(case: Case) -> Report:
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
-def _to_json(value: Any, indent: str = "") -> str:
+def _json_pieces(value: Any, indent: str = "") -> Iterator[str]:
     """value as sorted JSON with each dict outside a list indented, one
-    key per line, and each entry of a list on one line of _encode."""
+    key per line, and each entry of a list on one line of _encode; the
+    pieces end at those lines, so a large list is never one string."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
-        body = ",\n".join(f"{inner}{_encode(k)}: {_to_json(value[k], inner)}"
-                           for k in sorted(value))
-        return f"{{\n{body}\n{indent}}}"
-    if isinstance(value, (list, tuple)) and value:
-        return "[\n" + ",\n".join(inner + _encode(v) for v in value) + f"\n{indent}]"
-    return _encode(value)
+        sep = "{\n"
+        for k in sorted(value):
+            yield f"{sep}{inner}{_encode(k)}: "
+            yield from _json_pieces(value[k], inner)
+            sep = ",\n"
+        yield f"\n{indent}}}"
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[\n"
+        for v in value:
+            yield sep + inner + _encode(v)
+            sep = ",\n"
+        yield f"\n{indent}]"
+    else:
+        yield _encode(value)
 
 
 def render_report(report: Report, format: str = "text") -> str:
     """One report as deterministic text or JSON."""
     if format == "json":
-        return _to_json(report.to_payload()) + "\n"
+        return "".join(_json_pieces(report.to_payload())) + "\n"
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     lines = [f"case: {report.case_name} ({report.kind})"]
@@ -711,12 +726,32 @@ def render_report(report: Report, format: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_reports(reports: list[Report], format: str = "text") -> str:
-    """All reports, merged in input order, as one deterministic document."""
+def render_reports(reports: Iterable[Report], format: str, out: TextIO) -> None:
+    """All reports, merged in input order, written to out as one
+    deterministic document.
+
+    reports is drawn one at a time; each report is written, flushed and
+    released before the next is drawn, so a lazy iterable that runs the
+    cases holds one report in memory at a time.
+    """
     if format == "json":
-        body = ",".join(f"\n    {_to_json(r.to_payload(), '    ')}" for r in reports)
-        return f'{{\n  "reports": [{body}\n  ],\n  "schema": {SCHEMA_VERSION}\n}}\n'
-    return "\n".join(render_report(r, "text") for r in reports)
+        out.write('{\n  "reports": [')
+        sep = "\n    "
+        for report in reports:
+            out.write(sep)
+            out.writelines(_json_pieces(report.to_payload(), "    "))
+            out.flush()
+            sep = ",\n    "
+            del report
+        out.write(f'\n  ],\n  "schema": {SCHEMA_VERSION}\n}}\n')
+        return
+    sep = ""
+    for report in reports:
+        out.write(sep)
+        out.write(render_report(report, format))
+        out.flush()
+        sep = "\n"
+        del report
 
 
 def bundled_case_paths() -> list[str]:
@@ -750,32 +785,42 @@ def _run_command(args: argparse.Namespace) -> int:
         return 2
     try:
         # opened before any case runs, so a bad path costs no run
-        fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        target = (open(args.out, "w", encoding="utf-8") if args.out
+                  else contextlib.nullcontext(sys.stdout))
     except OSError as exc:
         return _cannot_write(args.out, exc)
+    failed = 0
+
+    def tally(report: Report) -> Report:
+        nonlocal failed
+        failed += report.passed is False
+        return report
+
     start = time.monotonic()
+    pool = None
     if args.jobs > 1 and len(cases) > 1:
         # imported here: the process pool costs start-up time that a
         # serial run does not need; a pool forks all its workers up
         # front, so it gets no more workers than there are cases
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cases))) as pool:
-            reports = list(pool.map(run_case, cases))
+        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(cases)))
+        reports = pool.map(run_case, cases)
     else:
-        reports = [run_case(c) for c in cases]
+        reports = map(run_case, cases)
+    try:
+        with target as fh:
+            render_reports(map(tally, reports), args.format, fh)
+    except OSError as exc:
+        if not args.out:
+            raise
+        return _cannot_write(args.out, exc)
+    finally:
+        if pool is not None:
+            # after a failed write, the cases not yet started never run
+            pool.shutdown(cancel_futures=True)
     elapsed = time.monotonic() - start
-    output = render_reports(reports, args.format)
-    if fh is sys.stdout:
-        fh.write(output)
-    else:
-        try:
-            with fh:
-                fh.write(output)
-        except OSError as exc:
-            return _cannot_write(args.out, exc)
-    failed = sum(1 for r in reports if r.passed is False)
-    print(f"{len(reports)} cases, {failed} failed, {elapsed:.2f}s", file=sys.stderr)
+    print(f"{len(cases)} cases, {failed} failed, {elapsed:.2f}s", file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cmp_to_key
 from typing import Callable, Optional, Sequence, Union
 
 from .algint import (
@@ -394,16 +394,19 @@ def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Ce
     """
     if not p.is_monic:
         raise ValueError("pipeline candidates must be monic")
-    factors = cache(lambda: factor_over_rationals(p))  # shared by the filters
-    steps = [_filter_d_number, _filter_totally_real,
-             lambda q: _filter_positive_bounded(factors(), instance.root_lower_bounds),
-             _filter_cyclotomic]
-    if instance.membership_conductor is not None:
-        conductor = instance.membership_conductor
-        steps.append(lambda q: _filter_membership(factors(), conductor))
-    if instance.excluded_quadratic_subfields:
-        steps.append(lambda q: _filter_subfield_exclusion(factors(), instance.excluded_quadratic_subfields))
-    return _run_filters(p, steps)
+    results = [_filter_d_number(p)]
+    if results[-1].passed:
+        results.append(_filter_totally_real(p))
+    if results[-1].passed:
+        factors = factor_over_rationals(p)  # shared by the filters after this one
+        results.append(_filter_positive_bounded(factors, instance.root_lower_bounds))
+    if results[-1].passed:
+        results.append(_filter_cyclotomic(p))
+    if results[-1].passed and instance.membership_conductor is not None:
+        results.append(_filter_membership(factors, instance.membership_conductor))
+    if results[-1].passed and instance.excluded_quadratic_subfields:
+        results.append(_filter_subfield_exclusion(factors, instance.excluded_quadratic_subfields))
+    return Certificate(p, tuple(results), results[-1].passed)
 
 
 def _survivors_first(certs: list[Certificate]) -> list[Certificate]:

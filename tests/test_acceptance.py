@@ -10,6 +10,7 @@ claim (see the comment on the test).
 """
 from __future__ import annotations
 
+import io
 import random
 from fractions import Fraction
 
@@ -269,8 +270,10 @@ def test_d_number_agrees_with_definitional_oracle_on_all_small_quadratics():
 def test_full_case_suite_renders_are_byte_identical():
     def render_once():
         reports = [run_case(load_case_file(p)) for p in bundled_case_paths()]
-        return (render_reports(reports, "text").encode(),
-                render_reports(reports, "json").encode())
+        text_out, json_out = io.StringIO(), io.StringIO()
+        render_reports(reports, "text", text_out)
+        render_reports(reports, "json", json_out)
+        return text_out.getvalue().encode(), json_out.getvalue().encode()
 
     first_text, first_json = render_once()
     second_text, second_json = render_once()

@@ -1,6 +1,7 @@
 """Case file loading, report rendering, and the command line."""
 from __future__ import annotations
 
+import io
 import json
 import os
 from fractions import Fraction
@@ -20,7 +21,7 @@ from fusionarith.casefile import (
     render_report,
     render_reports,
     run_case,
-    _to_json,
+    _json_pieces,
 )
 from fusionarith.exactcore import IntPolynomial, QuadraticFieldElement
 from fusionarith.smatrix import CandidateSMatrix, DegenerateColumnError
@@ -339,8 +340,26 @@ def test_payload_omits_wall_time():
 def test_json_rendering_round_trips():
     report = run_case(load_case(make_case()))
     assert json.loads(render_report(report, "json")) == report.to_payload()
-    merged = json.loads(render_reports([report, report], "json"))
+    out = io.StringIO()
+    render_reports([report, report], "json", out)
+    merged = json.loads(out.getvalue())
     assert merged == {"schema": 1, "reports": [report.to_payload()] * 2}
+
+
+@pytest.mark.parametrize("fmt, ext, empty", [
+    ("text", "txt", ""),
+    ("json", "json", '{\n  "reports": [\n  ],\n  "schema": 1\n}\n'),
+])
+def test_render_reports_takes_any_iterable(fmt, ext, empty):
+    out = io.StringIO()
+    render_reports(iter(()), fmt, out)
+    assert out.getvalue() == empty
+    reports = [run_case(load_case_file(p)) for p in bundled_case_paths()]
+    out = io.StringIO()
+    render_reports((r for r in reports), fmt, out)
+    golden = os.path.join(os.path.dirname(__file__), "golden", f"bundled.{ext}")
+    with open(golden, "rb") as fh:
+        assert out.getvalue().encode() == fh.read()
 
 
 # str with non-ASCII text, quotes, backslashes, control characters and
@@ -363,6 +382,10 @@ def _json_payloads(depth: int):
             | st.lists(child, max_size=4)
             | st.lists(child, max_size=3).map(tuple)
             | st.dictionaries(_json_text, child, max_size=4))
+
+
+def _to_json(value) -> str:
+    return "".join(_json_pieces(value))
 
 
 def _nested(value, depth: int):
@@ -523,6 +546,40 @@ def test_cli_out_writes_the_report_file(tmp_path, capsys):
     assert "x^3-28x^2+196x-343  subfield-exclusion" in out.read_text(encoding="utf-8")
 
 
+def test_cli_writes_each_report_before_the_next_case_runs(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "report.txt"
+    sizes = []
+    real_run_case = casefile.run_case
+
+    def run(case):
+        sizes.append(os.path.getsize(out))
+        return real_run_case(case)
+
+    monkeypatch.setattr(casefile, "run_case", run)
+    assert main(["run", "--all", "--out", str(out)]) == 0
+    capsys.readouterr()
+    texts = [render_report(real_run_case(load_case_file(p))) for p in bundled_case_paths()]
+    assert len(sizes) == len(texts) == 12
+    for i in range(1, len(texts)):
+        assert sizes[i] >= len("\n".join(texts[:i]).encode())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_failed_write_stops_the_run(capsys, monkeypatch):
+    ran = []
+    real_run_case = casefile.run_case
+
+    def run(case):
+        ran.append(case.name)
+        return real_run_case(case)
+
+    monkeypatch.setattr(casefile, "run_case", run)
+    assert main(["run", "--all", "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write /dev/full: ")
+    assert len(ran) == 1
+
+
 def test_cli_json_format_covers_all_bundled_cases(capsys):
     assert main(["run", "--all", "--format", "json"]) == 0
     body = json.loads(capsys.readouterr().out)
@@ -575,17 +632,14 @@ def test_cli_forks_no_more_workers_than_cases(monkeypatch, capsys):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
         def map(self, fn, items):
             return map(fn, items)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            sizes.append("shutdown")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     two = bundled_case_paths()[:2]
     assert main(["run", *two, "--jobs", "10000"]) == 0
     capsys.readouterr()
-    assert sizes == [2]
+    assert sizes == [2, "shutdown"]
