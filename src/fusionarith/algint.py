@@ -2,12 +2,14 @@
 
 The tests here decide, with integer arithmetic only:
 
-* the d-number divisibility criterion on a monic polynomial,
+* the d-number divisibility criterion on a monic polynomial, whose
+  verdict keeps only the least failing index (passes is derived),
 * whether a cubic has an abelian splitting field,
 * whether the roots of an irreducible cubic lie in one of the two
   supported cyclic cubic fields (conductor 7 or 9),
 * whether a quadratic field embeds in a given cyclotomic field,
-* the primary decomposition of the unit group mod N.
+* the primary decomposition of the unit group mod N, returned as the
+  plain tuple of its cyclic factor orders.
 
 Membership in a cyclic cubic field is decided by an exact search, not a
 discriminant heuristic.  For both supported conductors the defining
@@ -41,14 +43,14 @@ from .exactcore import (
 
 @record
 class DNumberVerdict:
-    """Outcome of the d-number test; failing_index is the least bad i."""
+    """Outcome of the d-number test: failing_index is the least bad i,
+    None when the test passes."""
 
-    passes: bool
     failing_index: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.passes != (self.failing_index is None):
-            raise ValueError("failing_index must be present exactly on failure")
+    @property
+    def passes(self) -> bool:
+        return self.failing_index is None
 
 
 def _divides(x: int, y: int) -> bool:
@@ -73,8 +75,8 @@ def is_d_number(p: IntPolynomial) -> DNumberVerdict:
     for i in range(1, n + 1):
         a_i = abs(p.coeffs[n - i])
         if not _divides(a_n ** i, a_i ** n):
-            return DNumberVerdict(False, i)
-    return DNumberVerdict(True)
+            return DNumberVerdict(i)
+    return DNumberVerdict()
 
 
 def passes_cyclotomic_test(p: IntPolynomial) -> bool:
@@ -184,15 +186,8 @@ def quadratic_subfield_in_cyclotomic(d: int, modulus: int) -> bool:
     return modulus % abs(disc) == 0
 
 
-@record
-class GaloisStructure:
-    """Primary decomposition of the unit group mod N, orders ascending."""
-
-    factor_orders: tuple[int, ...]
-
-
-def cyclotomic_galois_structure(modulus: int) -> GaloisStructure:
-    """Cyclic factor orders of (Z/N)^x in primary decomposition.
+def cyclotomic_galois_structure(modulus: int) -> tuple[int, ...]:
+    """Cyclic factor orders of (Z/N)^x in primary decomposition, ascending.
 
     Odd prime powers p^k contribute the prime-power parts of
     p^(k-1)(p-1); the 2-part contributes nothing for 2, a single C2 for
@@ -206,4 +201,4 @@ def cyclotomic_galois_structure(modulus: int) -> GaloisStructure:
             orders.extend([2, 2 ** (k - 2)] if k >= 3 else [2] * (k - 1))
         else:
             orders.extend(q ** e for q, e in factor_integer(p ** (k - 1) * (p - 1)))
-    return GaloisStructure(tuple(sorted(orders)))
+    return tuple(sorted(orders))

@@ -59,6 +59,7 @@ from .dimsolve import (
 from .exactcore import IntPolynomial, QuadraticFieldElement, rational_roots, record
 from .smatrix import (
     CandidateSMatrix,
+    VerlindeReport,
     check_orthogonality,
     dimension_consistency,
     find_galois_permutation,
@@ -252,11 +253,8 @@ class Case:
 
 @record
 class Report:
-    """Outcome of one case run.
-
-    wall_time_s is informational and deliberately excluded from
-    to_payload(), so rendered output is byte-identical across runs.
-    """
+    """Outcome of one case run; it holds no timing, so rendered output
+    is byte-identical across runs."""
 
     case_name: str
     kind: str
@@ -266,7 +264,6 @@ class Report:
     expected: Optional[dict]
     passed: Optional[bool]
     error: Optional[str]
-    wall_time_s: float
 
     def to_payload(self) -> dict:
         return {
@@ -373,7 +370,6 @@ class _Codegree(_ClassEquation):
         "product_feasibility": (_get_str, False),
         "membership_conductor": (_get_conductor, False),
         "excluded_quadratic_subfields": (_list_of(_get_excluded_pair), False),
-        "scan_range": (_get_int_pair, False),
         "decomposition_subcases": (_list_of(_get_subcase), False),
     }
 
@@ -513,25 +509,17 @@ class _SmatrixVerify(_CaseKind):
             "dimension_consistent": dimension_consistency(matrix),
             "formal_codegrees": [str(f) for f in formal_codegrees(matrix)],
         }
-        if orth.passes:
-            verdict = verlinde_fusion(matrix, orth)
-            results["verlinde_nonnegative_integral"] = verdict.nonnegative_integral
-            results["verlinde_first_violation"] = (
-                list(verdict.first_violation) if verdict.first_violation else None)
-        else:
-            results["verlinde_nonnegative_integral"] = False
-            results["verlinde_first_violation"] = None
+        # with no orthogonality there is no tensor, and no violation to name
+        verlinde = verlinde_fusion(matrix, orth) if orth.passes else VerlindeReport()
+        results["verlinde_nonnegative_integral"] = verlinde.nonnegative_integral
+        results["verlinde_first_violation"] = (
+            list(verlinde.first_violation) if verlinde.first_violation else None)
         galois = find_galois_permutation(matrix)
         results["galois_found"] = galois.found
-        if galois.found:
-            results["galois_permutation"] = list(galois.permutation.mapping)
-            results["galois_unit_image"] = galois.permutation.unit_image
-            results["galois_unit_image_dim_square_is_one"] = (
-                galois.permutation.unit_image_dim_square_is_one)
-        else:
-            results["galois_permutation"] = None
-            results["galois_unit_image"] = None
-            results["galois_unit_image_dim_square_is_one"] = None
+        results["galois_permutation"] = list(galois.mapping) if galois.found else None
+        results["galois_unit_image"] = galois.unit_image
+        results["galois_unit_image_dim_square_is_one"] = galois.unit_image_dim_square_is_one
+        if not galois.found:
             results["galois_absence_reason"] = galois.reason
         return results
 
@@ -569,7 +557,7 @@ class _GaloisStructure(_CaseKind):
 
     def run(self, payload: dict) -> dict:
         return {"structures": {
-            str(modulus): list(cyclotomic_galois_structure(modulus).factor_orders)
+            str(modulus): list(cyclotomic_galois_structure(modulus))
             for modulus in payload["moduli"]
         }}
 
@@ -653,7 +641,6 @@ def load_case_file(path: str) -> Case:
 
 def run_case(case: Case) -> Report:
     """Dispatch one case; engine exceptions become case-level failures."""
-    start = time.monotonic()
     try:
         entry = _case_kind(case.kind, case.parameters)
         results = entry.run(case.payload)
@@ -661,7 +648,6 @@ def run_case(case: Case) -> Report:
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         results = {}
         error = f"{type(exc).__name__}: {exc}"
-    elapsed = time.monotonic() - start
     if error is not None:
         passed: Optional[bool] = False
     elif case.expected is not None:
@@ -679,7 +665,6 @@ def run_case(case: Case) -> Report:
         expected=case.expected,
         passed=passed,
         error=error,
-        wall_time_s=elapsed,
     )
 
 

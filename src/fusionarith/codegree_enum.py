@@ -88,23 +88,19 @@ class Certificate:
     """Audit record for one candidate polynomial.
 
     filter_results lists every filter that ran, in pipeline order,
-    ending at the first failure; survived means none failed.
+    ending at the first failure, so survived (none failed) reads the last.
     """
 
     candidate: IntPolynomial
     filter_results: tuple[FilterResult, ...]
-    survived: bool
 
-    def __post_init__(self) -> None:
-        if self.survived != all(r.passed for r in self.filter_results):
-            raise ValueError("survived flag contradicts filter results")
+    @property
+    def survived(self) -> bool:
+        return self.filter_results[-1].passed
 
     @property
     def failed_filter(self) -> Optional[str]:
-        for r in self.filter_results:
-            if not r.passed:
-                return r.name
-        return None
+        return None if self.survived else self.filter_results[-1].name
 
 
 @record
@@ -125,7 +121,6 @@ class ClassEquationInstance:
     product_feasibility: str = "coarse"
     membership_conductor: Optional[int] = None
     excluded_quadratic_subfields: tuple[tuple[int, int], ...] = ()
-    scan_range: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if self.global_dim < 1:
@@ -145,8 +140,6 @@ class ClassEquationInstance:
                            tuple(Fraction(b) for b in self.root_lower_bounds))
         if self.product_feasibility not in ("coarse", "real-roots"):
             raise ValueError(f"unknown feasibility mode {self.product_feasibility!r}")
-        if self.scan_range is not None and self.scan_range[0] > self.scan_range[1]:
-            raise ValueError("empty scan_range")
 
 
 def residual_target(instance: ClassEquationInstance) -> Fraction:
@@ -382,7 +375,7 @@ def _run_filters(p: IntPolynomial, steps: Sequence[Callable[[IntPolynomial], Fil
         results.append(result)
         if not result.passed:
             break
-    return Certificate(p, tuple(results), all(r.passed for r in results))
+    return Certificate(p, tuple(results))
 
 
 def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Certificate:
@@ -406,7 +399,7 @@ def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Ce
         results.append(_filter_membership(factors, instance.membership_conductor))
     if results[-1].passed and instance.excluded_quadratic_subfields:
         results.append(_filter_subfield_exclusion(factors, instance.excluded_quadratic_subfields))
-    return Certificate(p, tuple(results), results[-1].passed)
+    return Certificate(p, tuple(results))
 
 
 def _survivors_first(certs: list[Certificate]) -> list[Certificate]:
@@ -428,12 +421,11 @@ def enumerate_candidates(instance: ClassEquationInstance) -> list[Certificate]:
     Each admissible product P forces e = residual * P, an integer, as
     the next symmetric function: the candidates are x - P, x^2 - e x + P
     and x^3 - e1 x^2 + e x - P.  For a cubic orbit the free coefficient
-    e1 runs over scan_range (default [1, e]) restricted to values whose
-    polynomial is a d-number; when the default range is used, the
-    polynomial with e1 = e + 1 must fail the real-roots filters, which
-    certifies that no totally positive candidate was cut off.  e1 steps
-    over the multiples of m = prod p^ceil(k/3) over p^k || P, the e1
-    with P | e1^3 (the d-number condition at i = 1).
+    e1 runs over 1..e restricted to values whose polynomial is a
+    d-number; the polynomial with e1 = e + 1 must fail the real-roots
+    filters, which certifies that no totally positive candidate was cut
+    off.  e1 steps over the multiples of m = prod p^ceil(k/3) over
+    p^k || P, the e1 with P | e1^3 (the d-number condition at i = 1).
     """
     n = instance.orbit_degree
     if n > 3:
@@ -446,19 +438,13 @@ def enumerate_candidates(instance: ClassEquationInstance) -> list[Certificate]:
             p = IntPolynomial((-product, 1) if n == 1 else (product, -e, 1))
             certs.append(run_filter_pipeline(p, instance))
             continue
-        if instance.scan_range is not None:
-            lo, hi = instance.scan_range
-        else:
-            lo, hi = 1, e
-            boundary = IntPolynomial((-product, e, -(e + 1), 1))
-            real = _filter_totally_real(boundary).passed
-            bounded = _filter_positive_bounded(
-                factor_over_rationals(boundary), instance.root_lower_bounds).passed
-            if real and bounded:
-                raise ScanSoundnessError(
-                    f"boundary candidate {boundary} passes the real-roots filters")
+        boundary = IntPolynomial((-product, e, -(e + 1), 1))
+        if _filter_totally_real(boundary).passed and _filter_positive_bounded(
+                factor_over_rationals(boundary), instance.root_lower_bounds).passed:
+            raise ScanSoundnessError(
+                f"boundary candidate {boundary} passes the real-roots filters")
         step = math.prod(prime ** -(-k // 3) for prime, k in factor_integer(product))
-        for e1 in range(-(-lo // step) * step, hi + 1, step):
+        for e1 in range(step, e + 1, step):
             p = IntPolynomial((-product, e, -e1, 1))
             if is_d_number(p).passes:
                 certs.append(run_filter_pipeline(p, instance))

@@ -167,7 +167,8 @@ class IntPolynomial:
     def __init__(self, coeffs: Sequence[int]) -> None:
         cs = []
         for c in coeffs:
-            ic = int(c)
+            # a float is refused even when integral, as QuadraticFieldElement does
+            ic = None if isinstance(c, float) else int(c)
             if ic != c:
                 raise TypeError(f"integer coefficients required, got {c!r}")
             cs.append(ic)

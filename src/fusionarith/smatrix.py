@@ -22,6 +22,10 @@ computed.  Field elements are built only for the declared dimension,
 the per-column weights 1/(declared_dim * d_W), the formal codegrees,
 dims and the text of a failing value.
 
+Each report keeps its witness once and derives its flag from it:
+passes from the violating pair, nonnegative_integral from the tensor,
+found from the mapping.
+
 Everything is verification of supplied data; nothing here solves for
 unknown entries.
 """
@@ -94,12 +98,15 @@ class CandidateSMatrix:
 
 @record
 class OrthogonalityReport:
-    """passes iff all distinct rows are orthogonal and every row has
-    squared norm declared_dim; violating_pair = first (i, j) that fails,
-    with i == j marking a norm failure."""
+    """violating_pair is the first (i, j) that fails, i == j marking a
+    norm failure; passes, when there is none, means all distinct rows
+    are orthogonal and every row has squared norm declared_dim."""
 
-    passes: bool
     violating_pair: Optional[tuple[int, int]] = None
+
+    @property
+    def passes(self) -> bool:
+        return self.violating_pair is None
 
 
 def _inner(u: tuple[tuple[int, int], ...], v: tuple[tuple[int, int], ...],
@@ -123,8 +130,8 @@ def check_orthogonality(matrix: CandidateSMatrix) -> OrthogonalityReport:
     for i, row_i in enumerate(rows):
         for j in range(i, matrix.size):
             if _inner(row_i, rows[j], n) != (norm if i == j else (0, 0)):
-                return OrthogonalityReport(False, (i, j))
-    return OrthogonalityReport(True)
+                return OrthogonalityReport((i, j))
+    return OrthogonalityReport()
 
 
 @record
@@ -137,10 +144,13 @@ class VerlindeReport:
     text.
     """
 
-    nonnegative_integral: bool
     tensor: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = None
     first_violation: Optional[tuple[int, int, int]] = None
     first_value: Optional[str] = None
+
+    @property
+    def nonnegative_integral(self) -> bool:
+        return self.tensor is not None
 
 
 def verlinde_fusion(
@@ -187,11 +197,11 @@ def verlinde_fusion(
                 if b or a < 0 or a % denominator:
                     value = QuadraticFieldElement(
                         Fraction(2 * a, denominator), Fraction(2 * b, denominator), n)
-                    return VerlindeReport(False, None, (x, y, z), str(value))
+                    return VerlindeReport(None, (x, y, z), str(value))
                 c = a // denominator
                 cube[x][y][z] = cube[x][z][y] = cube[y][x][z] = c
                 cube[y][z][x] = cube[z][x][y] = cube[z][y][x] = c
-    return VerlindeReport(True, tuple(tuple(tuple(row) for row in plane) for plane in cube))
+    return VerlindeReport(tuple(tuple(tuple(row) for row in plane) for plane in cube))
 
 
 def formal_codegrees(matrix: CandidateSMatrix) -> list[QuadraticFieldElement]:
@@ -206,25 +216,23 @@ def dimension_consistency(matrix: CandidateSMatrix) -> bool:
 
 
 @record
-class GaloisPermutation:
+class GaloisSearchReport:
     """Row/column permutation realizing sqrt(n) -> -sqrt(n) on ratios.
 
     mapping[y] is the column whose ratio vector equals the conjugated
     ratio vector of column y.  unit_image records where the unit goes;
     unit_image_dim_square_is_one whether its dimension squares to 1.
+    When no permutation exists, those three are None and reason says why.
     """
 
-    mapping: tuple[int, ...]
-    n: int
-    unit_image: int
-    unit_image_dim_square_is_one: bool
-
-
-@record
-class GaloisSearchReport:
-    found: bool
-    permutation: Optional[GaloisPermutation] = None
+    mapping: Optional[tuple[int, ...]] = None
+    unit_image: Optional[int] = None
+    unit_image_dim_square_is_one: Optional[bool] = None
     reason: Optional[str] = None
+
+    @property
+    def found(self) -> bool:
+        return self.mapping is not None
 
 
 def find_galois_permutation(matrix: CandidateSMatrix) -> GaloisSearchReport:
@@ -248,14 +256,12 @@ def find_galois_permutation(matrix: CandidateSMatrix) -> GaloisSearchReport:
                    for (p, q), (r, s) in zip(column, other)):
                 matches.append(image)
         if not matches:
-            return GaloisSearchReport(False, reason=f"no column matches conjugated ratios of column {y}")
+            return GaloisSearchReport(reason=f"no column matches conjugated ratios of column {y}")
         if len(matches) > 1:
-            return GaloisSearchReport(False, reason=f"columns {matches} all match conjugated ratios of column {y}")
+            return GaloisSearchReport(reason=f"columns {matches} all match conjugated ratios of column {y}")
         mapping.append(matches[0])
     if sorted(mapping) != list(range(size)):
-        return GaloisSearchReport(False, reason=f"mapping {mapping} is not a permutation")
+        return GaloisSearchReport(reason=f"mapping {mapping} is not a permutation")
     unit_image = mapping[unit]
     # d^2 = 1 exactly when d = +-1, the half-pairs (+-2, 0)
-    square_is_one = rows[unit][unit_image] in ((2, 0), (-2, 0))
-    perm = GaloisPermutation(tuple(mapping), n, unit_image, square_is_one)
-    return GaloisSearchReport(True, permutation=perm)
+    return GaloisSearchReport(tuple(mapping), unit_image, rows[unit][unit_image] in ((2, 0), (-2, 0)))

@@ -26,6 +26,7 @@ from fusionarith.codegree_enum import (
     FILTER_TOTALLY_REAL,
     ClassEquationInstance,
     DimensionPairInstance,
+    FilterResult,
     InfeasibleInstanceError,
     QuadraticScanInstance,
     ScanSoundnessError,
@@ -100,9 +101,6 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="feasibility"):
         ClassEquationInstance(global_dim=6, fixed_codegrees=(6, 6), orbit_degree=2,
                               product_feasibility="fuzzy")
-    with pytest.raises(ValueError, match="scan_range"):
-        ClassEquationInstance(global_dim=6, fixed_codegrees=(6, 6), orbit_degree=2,
-                              scan_range=(5, 4))
 
 
 def test_orbits_of_degree_four_are_not_enumerated():
@@ -157,9 +155,8 @@ def test_assembly_shapes():
     assert [c.candidate for c in enumerate_candidates(linear)] == [P(-6, 1)]
     quadratics = sorted(c.candidate.coeffs for c in enumerate_candidates(DIM6))
     assert quadratics == [(12, -8, 1), (18, -12, 1), (36, -24, 1)]
-    narrowed = ClassEquationInstance(global_dim=7, fixed_codegrees=(7, 7, 7), orbit_degree=3,
-                                     product_divides=343, scan_range=(20, 28))
-    cubics = [c.candidate for c in enumerate_candidates(narrowed)]
+    cubics = [c.candidate for c in enumerate_candidates(DIM7)
+              if c.candidate.coeffs[0] == -343 and 20 <= -c.candidate.coeffs[2] <= 28]
     assert sorted(cubics, key=lambda p: p.coeffs[2]) == [P(-343, 196, -28, 1), P(-343, 196, -21, 1)]
 
 
@@ -196,12 +193,6 @@ def test_pipeline_bound_failure_witness():
 def test_pipeline_rejects_non_monic():
     with pytest.raises(ValueError, match="monic"):
         run_filter_pipeline(P(1, 1, 2), DIM7)
-
-
-def test_certificate_consistency_guard():
-    cert = run_filter_pipeline(P(-1, 1), DIM7)
-    with pytest.raises(ValueError, match="contradicts"):
-        type(cert)(cert.candidate, cert.filter_results, True)
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +283,37 @@ def test_default_scan_stops_at_the_forced_coefficient():
     assert issubclass(ScanSoundnessError, RuntimeError)
 
 
-def test_scan_range_override_narrows_the_sweep():
-    narrowed = ClassEquationInstance(
-        global_dim=7, fixed_codegrees=(7, 7, 7), orbit_degree=3,
-        product_divides=343,
-        root_lower_bounds=(Fraction(7, 4), Fraction(7, 2), Fraction(7)),
-        excluded_quadratic_subfields=((5, 2401),),
-        scan_range=(21, 28),
-    )
-    certs = enumerate_candidates(narrowed)
-    assert [str(c.candidate) for c in certs] == [
-        "x^3-21x^2+196x-343", "x^3-28x^2+196x-343"]
+def test_boundary_reaches_the_bound_filter_only_when_real(monkeypatch):
+    seen = []
+    bounded = codegree_enum._filter_positive_bounded
+
+    def spy(factors, bounds):
+        seen.append(math.prod(factors, start=P(1)))
+        return bounded(factors, bounds)
+
+    monkeypatch.setattr(codegree_enum, "_filter_positive_bounded", spy)
+    # every boundary here has a negative discriminant, so the bound filter
+    # sees only scanned candidates, whose e1 is at most e
+    for inst in (DIM7, DIM9):
+        enumerate_candidates(inst)
+    assert seen and all(-p.coeffs[2] <= p.coeffs[1] for p in seen if p.degree == 3)
+    # a boundary taken as real that also passes the bounds stops the scan
+    def passing(*args):
+        return FilterResult("any", True)
+
+    monkeypatch.setattr(codegree_enum, "_filter_totally_real", passing)
+    monkeypatch.setattr(codegree_enum, "_filter_positive_bounded", passing)
+    with pytest.raises(ScanSoundnessError, match=r"x\^3-29x\^2\+28x-49 passes"):
+        enumerate_candidates(DIM7)
 
 
 def _unstepped_candidates(instance):
-    """The cubic candidates of every e1 in the scan range, d-number or
-    not."""
+    """The cubic candidates of every e1 in the scan range 1..e, d-number
+    or not."""
     r = residual_target(instance)
     for product in admissible_products(instance):
         e = int(r * product)
-        lo, hi = instance.scan_range or (1, e)
-        for e1 in range(lo, hi + 1):
+        for e1 in range(1, e + 1):
             yield P(-product, e, -e1, 1)
 
 
@@ -325,18 +326,15 @@ def _unstepped_certificates(instance):
 
 
 @st.composite
-def small_cubic_instances(draw, default_range: bool = True):
+def small_cubic_instances(draw):
     n = draw(st.integers(2, 7))
     bounds = draw(st.lists(st.integers(1, 4 * n).map(lambda k: Fraction(k, 4)), max_size=3))
-    lo = draw(st.integers(-40, 20))
-    ranges = st.just((lo, lo + draw(st.integers(0, 40))))
     return ClassEquationInstance(
         global_dim=n,
         fixed_codegrees=(n,) * draw(st.integers(1, n - 1)),
         orbit_degree=3,
         product_divides=draw(st.sampled_from([n ** 3, 4 * n ** 3, 27 * n])),
         root_lower_bounds=tuple(bounds),
-        scan_range=draw(st.none() | ranges if default_range else ranges),
     )
 
 

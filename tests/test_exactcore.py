@@ -98,6 +98,10 @@ def test_constructor_strips_trailing_zeros():
 def test_constructor_rejects_non_integers():
     with pytest.raises(TypeError):
         IntPolynomial((Fraction(1, 2),))
+    # floats are refused even when integral, as QuadraticFieldElement refuses them
+    for value in (1.0, 2.5, float("nan"), float("inf")):
+        with pytest.raises(TypeError):
+            IntPolynomial((value, 2))
 
 
 def test_basic_queries():

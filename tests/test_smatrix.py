@@ -201,23 +201,21 @@ def test_verlinde_requires_orthogonality():
 def test_galois_permutation_on_dim10_swaps_both_pairs():
     report = find_galois_permutation(DIM10_HAT)
     assert report.found
-    assert report.permutation is not None
-    assert report.permutation.mapping == (1, 0, 3, 2)
-    assert report.permutation.unit_image == 1
-    assert report.permutation.unit_image_dim_square_is_one
-    assert report.permutation.n == 5
+    assert report.mapping == (1, 0, 3, 2)
+    assert report.unit_image == 1
+    assert report.unit_image_dim_square_is_one
+    assert report.reason is None
 
 
 def test_galois_permutation_on_ising_swaps_the_unit_pair():
     report = find_galois_permutation(ISING_HAT)
     assert report.found
-    assert report.permutation is not None
-    assert report.permutation.mapping == (1, 0, 2)
+    assert report.mapping == (1, 0, 2)
 
 
 def test_galois_permutation_is_an_involution_on_references():
     for matrix in (ISING_HAT, DIM10_HAT, FIB):
-        mapping = find_galois_permutation(matrix).permutation.mapping
+        mapping = find_galois_permutation(matrix).mapping
         for x, image in enumerate(mapping):
             assert mapping[image] == x
 
@@ -350,9 +348,10 @@ def test_orthogonality_and_verlinde_match_the_oracle(candidate):
     galois, expected = find_galois_permutation(matrix), galois_oracle(rows, n, unit)
     assert galois.found == (expected is not None)
     if galois.found:
-        permutation = galois.permutation
-        assert (permutation.mapping, permutation.unit_image,
-                permutation.unit_image_dim_square_is_one) == expected
+        assert (galois.mapping, galois.unit_image, galois.unit_image_dim_square_is_one) == expected
+    else:
+        assert (galois.mapping, galois.unit_image, galois.unit_image_dim_square_is_one) == (None,) * 3
+        assert galois.reason
     orth = check_orthogonality(matrix)
     pair = orthogonality_oracle(rows, n, declared)
     assert orth.passes == (pair is None)
