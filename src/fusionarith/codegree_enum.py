@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .algint import (
     in_cyclic_cubic_field,
@@ -36,17 +35,16 @@ from .algint import (
 )
 from .exactcore import (
     IntPolynomial,
-    Interval,
     QuadraticFieldElement,
     UnsupportedDegreeError,
+    _eval_hom,
     divisors,
     factor_integer,
     factor_over_rationals,
     fraction_sqrt,
-    isolate_real_roots,
+    is_perfect_square,
     poly_discriminant,
     record,
-    refine_interval,
     squarefree_part,
     sturm_real_root_count,
 )
@@ -54,11 +52,6 @@ from .exactcore import (
 
 class InfeasibleInstanceError(ValueError):
     """The fixed codegrees already exhaust the class equation."""
-
-
-class ScanSoundnessError(RuntimeError):
-    """A boundary candidate just past the default scan range did not
-    fail the real-roots filters, so the default range cannot be trusted."""
 
 
 class UnsupportedSquareClassError(ValueError):
@@ -220,77 +213,6 @@ def admissible_products(instance: ClassEquationInstance) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# exact root handles
-
-@record
-class _CubicRoot:
-    factor: IntPolynomial
-    interval: Interval
-
-
-_RootHandle = Union[Fraction, QuadraticFieldElement, _CubicRoot]
-
-
-def _handle_cmp(a: _RootHandle, b: _RootHandle) -> int:
-    """Sign of a - b.  A cubic handle's factor is an irreducible cubic
-    with one simple root in the open interval (lo, hi) and no rational
-    root, and candidates have degree at most 3, so a cubic root meets
-    only roots of its own factor, whose intervals are disjoint, and
-    rational bounds x, which it exceeds inside (lo, hi) exactly when the
-    factor has the same sign at x as at lo."""
-    if isinstance(b, _CubicRoot) and not isinstance(a, _CubicRoot):
-        return -_handle_cmp(b, a)
-    if not isinstance(a, _CubicRoot):
-        return (a > b) - (a < b)
-    lo, hi = a.interval.lo, a.interval.hi
-    if isinstance(b, _CubicRoot):
-        return (lo > b.interval.lo) - (lo < b.interval.lo)
-    if b <= lo:
-        return 1
-    if b >= hi:
-        return -1
-    return 1 if a.factor.sign_at(b) == a.factor.sign_at(lo) else -1
-
-
-def _handle_str(handle: _RootHandle) -> str:
-    if isinstance(handle, _CubicRoot):
-        # the fewest pairs of halvings that reach width 1/1024; stored
-        # reports print the intervals this exact count produces
-        width = handle.interval.width()
-        while width > Fraction(1, 1024):
-            width /= 4
-        iv = refine_interval(handle.factor, handle.interval, width)
-        return f"({iv.lo}, {iv.hi})"
-    return str(handle)
-
-
-def _real_root_handles(factors: Sequence[IntPolynomial]) -> Optional[list[_RootHandle]]:
-    """All roots of the product of factors as exact handles, ascending
-    with multiplicity, or None when some root is not real."""
-    handles: list[_RootHandle] = []
-    for f in factors:
-        if f.degree == 1:
-            handles.append(Fraction(-f.coeffs[0], f.coeffs[1]))
-        elif f.degree == 2:
-            c, b, a = f.coeffs
-            disc = b * b - 4 * a * c
-            if disc < 0:
-                return None
-            n = squarefree_part(disc)
-            s = math.isqrt(disc // n)
-            handles.append(QuadraticFieldElement(Fraction(-b, a), Fraction(-s, a), n))
-            handles.append(QuadraticFieldElement(Fraction(-b, a), Fraction(s, a), n))
-        elif f.degree == 3:
-            isolated = isolate_real_roots(f)
-            if len(isolated) < 3:
-                return None
-            handles.extend(_CubicRoot(f, iv) for iv in isolated)
-        else:
-            raise UnsupportedDegreeError(f"cannot take exact roots of degree {f.degree}")
-    return sorted(handles, key=cmp_to_key(_handle_cmp))
-
-
-# ---------------------------------------------------------------------------
 # the codegree filter pipeline
 
 def _filter_d_number(p: IntPolynomial) -> FilterResult:
@@ -309,18 +231,30 @@ def _filter_totally_real(p: IntPolynomial) -> FilterResult:
     return FilterResult(FILTER_TOTALLY_REAL, ok, witness)
 
 
-def _filter_positive_bounded(factors: Sequence[IntPolynomial], bounds: tuple[Fraction, ...]) -> FilterResult:
-    handles = _real_root_handles(factors)
-    if handles is None:
+def _roots_above(p: IntPolynomial, b: Fraction) -> int:
+    """Roots of p above b, with multiplicity, when all roots of p are
+    real: for b = u/v they are the positive roots of v^d * p((y + u)/v),
+    whose coefficients, zeros skipped, change sign exactly that often
+    (Descartes' rule is exact on real-rooted polynomials)."""
+    shifted = _eval_hom(p.coeffs, IntPolynomial((b.numerator, 1)), b.denominator)
+    signs = [c > 0 for c in shifted.coeffs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _filter_positive_bounded(p: IntPolynomial, bounds: tuple[Fraction, ...]) -> FilterResult:
+    """The i-th smallest root of p exceeds the i-th smallest bound, the
+    bounds padded with 0 to the degree d.  With roots r_0 <= ... <= r_(d-1)
+    all real, r_i > b exactly when at least d - i roots exceed b."""
+    if not _filter_totally_real(p).passed:
         return FilterResult(FILTER_POSITIVE_BOUNDED, False, {"reason": "non-real roots"})
-    padded = sorted(bounds)[: len(handles)]
-    padded += [Fraction(0)] * (len(handles) - len(padded))
-    for handle, bound in zip(handles, padded):
-        if _handle_cmp(handle, bound) <= 0:
-            return FilterResult(
-                FILTER_POSITIVE_BOUNDED, False,
-                {"root": _handle_str(handle), "bound": str(bound)},
-            )
+    d = p.degree
+    padded = sorted(bounds)[:d]
+    padded += [Fraction(0)] * (d - len(padded))
+    for i, bound in enumerate(padded):
+        above = _roots_above(p, bound)
+        if above < d - i:
+            return FilterResult(FILTER_POSITIVE_BOUNDED, False,
+                                {"bound": str(bound), "roots_above": above})
     return FilterResult(FILTER_POSITIVE_BOUNDED, True)
 
 
@@ -391,14 +325,16 @@ def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Ce
     if results[-1].passed:
         results.append(_filter_totally_real(p))
     if results[-1].passed:
-        factors = factor_over_rationals(p)  # shared by the filters after this one
-        results.append(_filter_positive_bounded(factors, instance.root_lower_bounds))
+        results.append(_filter_positive_bounded(p, instance.root_lower_bounds))
     if results[-1].passed:
         results.append(_filter_cyclotomic(p))
-    if results[-1].passed and instance.membership_conductor is not None:
-        results.append(_filter_membership(factors, instance.membership_conductor))
-    if results[-1].passed and instance.excluded_quadratic_subfields:
-        results.append(_filter_subfield_exclusion(factors, instance.excluded_quadratic_subfields))
+    if results[-1].passed and (instance.membership_conductor is not None
+                               or instance.excluded_quadratic_subfields):
+        factors = factor_over_rationals(p)  # shared by the two optional filters
+        if instance.membership_conductor is not None:
+            results.append(_filter_membership(factors, instance.membership_conductor))
+        if results[-1].passed and instance.excluded_quadratic_subfields:
+            results.append(_filter_subfield_exclusion(factors, instance.excluded_quadratic_subfields))
     return Certificate(p, tuple(results))
 
 
@@ -422,10 +358,12 @@ def enumerate_candidates(instance: ClassEquationInstance) -> list[Certificate]:
     the next symmetric function: the candidates are x - P, x^2 - e x + P
     and x^3 - e1 x^2 + e x - P.  For a cubic orbit the free coefficient
     e1 runs over 1..e restricted to values whose polynomial is a
-    d-number; the polynomial with e1 = e + 1 must fail the real-roots
-    filters, which certifies that no totally positive candidate was cut
-    off.  e1 steps over the multiples of m = prod p^ceil(k/3) over
-    p^k || P, the e1 with P | e1^3 (the d-number condition at i = 1).
+    d-number.  The polynomial with e1 = e + 1 never has three real
+    roots: it is x(x - 1)(x - e) - P with 1 <= e <= P, and the local
+    maximum of x(x - 1)(x - e) lies in (0, 1), where it is below e/4 < P,
+    so its discriminant is negative.  e1 steps over the multiples of
+    m = prod p^ceil(k/3) over p^k || P, the e1 with P | e1^3 (the
+    d-number condition at i = 1).
     """
     n = instance.orbit_degree
     if n > 3:
@@ -438,11 +376,6 @@ def enumerate_candidates(instance: ClassEquationInstance) -> list[Certificate]:
             p = IntPolynomial((-product, 1) if n == 1 else (product, -e, 1))
             certs.append(run_filter_pipeline(p, instance))
             continue
-        boundary = IntPolynomial((-product, e, -(e + 1), 1))
-        if _filter_totally_real(boundary).passed and _filter_positive_bounded(
-                factor_over_rationals(boundary), instance.root_lower_bounds).passed:
-            raise ScanSoundnessError(
-                f"boundary candidate {boundary} passes the real-roots filters")
         step = math.prod(prime ** -(-k // 3) for prime, k in factor_integer(product))
         for e1 in range(step, e + 1, step):
             p = IntPolynomial((-product, e, -e1, 1))
@@ -493,10 +426,11 @@ def _filter_totally_positive(p: IntPolynomial) -> FilterResult:
 
 
 def _filter_required_field(p: IntPolynomial, n: int) -> FilterResult:
+    """The discriminant D has squarefree part n, itself squarefree,
+    exactly when D > 0, n | D and D/n is a perfect square."""
     disc = poly_discriminant(p)
-    part = squarefree_part(disc) if disc > 0 else None
-    ok = part == n
-    witness = None if ok else {"discriminant": str(disc), "squarefree_part": part}
+    ok = disc > 0 and disc % n == 0 and is_perfect_square(disc // n) is not None
+    witness = None if ok else {"discriminant": str(disc)}
     return FilterResult(FILTER_REQUIRED_FIELD, ok, witness)
 
 

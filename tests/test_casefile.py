@@ -78,8 +78,8 @@ def test_unknown_top_level_key(tmp_path, capsys):
     assert main(["validate", str(target)]) == 2
     assert main(["run", str(target)]) == 2
     assert "$.parameters.require_algebraic_integer: unknown key" in capsys.readouterr().err
-    # every cubic scan runs e1 over 1..e with its boundary certificate, so
-    # the key that narrowed the sweep is gone too
+    # every cubic scan runs e1 over 1..e, so the key that narrowed the
+    # sweep is gone too
     doc = make_case(kind="class-equation", parameters={
         "global_dim": 7, "fixed_codegrees": ["7", "7", "7"], "orbit_degree": 3,
         "product_divides": 343, "scan_range": [21, 28]})

@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionarith import codegree_enum
@@ -26,10 +26,8 @@ from fusionarith.codegree_enum import (
     FILTER_TOTALLY_REAL,
     ClassEquationInstance,
     DimensionPairInstance,
-    FilterResult,
     InfeasibleInstanceError,
     QuadraticScanInstance,
-    ScanSoundnessError,
     admissible_products,
     enumerate_candidates,
     enumerate_dimension_pairs,
@@ -40,7 +38,12 @@ from fusionarith.codegree_enum import (
     _real_triple_feasible,
 )
 from fusionarith.casefile import bundled_case_paths, load_case_file
-from fusionarith.exactcore import IntPolynomial, UnsupportedDegreeError, factor_over_rationals
+from fusionarith.exactcore import (
+    IntPolynomial,
+    UnsupportedDegreeError,
+    factor_over_rationals,
+    poly_discriminant,
+)
 
 
 def P(*cs: int) -> IntPolynomial:
@@ -187,7 +190,26 @@ def test_pipeline_subfield_witness_names_the_excluded_field():
 def test_pipeline_bound_failure_witness():
     cert = run_filter_pipeline(P(-1, 1), DIM7)
     assert cert.failed_filter == FILTER_POSITIVE_BOUNDED
-    assert cert.filter_results[-1].witness == {"root": "1", "bound": "7/4"}
+    assert cert.filter_results[-1].witness == {"bound": "7/4", "roots_above": 0}
+
+
+def test_bound_filter_on_its_own_rejects_non_real_roots():
+    # x^3 - 2 has one real root and a discriminant of -108
+    result = codegree_enum._filter_positive_bounded(P(-2, 0, 0, 1), ())
+    assert (result.passed, result.witness) == (False, {"reason": "non-real roots"})
+
+
+def test_pipeline_factors_only_for_the_optional_filters(monkeypatch):
+    calls = []
+    real = codegree_enum.factor_over_rationals
+    monkeypatch.setattr(codegree_enum, "factor_over_rationals", lambda p: calls.append(p) or real(p))
+    enumerate_candidates(CUBIC13)
+    assert calls == []
+    # DIM7 excludes a subfield: each candidate past the cyclotomic filter
+    # is factored once
+    certs = enumerate_candidates(DIM7)
+    assert calls and sorted(calls, key=str) == sorted(
+        (c.candidate for c in certs if c.filter_results[-1].name == FILTER_SUBFIELD), key=str)
 
 
 def test_pipeline_rejects_non_monic():
@@ -280,31 +302,22 @@ def test_default_scan_stops_at_the_forced_coefficient():
         boundary = P(-prod, e, -(e + 1), 1)
         assert _failed_without(boundary, inst, FILTER_D_NUMBER) in (
             FILTER_TOTALLY_REAL, FILTER_POSITIVE_BOUNDED)
-    assert issubclass(ScanSoundnessError, RuntimeError)
 
 
 def test_boundary_reaches_the_bound_filter_only_when_real(monkeypatch):
     seen = []
     bounded = codegree_enum._filter_positive_bounded
 
-    def spy(factors, bounds):
-        seen.append(math.prod(factors, start=P(1)))
-        return bounded(factors, bounds)
+    def spy(p, bounds):
+        seen.append(p)
+        return bounded(p, bounds)
 
     monkeypatch.setattr(codegree_enum, "_filter_positive_bounded", spy)
-    # every boundary here has a negative discriminant, so the bound filter
-    # sees only scanned candidates, whose e1 is at most e
+    # no boundary is ever real, so the bound filter sees only scanned
+    # candidates, whose e1 is at most e
     for inst in (DIM7, DIM9):
         enumerate_candidates(inst)
     assert seen and all(-p.coeffs[2] <= p.coeffs[1] for p in seen if p.degree == 3)
-    # a boundary taken as real that also passes the bounds stops the scan
-    def passing(*args):
-        return FilterResult("any", True)
-
-    monkeypatch.setattr(codegree_enum, "_filter_totally_real", passing)
-    monkeypatch.setattr(codegree_enum, "_filter_positive_bounded", passing)
-    with pytest.raises(ScanSoundnessError, match=r"x\^3-29x\^2\+28x-49 passes"):
-        enumerate_candidates(DIM7)
 
 
 def _unstepped_candidates(instance):
@@ -341,11 +354,19 @@ def small_cubic_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_cubic_instances())
 def test_stepped_scan_gives_the_unstepped_certificates(instance):
-    try:
-        certs = enumerate_candidates(instance)
-    except ScanSoundnessError:
-        reject()
-    assert certs == _unstepped_certificates(instance)
+    assert enumerate_candidates(instance) == _unstepped_certificates(instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cubic_instances())
+def test_the_boundary_past_the_scan_never_has_three_real_roots(instance):
+    # x(x - 1)(x - e) - P with 1 <= e <= P: the local maximum of the
+    # product, in (0, 1), is below e/4 < P
+    r = residual_target(instance)
+    for product in admissible_products(instance):
+        e = int(r * product)
+        assert 1 <= e <= product
+        assert poly_discriminant(P(-product, e, -(e + 1), 1)) < 0
 
 
 CUBIC13 = ClassEquationInstance(
@@ -378,7 +399,7 @@ def _verdicts(p, instance):
     pipeline order; the pipeline records these up to the first failure."""
     factors = factor_over_rationals(p)
     verdicts = [codegree_enum._filter_d_number(p), codegree_enum._filter_totally_real(p),
-                codegree_enum._filter_positive_bounded(factors, instance.root_lower_bounds),
+                codegree_enum._filter_positive_bounded(p, instance.root_lower_bounds),
                 codegree_enum._filter_cyclotomic(p)]
     if instance.membership_conductor is not None:
         verdicts.append(codegree_enum._filter_membership(factors, instance.membership_conductor))
@@ -525,14 +546,16 @@ def test_dim10_scan_cyclotomic_dim_square_witness():
                        "subfield": 10, "modulus": 100}
 
 
-@pytest.mark.parametrize("candidate,n,passed,part", [
-    (P(100, -30, 1), 5, True, 5),     # disc 500 = 10^2 * 5
-    (P(64, -24, 1), 2, False, 5),     # disc 320 = 8^2 * 5, not the field of 2
-    (P(64, -16, 1), 2, False, None),  # disc 0
-    (P(5, -1, 1), 5, False, None),    # disc -19
+@pytest.mark.parametrize("candidate,n,passed", [
+    (P(100, -30, 1), 5, True),   # disc 500 = 10^2 * 5
+    (P(64, -24, 1), 2, False),   # disc 320 = 8^2 * 5, not the field of 2
+    (P(64, -26, 1), 5, False),   # disc 420 = 5 * 84, 84 not a square
+    (P(64, -16, 1), 2, False),   # disc 0
+    (P(5, -1, 1), 5, False),     # disc -19
 ])
 def test_required_field_filter_factors_each_discriminant_at_most_once(
-        monkeypatch, candidate, n, passed, part):
+        monkeypatch, candidate, n, passed):
+    # n | D and D/n a square decide it, so no discriminant is factored
     calls = []
     real = codegree_enum.squarefree_part
     monkeypatch.setattr(codegree_enum, "squarefree_part", lambda m: calls.append(m) or real(m))
@@ -540,9 +563,9 @@ def test_required_field_filter_factors_each_discriminant_at_most_once(
     c, b, _ = candidate.coeffs
     disc = b * b - 4 * c
     assert result.passed is passed
-    assert calls == ([disc] if disc > 0 else [])
+    assert calls == []
     if not passed:
-        assert result.witness == {"discriminant": str(disc), "squarefree_part": part}
+        assert result.witness == {"discriminant": str(disc)}
 
 
 def test_scan_is_deterministic():

@@ -1,5 +1,5 @@
-"""Differential checks of exactcore against sympy, on the inputs each
-operation supports.  sympy is a test-only dependency; without it this
+"""Differential checks of exactcore, and of the bound filter's root
+count, against sympy, on the inputs each operation supports.  sympy is a test-only dependency; without it this
 module is skipped.  The polynomials are built and expanded by sympy, so
 the only engine code under test is the operation being compared."""
 from __future__ import annotations
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from fusionarith.codegree_enum import _roots_above
 from fusionarith.exactcore import (
     IntPolynomial,
     factor_over_rationals,
@@ -89,3 +90,18 @@ def test_isolating_intervals_each_hold_one_sympy_root(lead, low):
         lo, hi = (sympy.Rational(e.numerator, e.denominator) for e in (iv.lo, iv.hi))
         assert poly.eval(lo) != 0 and poly.eval(hi) != 0
         assert poly.count_roots(lo, hi) == 1
+
+
+@given(coeff.filter(bool), st.lists(coeff, min_size=2, max_size=3), st.data())
+def test_roots_above_a_bound_match_sympy(lead, low, data):
+    # Descartes' count is exact only with every root real; real_roots
+    # lists each root as often as its multiplicity, and sympy decides
+    # each r > b exactly (an irrational root never equals a rational b)
+    poly = sympy.Poly([lead] + low[::-1], x, domain="ZZ")
+    roots = sympy.real_roots(poly)
+    assume(len(roots) == poly.degree())
+    rational = [Fraction(int(r.p), int(r.q)) for r in roots if r.is_Rational]
+    bound = data.draw(st.fractions(-40, 40, max_denominator=6)
+                      | (st.sampled_from(rational) if rational else st.nothing()))
+    b = sympy.Rational(bound.numerator, bound.denominator)
+    assert _roots_above(engine_poly(poly), bound) == sum(bool(r > b) for r in roots)

@@ -19,9 +19,9 @@ fails orthogonality, and an engine error.  The
 engine error pins today's UnsupportedSquareClassError text on a
 cyclotomic sum scan; deciding that case exactly will change the report
 and re-record it.  The cubic cases are the benchmark's codegree scans
-at N = 13, 14, 17, 19 and 22, the whole ladder; their JSON holds
-hundreds of refined cubic witness intervals, which the bundled cases
-barely exercise.  The quadratic
+at N = 13, 14, 17, 19 and 22, the whole ladder; their JSON holds 224
+bounded-roots witnesses (a bound and the count of roots above it),
+which the bundled cases barely exercise.  The quadratic
 cases are the benchmark's decomposition and field-mode sum-scan shapes:
 56+20r5 at 5 and 6 terms, and a scan over a | 2000 whose JSON holds
 119 certificates with null and dict witnesses and three-deep integer
@@ -32,10 +32,12 @@ from __future__ import annotations
 import glob
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from fusionarith.casefile import main
+from witness_check import check_report_set
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 EXTRA_CASES = sorted(glob.glob(os.path.join(GOLDEN, "cases", "*.case.json")))
@@ -72,3 +74,12 @@ def test_golden_json_reports_hold_no_floats():
     for name in ("bundled", "extra", "cubic", "quadratic"):
         with open(os.path.join(GOLDEN, f"{name}.json"), "rb") as fh:
             json.loads(fh.read(), parse_float=_no_float)
+
+
+def test_golden_failure_witnesses_follow_from_the_coefficients():
+    # tests/witness_check.py re-derives each failure without the package
+    counts = Counter()
+    for name in ("bundled", "extra", "cubic", "quadratic"):
+        with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
+            counts += check_report_set(json.load(fh))
+    assert counts == {"totally-positive-bounded": 224, "required-field": 97, "totally-real": 1092}

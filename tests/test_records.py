@@ -22,7 +22,6 @@ from fusionarith.codegree_enum import (
     DimensionPairInstance,
     FilterResult,
     QuadraticScanInstance,
-    _CubicRoot,
 )
 from fusionarith.dimsolve import Decomposition, QuadraticTarget
 from fusionarith.exactcore import IntPolynomial, Interval, QuadraticFieldElement, _frozen
@@ -47,7 +46,6 @@ SAMPLES = [
     (Certificate, (CUBIC, (PASS,))),
     (ClassEquationInstance, (7, (Fraction(7),), 3, 343, (Fraction(3, 2),), "real-roots", 7,
                              ((5, 1),))),
-    (_CubicRoot, (CUBIC, Interval(Fraction(1), Fraction(2)))),
     (QuadraticScanInstance, (10, 2000, 1, Fraction(1), 5, "cyclotomic", 20)),
     (DimensionPairInstance, (5, (1, 6))),
     (QuadraticTarget, (5, Q(28, 10, 5), 5)),

@@ -5,17 +5,20 @@ degree 1 to 4, built as a squarefree base q of degree at most 3 (the
 oracle's range) times linear factors whose rational roots are placed on
 purpose.  Isolation and refinement take the part of q without rational
 roots; rational roots placed at the ends of an interval or at a
-bisection midpoint make refinement raise.  Roots of irreducible cubics,
-which the codegree filters compare by one sign evaluation, are checked
-against the oracle's bisection at points inside, at and outside their
-isolating intervals.  On irreducible quadratics and cubics with leads
-up to +-7, isolation and refinement return exactly the intervals of the
-oracle's Fraction Sturm bisection.  The totally-real filter's
-discriminant rule is checked against the Sturm count on the squarefree
-part, repeated and non-real roots included.
+bisection midpoint make refinement raise.  Isolation and refinement
+are library functions the codegree filters no longer call.  On
+irreducible quadratics and cubics with leads up to +-7, they return
+exactly the intervals of the oracle's Fraction Sturm bisection.  The
+totally-real filter's discriminant rule is checked against the Sturm
+count on the squarefree part, repeated and non-real roots included.
+The bound filter's Descartes count of the roots above a rational, and
+its verdict, are checked against the oracle's roots of real-rooted
+quadratics and cubics, with rational, repeated and irrational roots and
+bounds placed exactly at roots.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -25,16 +28,13 @@ from hypothesis import strategies as st
 
 from fusionarith import exactcore
 from fusionarith.codegree_enum import (
-    _CubicRoot,
+    _filter_positive_bounded,
     _filter_totally_real,
-    _handle_cmp,
-    _handle_str,
-    _real_root_handles,
+    _roots_above,
 )
 from fusionarith.exactcore import (
     Interval,
     IntPolynomial,
-    factor_over_rationals,
     isolate_real_roots,
     refine_interval,
     sturm_chain,
@@ -246,50 +246,75 @@ def irreducible_cubics(draw) -> tuple[list[int], list]:
     return cs, oracle
 
 
-fractions_0_to_1 = st.fractions(min_value=0, max_value=1, max_denominator=16)
+@st.composite
+def real_rooted_polys(draw) -> tuple[list[int], list[Fraction], list[int], list]:
+    """A real-rooted integer polynomial of degree 1 to 3, constant first:
+    a base times linear factors whose rational roots may repeat.  The
+    base is a constant, an irreducible quadratic with real roots or an
+    irreducible cubic.  Returned with the rational roots, the base and
+    the oracle's handles of its roots."""
+    shape = draw(st.sampled_from(["rational", "quadratic", "cubic"]))
+    if shape == "cubic":
+        base, handles = draw(irreducible_cubics())
+        return base, [], base, handles
+    if shape == "quadratic":
+        lead, b = draw(st.integers(1, 3)), draw(st.integers(-8, 8))
+        c = draw(st.integers(-20, 20))
+        assume(b * b - 4 * c > 0 and math.isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c)
+        base, free = [lead * c, lead * b, lead], 1
+    else:
+        base, free = [draw(st.integers(1, 3))], 3
+    distinct = draw(st.lists(rationals, min_size=int(shape == "rational"), max_size=free))
+    roots = distinct + (draw(st.lists(st.sampled_from(distinct), max_size=free - len(distinct)))
+                        if distinct else [])
+    return _times_linears(base, roots), sorted(roots), base, isolate_roots_bisection(base)
 
 
-@settings(max_examples=60, deadline=None)
-@given(irreducible_cubics(), fractions_0_to_1, st.fractions(min_value=0, max_value=3, max_denominator=8),
-       st.integers(1, 20))
-def test_cubic_roots_compare_with_rationals_as_the_oracle_orders_them(cubic, t, gap, k):
-    cs, oracle = cubic
-    f = IntPolynomial(tuple(cs))
-    ivs = isolate_real_roots(f)
-    roots = [_CubicRoot(f, iv) for iv in ivs]
-    assert len(ivs) == len(oracle) == 3
-    for root, iv, h in zip(roots, ivs, oracle):
-        assert _inside(cs, h, iv.lo, iv.hi)
-        near = refine_interval(f, iv, iv.width() / 2 ** k)
-        points = [iv.lo, iv.hi, iv.lo - gap, iv.hi + gap, iv.lo + t * iv.width(), near.lo, near.hi]
-        for x in points:
-            want = 1 if root_exceeds(refine_past(cs, h, x), x) else -1
-            assert _handle_cmp(root, x) == want
-            assert _handle_cmp(x, root) == -want
-        # the witness text: halvings in pairs down to width 1/1024
-        shrunk = iv
-        while shrunk.width() > Fraction(1, 1024):
-            shrunk = refine_interval(f, shrunk, shrunk.width() / 4)
-        assert _handle_str(root) == f"({shrunk.lo}, {shrunk.hi})"
-    assert [[_handle_cmp(x, y) for y in roots] for x in roots] == [
-        [(i > j) - (i < j) for j in range(3)] for i in range(3)]
+def _exceeds(base: list[int], handle, bound: Fraction) -> bool:
+    """Whether the oracle's root (a Fraction, or an interval isolating a
+    root of base) exceeds bound."""
+    return root_exceeds(refine_past(base, handle, bound), bound)
 
 
-@settings(max_examples=60, deadline=None)
-@given(irreducible_cubics(), st.integers(0, 2), fractions_0_to_1)
-def test_a_linear_times_cubic_quartic_sorts_as_the_oracle_orders_it(cubic, which, t):
-    # the rational root lies inside, or at an end of, an isolating
-    # interval of the cubic factor, where only the sign test decides
-    cs, oracle = cubic
-    iv = isolate_real_roots(IntPolynomial(tuple(cs)))[which]
-    r = iv.lo + t * iv.width()
-    handles = _real_root_handles(factor_over_rationals(IntPolynomial(tuple(_times_linears(cs, [r])))))
-    below = sum(not root_exceeds(refine_past(cs, h, r), r) for h in oracle)
-    assert handles[below] == r
-    cubic_roots = handles[:below] + handles[below + 1:]
-    assert all(isinstance(root, _CubicRoot) for root in cubic_roots)
-    assert all(_inside(cs, h, root.interval.lo, root.interval.hi)
-               for root, h in zip(cubic_roots, oracle))
+def _bound_choices(data, rational: list[Fraction], handles: list) -> Fraction:
+    """A drawn rational, or one placed exactly at a rational root or at
+    an end of an isolating interval."""
+    placed = rational + [end for h in handles if isinstance(h, tuple) for end in h]
+    return data.draw(rationals | st.sampled_from(placed) if placed else rationals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_rooted_polys(), st.data())
+def test_descartes_count_matches_the_oracle_roots(poly, data):
+    cs, rational, base, handles = poly
+    b = _bound_choices(data, rational, handles)
+    expected = sum(r > b for r in rational) + sum(_exceeds(base, h, b) for h in handles)
+    assert _roots_above(IntPolynomial(tuple(cs)), b) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_rooted_polys(), st.data())
+def test_bound_filter_fails_where_the_sorted_roots_first_fall_short(poly, data):
+    cs, rational, base, handles = poly
+    bounds = tuple(_bound_choices(data, rational, handles)
+                   for _ in range(data.draw(st.integers(0, 3))))
+    # the oracle sorts the roots: intervals refined past every rational
+    # root, and a rational root before an interval that starts at it
+    refined = []
+    for h in handles:
+        for r in rational:
+            h = refine_past(base, h, r)
+        refined.append(h)
+    roots = sorted([(r, 0, r) for r in rational] + [(h[0], 1, h) for h in refined])
+    d = len(roots)
+    padded = sorted(bounds)[:d]
+    padded += [Fraction(0)] * (d - len(padded))
+    failing = next((b for (_, _, root), b in zip(roots, padded) if not _exceeds(base, root, b)), None)
+    result = _filter_positive_bounded(IntPolynomial(tuple(cs)), bounds)
+    assert result.passed == (failing is None)
+    if failing is not None:
+        above = sum(r > failing for r in rational) + sum(_exceeds(base, h, failing) for h in handles)
+        assert result.witness == {"bound": str(failing), "roots_above": above}
 
 
 @st.composite
