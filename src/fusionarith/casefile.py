@@ -14,8 +14,9 @@ prints timing to stderr only.
 
 The run command writes reports case by case: each case's report is
 rendered, written and flushed before the next case runs, so a run holds
-one report at a time.  A write to --out that fails stops the run with
-exit 2.
+one report at a time.  A scan report holds the engine's Certificate
+records themselves; _plain turns each into its JSON entry only as that
+entry is written.  A write to --out that fails stops the run with exit 2.
 
 Every case kind, and every mode of the class-equation kind, is one
 entry of the _CASE_KINDS table: its parameter spec, the hook that turns
@@ -41,6 +42,7 @@ from .codegree_enum import (
     Certificate,
     ClassEquationInstance,
     DimensionPairInstance,
+    FilterResult,
     InfeasibleInstanceError,
     QuadraticScanInstance,
     admissible_products,
@@ -321,14 +323,7 @@ class _ClassEquation(_CaseKind):
         survivors = [str(c.candidate) for c in certs if c.survived]
         return {
             "mode": self.mode,
-            "certificates": [
-                {"candidate": str(c.candidate),
-                 "coefficients": list(c.candidate.coeffs),
-                 "filters": [{"name": r.name, "passed": r.passed, "witness": r.witness}
-                             for r in c.filter_results],
-                 "survived": c.survived}
-                for c in certs
-            ],
+            "certificates": certs,
             "certificate_count": len(certs),
             "survivors": survivors,
             "survivor_count": len(survivors),
@@ -340,9 +335,7 @@ class _ClassEquation(_CaseKind):
             lines.append("admissible products: "
                          + (", ".join(str(p) for p in results["admissible_products"]) or "none"))
         for cert in results["certificates"]:
-            status = "SURVIVES" if cert["survived"] else next(
-                f["name"] for f in cert["filters"] if not f["passed"])
-            lines.append(f"{cert['candidate']}  {status}")
+            lines.append(f"{cert.candidate}  {cert.failed_filter or 'SURVIVES'}")
         for sub in results.get("decomposition_subcases", ()):
             lines.append(f"subcase target={sub['target']} terms={sub['rank_terms']}: "
                          f"{len(sub['solutions'])} solutions")
@@ -668,7 +661,18 @@ def run_case(case: Case) -> Report:
     )
 
 
-_encode = json.JSONEncoder(sort_keys=True).encode
+def _plain(obj: Any) -> dict:
+    """The report entry of an engine record; the one home of the
+    certificate layout."""
+    if isinstance(obj, Certificate):
+        return {"candidate": str(obj.candidate), "coefficients": obj.candidate.coeffs,
+                "filters": obj.filter_results, "survived": obj.survived}
+    if isinstance(obj, FilterResult):
+        return {"name": obj.name, "passed": obj.passed, "witness": obj.witness}
+    raise TypeError(f"{type(obj).__name__} is not a report value")
+
+
+_encode = json.JSONEncoder(sort_keys=True, default=_plain).encode
 
 
 def _json_pieces(value: Any, indent: str = "") -> Iterator[str]:

@@ -76,6 +76,13 @@ class FilterResult:
     witness: Optional[dict] = None
 
 
+# A pass carries no witness, so each filter's pass is one shared record.
+_PASSED = {name: FilterResult(name, True) for name in (
+    FILTER_D_NUMBER, FILTER_TOTALLY_REAL, FILTER_POSITIVE_BOUNDED, FILTER_TOTALLY_POSITIVE,
+    FILTER_CYCLOTOMIC, FILTER_MEMBERSHIP, FILTER_SUBFIELD, FILTER_REQUIRED_FIELD,
+    FILTER_DIM_SQUARE)}
+
+
 @record
 class Certificate:
     """Audit record for one candidate polynomial.
@@ -217,8 +224,9 @@ def admissible_products(instance: ClassEquationInstance) -> list[int]:
 
 def _filter_d_number(p: IntPolynomial) -> FilterResult:
     verdict = is_d_number(p)
-    witness = None if verdict.passes else {"failing_index": verdict.failing_index}
-    return FilterResult(FILTER_D_NUMBER, verdict.passes, witness)
+    if verdict.passes:
+        return _PASSED[FILTER_D_NUMBER]
+    return FilterResult(FILTER_D_NUMBER, False, {"failing_index": verdict.failing_index})
 
 
 def _filter_totally_real(p: IntPolynomial) -> FilterResult:
@@ -226,9 +234,10 @@ def _filter_totally_real(p: IntPolynomial) -> FilterResult:
     linear or its discriminant is >= 0.  A negative discriminant means
     distinct roots, one conjugate pair of them not real, so the witness
     counts degree - 2 real roots among degree distinct ones."""
-    ok = p.degree == 1 or poly_discriminant(p) >= 0
-    witness = None if ok else {"real_root_count": p.degree - 2, "distinct_root_count": p.degree}
-    return FilterResult(FILTER_TOTALLY_REAL, ok, witness)
+    if p.degree == 1 or poly_discriminant(p) >= 0:
+        return _PASSED[FILTER_TOTALLY_REAL]
+    return FilterResult(FILTER_TOTALLY_REAL, False,
+                        {"real_root_count": p.degree - 2, "distinct_root_count": p.degree})
 
 
 def _roots_above(p: IntPolynomial, b: Fraction) -> int:
@@ -255,13 +264,13 @@ def _filter_positive_bounded(p: IntPolynomial, bounds: tuple[Fraction, ...]) -> 
         if above < d - i:
             return FilterResult(FILTER_POSITIVE_BOUNDED, False,
                                 {"bound": str(bound), "roots_above": above})
-    return FilterResult(FILTER_POSITIVE_BOUNDED, True)
+    return _PASSED[FILTER_POSITIVE_BOUNDED]
 
 
 def _filter_cyclotomic(p: IntPolynomial) -> FilterResult:
-    ok = passes_cyclotomic_test(p)
-    witness = None if ok else {"discriminant": str(poly_discriminant(p))}
-    return FilterResult(FILTER_CYCLOTOMIC, ok, witness)
+    if passes_cyclotomic_test(p):
+        return _PASSED[FILTER_CYCLOTOMIC]
+    return FilterResult(FILTER_CYCLOTOMIC, False, {"discriminant": str(poly_discriminant(p))})
 
 
 def _filter_membership(factors: Sequence[IntPolynomial], conductor: int) -> FilterResult:
@@ -277,7 +286,7 @@ def _filter_membership(factors: Sequence[IntPolynomial], conductor: int) -> Filt
             )
         if not in_cyclic_cubic_field(f, conductor):
             return FilterResult(FILTER_MEMBERSHIP, False, {"conductor": conductor})
-    return FilterResult(FILTER_MEMBERSHIP, True)
+    return _PASSED[FILTER_MEMBERSHIP]
 
 
 def _filter_subfield_exclusion(
@@ -298,7 +307,7 @@ def _filter_subfield_exclusion(
                      "field_squarefree_part": d,
                      "excluded_pair": [d_excluded, modulus]},
                 )
-    return FilterResult(FILTER_SUBFIELD, True)
+    return _PASSED[FILTER_SUBFIELD]
 
 
 def _run_filters(p: IntPolynomial, steps: Sequence[Callable[[IntPolynomial], FilterResult]]) -> Certificate:
@@ -420,18 +429,18 @@ class QuadraticScanInstance:
 def _filter_totally_positive(p: IntPolynomial) -> FilterResult:
     c, b, _ = p.coeffs
     disc = b * b - 4 * c
-    ok = disc >= 0 and -b > 0 and c > 0
-    witness = None if ok else {"discriminant": str(disc)}
-    return FilterResult(FILTER_TOTALLY_POSITIVE, ok, witness)
+    if disc >= 0 and -b > 0 and c > 0:
+        return _PASSED[FILTER_TOTALLY_POSITIVE]
+    return FilterResult(FILTER_TOTALLY_POSITIVE, False, {"discriminant": str(disc)})
 
 
 def _filter_required_field(p: IntPolynomial, n: int) -> FilterResult:
     """The discriminant D has squarefree part n, itself squarefree,
     exactly when D > 0, n | D and D/n is a perfect square."""
     disc = poly_discriminant(p)
-    ok = disc > 0 and disc % n == 0 and is_perfect_square(disc // n) is not None
-    witness = None if ok else {"discriminant": str(disc)}
-    return FilterResult(FILTER_REQUIRED_FIELD, ok, witness)
+    if disc > 0 and disc % n == 0 and is_perfect_square(disc // n) is not None:
+        return _PASSED[FILTER_REQUIRED_FIELD]
+    return FilterResult(FILTER_REQUIRED_FIELD, False, {"discriminant": str(disc)})
 
 
 def _rational_squarefree_part(q: Fraction) -> int:
@@ -446,10 +455,9 @@ def _filter_dim_square(p: IntPolynomial, instance: QuadraticScanInstance) -> Fil
     largest_root = QuadraticFieldElement(Fraction(-b), Fraction(s), n)
     q = QuadraticFieldElement.from_rational(Fraction(instance.global_dim), n) / largest_root
     if q.sqrt() is not None:
-        if instance.dim_square_mode == "field":
-            return FilterResult(FILTER_DIM_SQUARE, True)
-        if quadratic_subfield_in_cyclotomic(n, instance.cyclotomic_modulus):
-            return FilterResult(FILTER_DIM_SQUARE, True)
+        if (instance.dim_square_mode == "field"
+                or quadratic_subfield_in_cyclotomic(n, instance.cyclotomic_modulus)):
+            return _PASSED[FILTER_DIM_SQUARE]
         return FilterResult(
             FILTER_DIM_SQUARE, False,
             {"dim_square": str(q), "field": n, "modulus": instance.cyclotomic_modulus},
@@ -475,7 +483,7 @@ def _filter_dim_square(p: IntPolynomial, instance: QuadraticScanInstance) -> Fil
                 {"dim_square": str(q), "norm_sqrt": str(norm_root),
                  "subfield": d, "modulus": modulus},
             )
-    return FilterResult(FILTER_DIM_SQUARE, True)
+    return _PASSED[FILTER_DIM_SQUARE]
 
 
 def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> list[Certificate]:

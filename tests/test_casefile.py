@@ -1,6 +1,7 @@
 """Case file loading, report rendering, and the command line."""
 from __future__ import annotations
 
+import glob
 import io
 import json
 import os
@@ -22,7 +23,9 @@ from fusionarith.casefile import (
     render_reports,
     run_case,
     _json_pieces,
+    _plain,
 )
+from fusionarith.codegree_enum import DimensionPairInstance, enumerate_dimension_pairs
 from fusionarith.exactcore import IntPolynomial, QuadraticFieldElement
 from fusionarith.smatrix import CandidateSMatrix, DegenerateColumnError
 
@@ -435,6 +438,28 @@ def test_json_renderer_rejects_what_reports_never_hold(value, depth):
         _to_json(_nested(value, depth))
 
 
+def test_plain_gives_the_report_entry_of_an_engine_record():
+    certs = enumerate_dimension_pairs(DimensionPairInstance(4, (3, 4)))
+    assert [_plain(c) for c in certs] == [
+        {"candidate": "x^2-4x+4", "coefficients": (4, -4, 1),
+         "filters": certs[0].filter_results, "survived": True},
+        {"candidate": "x^2-4x+3", "coefficients": (3, -4, 1),
+         "filters": certs[1].filter_results, "survived": False},
+    ]
+    assert _plain(certs[1].filter_results[-1]) == {
+        "name": "d-number", "passed": False, "witness": {"failing_index": 1}}
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), IntPolynomial((1, 1))])
+def test_plain_rejects_any_other_object(value):
+    with pytest.raises(TypeError, match="is not a report value"):
+        _plain(value)
+    report = run_case(load_case(make_case()))
+    report.results["structures"]["49"].append(value)
+    with pytest.raises(TypeError):
+        render_report(report, "json")
+
+
 def test_unknown_format_rejected():
     report = run_case(load_case(make_case()))
     with pytest.raises(ValueError, match="unknown format"):
@@ -605,6 +630,21 @@ def test_cli_parallel_run_matches_serial_output(capsys):
     assert main(["run", "--all", "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert main(["run", "--all", "--jobs", "3"]) == 0
+    parallel = capsys.readouterr().out
+    assert parallel == serial
+
+
+QUADRATIC_CASES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", "quadratic",
+                                                "*.case.json")))
+
+
+@pytest.mark.parametrize("cases", [["--all"], QUADRATIC_CASES], ids=["bundled", "quadratic"])
+def test_cli_parallel_json_run_matches_serial_output(capsys, cases):
+    # the workers send back Certificate records, which the parent
+    # process renders to JSON entries
+    assert main(["run", *cases, "--format", "json", "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(["run", *cases, "--format", "json", "--jobs", "2"]) == 0
     parallel = capsys.readouterr().out
     assert parallel == serial
 

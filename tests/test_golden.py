@@ -36,7 +36,8 @@ from collections import Counter
 
 import pytest
 
-from fusionarith.casefile import main
+from fusionarith.casefile import bundled_case_paths, load_case_file, main, run_case
+from fusionarith.codegree_enum import _PASSED
 from witness_check import check_report_set
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -76,10 +77,24 @@ def test_golden_json_reports_hold_no_floats():
             json.loads(fh.read(), parse_float=_no_float)
 
 
+def test_golden_passes_are_the_shared_witnessless_records():
+    # a pass carries no witness, so the pipeline hands out one record per filter
+    passes = Counter()
+    for path in bundled_case_paths() + EXTRA_CASES + CUBIC_CASES + QUADRATIC_CASES:
+        for cert in run_case(load_case_file(path)).results.get("certificates", ()):
+            for result in cert.filter_results:
+                if result.passed:
+                    assert result.witness is None
+                    assert result is _PASSED[result.name]
+                    passes[result.name] += 1
+    assert passes["d-number"] > 0 and passes["totally-positive-bounded"] > 0
+
+
 def test_golden_failure_witnesses_follow_from_the_coefficients():
     # tests/witness_check.py re-derives each failure without the package
     counts = Counter()
     for name in ("bundled", "extra", "cubic", "quadratic"):
         with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
             counts += check_report_set(json.load(fh))
-    assert counts == {"totally-positive-bounded": 224, "required-field": 97, "totally-real": 1092}
+    assert counts == {"totally-positive-bounded": 224, "required-field": 97, "totally-real": 1092,
+                      "totally-positive": 9, "d-number": 8}

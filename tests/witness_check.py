@@ -15,6 +15,11 @@ the filters below, the failure must follow from those numbers:
 * required-field: the witness discriminant D is that of the candidate,
   and D <= 0, or n does not divide D, or D/n is not a square.
 * totally-real: the discriminant is negative.
+* totally-positive: the witness discriminant is b^2 - 4c for the
+  candidate x^2 + bx + c, and it is negative, or -b <= 0, or c <= 0.
+* d-number: the witness `failing_index` is the least i with
+  |a_n|^i not dividing |a_i|^n, a_i the coefficient of x^(n-i) and 0
+  dividing only 0.
 
 A failure that does not follow raises AssertionError; otherwise the
 counts of checked failures are printed.
@@ -52,6 +57,10 @@ def _is_square(m: int) -> bool:
     return m >= 0 and math.isqrt(m) ** 2 == m
 
 
+def _divides(x: int, y: int) -> bool:
+    return y == 0 if x == 0 else y % x == 0
+
+
 def check_failure(parameters: dict, cs: list[int], name: str, witness: dict) -> None:
     d = len(cs) - 1
     if name == "totally-positive-bounded":
@@ -69,9 +78,19 @@ def check_failure(parameters: dict, cs: list[int], name: str, witness: dict) -> 
         assert disc <= 0 or disc % n or not _is_square(disc // n), f"field of {disc} is Q(sqrt({n}))"
     elif name == "totally-real":
         assert d > 1 and discriminant(cs) < 0, "totally-real failure with real roots"
+    elif name == "totally-positive":
+        c, b, _ = cs
+        disc = discriminant(cs)
+        assert witness["discriminant"] == str(disc)
+        assert disc < 0 or -b <= 0 or c <= 0, "both roots are positive reals"
+    elif name == "d-number":
+        a_n = abs(cs[0])
+        failing = [i for i in range(1, d + 1) if not _divides(a_n ** i, abs(cs[d - i]) ** d)]
+        assert failing and witness["failing_index"] == failing[0], f"failing indices {failing}"
 
 
-CHECKED = ("totally-positive-bounded", "required-field", "totally-real")
+CHECKED = ("totally-positive-bounded", "required-field", "totally-real", "totally-positive",
+           "d-number")
 
 
 def certificates(doc: dict):
