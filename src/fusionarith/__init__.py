@@ -3,6 +3,7 @@
 Everything is integer or rational arithmetic, no floating point in any
 decision path.  The submodules stack roughly bottom up:
 
+_record        the frozen value-class decorator of every module below
 exactcore      polynomials, Sturm root counting, quadratic field elements
 algint         predicates on algebraic integers (d-number, cubic and cyclotomic fields)
 codegree_enum  candidate codegree family scans with per-candidate certificates

@@ -28,6 +28,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+from ._record import record
 from .exactcore import (
     IntPolynomial,
     UnsupportedDegreeError,
@@ -36,7 +37,6 @@ from .exactcore import (
     is_perfect_square,
     poly_discriminant,
     rational_roots,
-    record,
     squarefree_part,
 )
 

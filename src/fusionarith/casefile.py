@@ -27,7 +27,6 @@ each look the entry up once and know nothing else about the kinds.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
@@ -37,6 +36,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from . import __version__
+from ._record import record
 from .algint import _CUBIC_FIELDS, cyclotomic_galois_structure, in_cyclic_cubic_field
 from .codegree_enum import (
     Certificate,
@@ -58,7 +58,7 @@ from .dimsolve import (
     enumerate_integer_square_decompositions,
     fp_square_constraints,
 )
-from .exactcore import IntPolynomial, QuadraticFieldElement, rational_roots, record
+from .exactcore import IntPolynomial, QuadraticFieldElement, rational_roots
 from .smatrix import (
     CandidateSMatrix,
     VerlindeReport,
@@ -68,6 +68,9 @@ from .smatrix import (
     formal_codegrees,
     verlinde_fusion,
 )
+
+# after the engine modules, whose compiles free memory its objects can reuse
+import argparse  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -304,7 +307,13 @@ class _CaseKind:
 
 
 def _solutions(found) -> list:
-    return [[list(term) for term in dec.terms] for dec in found]
+    """Each decomposition's terms, whose pairs are the search table's own."""
+    return [dec.terms for dec in found]
+
+
+def _listed(solutions) -> list:
+    """Solutions as lists, the shape an expected value from JSON has."""
+    return [[list(t) if isinstance(t, tuple) else t for t in sol] for sol in solutions]
 
 
 class _ClassEquation(_CaseKind):
@@ -313,7 +322,7 @@ class _ClassEquation(_CaseKind):
     expected = frozenset({"admissible_products", "certificate_count", "survivors",
                           "decomposition_subcases"})
     extract = {"decomposition_subcases": lambda results: [
-        sc["solutions"] for sc in results.get("decomposition_subcases", [])]}
+        _listed(sc["solutions"]) for sc in results.get("decomposition_subcases", [])]}
 
     def build(self, values: dict, path: str) -> dict:
         values.pop("mode", None)
@@ -420,9 +429,12 @@ class _DimensionPair(_ClassEquation):
 
 
 class _Decomposition(_CaseKind):
-    """Both decomposition kinds: solutions listed per term count."""
+    """Both decomposition kinds: solutions listed per term count, each the
+    engine's own tuple and written as text by its kind's line."""
 
     expected = frozenset({"solutions"})
+    extract = {"solutions": lambda results: {
+        count: _listed(found) for count, found in results["solutions"].items()}}
 
     def run(self, payload: dict) -> dict:
         found = self.solve(payload)
@@ -433,12 +445,7 @@ class _Decomposition(_CaseKind):
         lines = []
         for count, found in results["solutions"].items():
             lines.append(f"terms={count}: {len(found)} solutions")
-            for sol in found:
-                if sol and isinstance(sol[0], list):
-                    body = " ".join(f"({a},{b})" for a, b in sol)
-                else:
-                    body = " ".join(str(v) for v in sol)
-                lines.append(f"  {body}")
+            lines += [f"  {self.line(sol)}" for sol in found]
         lines.append(f"survivors: {results['survivor_count']}")
         return lines
 
@@ -446,6 +453,10 @@ class _Decomposition(_CaseKind):
 class _DimDecomposition(_Decomposition):
     spec = {"n": (_get_int, True), "target": (_get_scalar, True, "n"),
             "term_counts": (_list_of(_get_int), True)}
+
+    @staticmethod
+    def line(sol: tuple) -> str:
+        return " ".join(f"({a},{b})" for a, b in sol)
 
     def build(self, values: dict, path: str) -> dict:
         return {"targets": tuple(
@@ -462,9 +473,13 @@ class _IntegerDecomposition(_Decomposition):
             "term_counts": (_get_term_counts, True, "total"),
             "divisor_bound": (_int_range(1), True)}
 
+    @staticmethod
+    def line(sol: tuple) -> str:
+        return " ".join(str(v) for v in sol)
+
     def solve(self, payload: dict) -> list:
-        return [(count, [list(sol) for sol in enumerate_integer_square_decompositions(
-                    payload["total"], count, payload["divisor_bound"])])
+        return [(count, enumerate_integer_square_decompositions(
+                    payload["total"], count, payload["divisor_bound"]))
                 for count in payload["term_counts"]]
 
 

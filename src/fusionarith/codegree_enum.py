@@ -27,6 +27,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from ._record import record
 from .algint import (
     in_cyclic_cubic_field,
     is_d_number,
@@ -44,7 +45,6 @@ from .exactcore import (
     fraction_sqrt,
     is_perfect_square,
     poly_discriminant,
-    record,
     squarefree_part,
     sturm_real_root_count,
 )
@@ -251,11 +251,17 @@ def _roots_above(p: IntPolynomial, b: Fraction) -> int:
 
 
 def _filter_positive_bounded(p: IntPolynomial, bounds: tuple[Fraction, ...]) -> FilterResult:
+    """The bound filter on its own: non-real roots fail it, and a p whose
+    roots are all real goes to _bound_count."""
+    if not _filter_totally_real(p).passed:
+        return FilterResult(FILTER_POSITIVE_BOUNDED, False, {"reason": "non-real roots"})
+    return _bound_count(p, bounds)
+
+
+def _bound_count(p: IntPolynomial, bounds: tuple[Fraction, ...]) -> FilterResult:
     """The i-th smallest root of p exceeds the i-th smallest bound, the
     bounds padded with 0 to the degree d.  With roots r_0 <= ... <= r_(d-1)
     all real, r_i > b exactly when at least d - i roots exceed b."""
-    if not _filter_totally_real(p).passed:
-        return FilterResult(FILTER_POSITIVE_BOUNDED, False, {"reason": "non-real roots"})
     d = p.degree
     padded = sorted(bounds)[:d]
     padded += [Fraction(0)] * (d - len(padded))
@@ -334,7 +340,7 @@ def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Ce
     if results[-1].passed:
         results.append(_filter_totally_real(p))
     if results[-1].passed:
-        results.append(_filter_positive_bounded(p, instance.root_lower_bounds))
+        results.append(_bound_count(p, instance.root_lower_bounds))
     if results[-1].passed:
         results.append(_filter_cyclotomic(p))
     if results[-1].passed and (instance.membership_conductor is not None

@@ -23,7 +23,8 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .exactcore import QuadraticFieldElement, divisors, record, squarefree_part
+from ._record import record
+from .exactcore import QuadraticFieldElement, divisors, squarefree_part
 
 
 class InfeasibleTargetError(ValueError):
@@ -156,7 +157,8 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     del extend  # extend refers to itself; free the tables without a gc pass
     for dec in out:
         assert dec.value(n) == instance.target
-    return sorted(out, key=lambda d: d.terms)
+    out.sort(key=lambda d: d.terms)
+    return out
 
 
 def enumerate_integer_square_decompositions(

@@ -39,8 +39,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import attrgetter
 from typing import Optional, Sequence, Union
+
+from ._record import record
 
 Rational = Union[int, Fraction]
 
@@ -126,36 +127,6 @@ def fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-
-def _frozen(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
-
-
-def record(cls):
-    """Frozen value class over the annotated fields of cls, in order, class
-    attributes as defaults: __init__ then calls __post_init__ if defined;
-    __eq__, __hash__ and __repr__ use the fields.  Body methods are kept."""
-    names = tuple(cls.__annotations__)
-    body = vars(cls)
-    params = "".join(f", {f}=defaults[{f!r}]" if f in body else f", {f}" for f in names)
-    sets = "".join(f"\n    _set(self, {f!r}, {f})" for f in names)
-    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    scope = {"defaults": body, "_set": object.__setattr__}
-    exec(compile(f"def __init__(self{params}):{sets}{post}", f"<{cls.__name__} record>", "exec"), scope)
-    get = attrgetter(*names)
-    fields = get if len(names) > 1 else lambda s: (get(s),)
-    methods = {
-        "__init__": scope["__init__"],
-        "__eq__": lambda s, o: fields(s) == fields(o) if type(o) is type(s) else NotImplemented,
-        "__hash__": lambda s: hash(fields(s)),
-        "__repr__": lambda s: f"{type(s).__qualname__}({', '.join(f'{f}={getattr(s, f)!r}' for f in names)})",
-        "__setattr__": _frozen, "__delattr__": _frozen,
-    }
-    for name, method in methods.items():
-        if body.get(name) is None:
-            setattr(cls, name, method)
-    return cls
 
 
 @record

@@ -36,7 +36,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exactcore import QuadraticFieldElement, record
+from ._record import record
+from .exactcore import QuadraticFieldElement
 
 
 class DegenerateColumnError(ValueError):

@@ -327,6 +327,33 @@ def test_run_case_checks_expected_values():
     assert run_case(bad).passed is False
 
 
+def _kind_case(kind, parameters, expected):
+    return load_case(json.dumps({"schema": 1, "name": "c", "kind": kind,
+                                 "parameters": parameters, "expected": expected}))
+
+
+@pytest.mark.parametrize("kind, parameters, key, found, reordered", [
+    ("dim-decomposition", {"n": 5, "target": "14+5r5", "term_counts": [5]}, "solutions",
+     {"5": [[[1, 1], [1, 1], [1, 1], [3, 1], [2, 2]]]},
+     {"5": [[[1, 1], [1, 1], [1, 1], [2, 2], [3, 1]]]}),
+    ("integer-decomposition", {"total": 4, "term_counts": [2], "divisor_bound": 4}, "solutions",
+     {"2": [[1, 2]]}, {"2": [[2, 1]]}),
+    ("class-equation", {"mode": "codegree", "global_dim": 6, "fixed_codegrees": ["6", "6"],
+                        "orbit_degree": 2, "product_divides": 36,
+                        "decomposition_subcases": [{"n": 5, "target": "14+5r5", "rank_terms": 5}]},
+     "decomposition_subcases", [[[[1, 1], [1, 1], [1, 1], [3, 1], [2, 2]]]],
+     [[[[1, 1], [1, 1], [1, 1], [2, 2], [3, 1]]]]),
+])
+def test_expected_solutions_compare_with_the_engine_tuples(kind, parameters, key, found, reordered):
+    # results keep the engine's tuples; an expected value from JSON holds lists
+    report = run_case(_kind_case(kind, parameters, {key: found}))
+    solutions = report.results[key]
+    first = next(iter(solutions.values())) if key == "solutions" else solutions[0]["solutions"]
+    assert type(first[0]) is tuple
+    assert report.passed is True
+    assert run_case(_kind_case(kind, parameters, {key: reordered})).passed is False
+
+
 def test_engine_errors_become_case_failures():
     # load_case rejects this polynomial, so the case is built by hand
     polynomial = IntPolynomial((-6, 11, -6, 1))

@@ -306,13 +306,13 @@ def test_default_scan_stops_at_the_forced_coefficient():
 
 def test_boundary_reaches_the_bound_filter_only_when_real(monkeypatch):
     seen = []
-    bounded = codegree_enum._filter_positive_bounded
+    bounded = codegree_enum._bound_count
 
     def spy(p, bounds):
         seen.append(p)
         return bounded(p, bounds)
 
-    monkeypatch.setattr(codegree_enum, "_filter_positive_bounded", spy)
+    monkeypatch.setattr(codegree_enum, "_bound_count", spy)
     # no boundary is ever real, so the bound filter sees only scanned
     # candidates, whose e1 is at most e
     for inst in (DIM7, DIM9):

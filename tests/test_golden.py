@@ -36,6 +36,7 @@ from collections import Counter
 
 import pytest
 
+from fusionarith import codegree_enum
 from fusionarith.casefile import bundled_case_paths, load_case_file, main, run_case
 from fusionarith.codegree_enum import _PASSED
 from witness_check import check_report_set
@@ -98,3 +99,18 @@ def test_golden_failure_witnesses_follow_from_the_coefficients():
             counts += check_report_set(json.load(fh))
     assert counts == {"totally-positive-bounded": 224, "required-field": 97, "totally-real": 1092,
                       "totally-positive": 9, "d-number": 8}
+
+
+def test_golden_cubic_scans_take_each_discriminant_once(monkeypatch):
+    # the pipeline hands a totally real candidate straight to the bound
+    # count, so the 224 bounded-roots failures and the candidates past
+    # them no longer repeat the totally-real discriminant (1,468 calls)
+    calls = []
+    real = codegree_enum.poly_discriminant
+    monkeypatch.setattr(codegree_enum, "poly_discriminant", lambda p: calls.append(p) or real(p))
+    certificates = 0
+    for path in CUBIC_CASES:
+        before = len(calls)
+        certificates += len(run_case(load_case_file(path)).results["certificates"])
+        assert max(Counter(calls[before:]).values()) == 1, path
+    assert (certificates, len(calls)) == (1244, 1468 - 224)

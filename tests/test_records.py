@@ -1,13 +1,17 @@
-"""The frozen record classes: construction, equality, hashing, repr,
+"""The frozen record classes: construction, equality, hashing, repr, slots,
 immutability and pickling, plus the start-up modules they avoid."""
 from __future__ import annotations
 
+import gc
 import importlib
+import inspect
+import json
 import os
 import pickle
 import pkgutil
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +19,7 @@ import pytest
 
 import fusionarith
 from fusionarith.algint import DNumberVerdict
-from fusionarith.casefile import Case, Report
+from fusionarith.casefile import Case, Report, load_case, run_case
 from fusionarith.codegree_enum import (
     Certificate,
     ClassEquationInstance,
@@ -24,7 +28,8 @@ from fusionarith.codegree_enum import (
     QuadraticScanInstance,
 )
 from fusionarith.dimsolve import Decomposition, QuadraticTarget
-from fusionarith.exactcore import IntPolynomial, Interval, QuadraticFieldElement, _frozen
+from fusionarith._record import _frozen, record
+from fusionarith.exactcore import IntPolynomial, Interval, QuadraticFieldElement
 from fusionarith.smatrix import (
     CandidateSMatrix,
     GaloisSearchReport,
@@ -100,15 +105,24 @@ def test_positional_and_keyword_construction_agree(cls, args):
         cls(*args[:-1], no_such_field=1)
 
 
+def _init_defaults(cls) -> dict:
+    """The field defaults of a record, which its __init__ holds."""
+    params = inspect.signature(cls.__init__).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
 @pytest.mark.parametrize("cls, args", SAMPLES, ids=_ids(SAMPLES))
 def test_defaults_are_the_class_attributes(cls, args):
+    # the name predates slots: the defaults are now those of __init__,
+    # and the class attribute of a field is its slot
     names = tuple(cls.__annotations__)
-    defaulted = [f for f in names if f in vars(cls)]
+    defaults = _init_defaults(cls)
+    defaulted = [f for f in names if f in defaults]
     required = len(names) - len(defaulted)
-    assert all(f in vars(cls) for f in names[required:]), "defaults must trail"
+    assert all(f in defaults for f in names[required:]), "defaults must trail"
     r = cls(*args[:required])
-    assert r == cls(*args[:required], *(vars(cls)[f] for f in defaulted))
-    assert _fields(r) == _fields(cls(*args[:required], **{f: vars(cls)[f] for f in defaulted}))
+    assert r == cls(*args[:required], *(defaults[f] for f in defaulted))
+    assert _fields(r) == _fields(cls(*args[:required], **{f: defaults[f] for f in defaulted}))
     if required:
         with pytest.raises(TypeError):
             cls(*args[:required - 1])
@@ -164,6 +178,73 @@ def test_pickle_round_trip(cls, args):
     assert type(back) is cls and back == r and _fields(back) == _fields(r)
     with pytest.raises(AttributeError):
         setattr(back, next(iter(cls.__annotations__)), 0)
+
+
+@pytest.mark.parametrize("cls, args", SAMPLES, ids=_ids(SAMPLES))
+def test_records_have_slots_and_no_instance_dict(cls, args):
+    r = cls(*args)
+    assert not hasattr(r, "__dict__")
+    slots = [s for klass in cls.__mro__ for s in vars(klass).get("__slots__", ())]
+    assert sorted(slots) == sorted(cls.__annotations__)
+
+
+def test_a_record_base_keeps_the_slots_it_declares():
+    @record
+    class Base:
+        x: int
+
+    @record
+    class Point(Base):
+        x: int
+        y: int = 0
+
+    assert Point.__slots__ == ("y",)
+    p = Point(1)
+    assert (p.x, p.y) == (1, 0) and not hasattr(p, "__dict__")
+
+
+def test_record_lets_the_class_it_rebuilt_go():
+    # the defaults live in a plain dict, not the old class body
+    class Point:
+        x: int
+        y: int = 0
+
+    old = weakref.ref(Point)
+    Point = record(Point)
+    gc.collect()
+    assert old() is None and Point(1).y == 0
+
+
+def test_record_refuses_a_method_that_would_bind_the_discarded_class():
+    class Loud:
+        x: int
+
+        def __repr__(self):
+            return super().__repr__().upper()
+
+    class Named:
+        x: int
+
+        @property
+        def name(self):
+            return __class__.__name__
+
+    for cls in (Loud, Named):
+        with pytest.raises(TypeError, match="super"):
+            record(cls)
+
+
+def test_decomposition_solutions_share_the_search_pairs():
+    case = load_case(json.dumps({"schema": 1, "name": "d", "kind": "dim-decomposition",
+                                 "parameters": {"n": 5, "target": "56+20r5", "term_counts": [5]}}))
+    solutions = run_case(case).results["solutions"]["5"]
+    assert len(solutions) > 1
+    pairs = {}
+    for sol in solutions:
+        assert type(sol) is tuple and all(type(t) is tuple for t in sol)
+        for t in sol:
+            assert pairs.setdefault(t, t) is t
+    assert any(sum(t in sol for sol in solutions) > 1 for t in pairs)
 
 
 def test_class_body_methods_are_kept():
