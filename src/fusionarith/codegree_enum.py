@@ -76,31 +76,63 @@ class FilterResult:
     witness: Optional[dict] = None
 
 
-# A pass carries no witness, so each filter's pass is one shared record.
-_PASSED = {name: FilterResult(name, True) for name in (
+# A verdict the candidate alone determines is one shared record: each
+# filter's pass, a failure keyed by small integers the degree bounds, and
+# a discriminant failure, stored without its witness.  _SHARED holds them
+# by id, so an id names one record while the module lives.
+_SHARED: dict[int, FilterResult] = {}
+
+
+def _share(result: FilterResult) -> FilterResult:
+    return _SHARED.setdefault(id(result), result)
+
+
+_PASSED = {name: _share(FilterResult(name, True)) for name in (
     FILTER_D_NUMBER, FILTER_TOTALLY_REAL, FILTER_POSITIVE_BOUNDED, FILTER_TOTALLY_POSITIVE,
     FILTER_CYCLOTOMIC, FILTER_MEMBERSHIP, FILTER_SUBFIELD, FILTER_REQUIRED_FIELD,
     FILTER_DIM_SQUARE)}
+_FAILED = {name: _share(FilterResult(name, False)) for name in (
+    FILTER_TOTALLY_POSITIVE, FILTER_REQUIRED_FIELD, FILTER_CYCLOTOMIC)}
+_KEYED: dict[tuple, FilterResult] = {}
+
+
+def _keyed_failure(name: str, **witness: int) -> FilterResult:
+    key = (name, *witness.items())
+    if key not in _KEYED:
+        _KEYED[key] = _share(FilterResult(name, False, witness))
+    return _KEYED[key]
 
 
 @record
 class Certificate:
     """Audit record for one candidate polynomial.
 
-    filter_results lists every filter that ran, in pipeline order,
-    ending at the first failure, so survived (none failed) reads the last.
+    verdict holds every filter that ran, in pipeline order, ending at the
+    first failure, so survived (none failed) reads the last.  The
+    pipelines keep one verdict tuple for each sequence of shared records.
+    filter_results gives the records complete: a totally-positive,
+    required-field or cyclotomic failure is stored without its witness,
+    the candidate's discriminant, which it derives here.
     """
 
     candidate: IntPolynomial
-    filter_results: tuple[FilterResult, ...]
+    verdict: tuple[FilterResult, ...]
+
+    @property
+    def filter_results(self) -> tuple[FilterResult, ...]:
+        last = self.verdict[-1]
+        if last.passed or last.witness is not None or last.name not in _FAILED:
+            return self.verdict
+        witness = {"discriminant": str(poly_discriminant(self.candidate))}
+        return self.verdict[:-1] + (FilterResult(last.name, False, witness),)
 
     @property
     def survived(self) -> bool:
-        return self.filter_results[-1].passed
+        return self.verdict[-1].passed
 
     @property
     def failed_filter(self) -> Optional[str]:
-        return None if self.survived else self.filter_results[-1].name
+        return None if self.survived else self.verdict[-1].name
 
 
 @record
@@ -226,7 +258,7 @@ def _filter_d_number(p: IntPolynomial) -> FilterResult:
     verdict = is_d_number(p)
     if verdict.passes:
         return _PASSED[FILTER_D_NUMBER]
-    return FilterResult(FILTER_D_NUMBER, False, {"failing_index": verdict.failing_index})
+    return _keyed_failure(FILTER_D_NUMBER, failing_index=verdict.failing_index)
 
 
 def _filter_totally_real(p: IntPolynomial) -> FilterResult:
@@ -236,8 +268,8 @@ def _filter_totally_real(p: IntPolynomial) -> FilterResult:
     counts degree - 2 real roots among degree distinct ones."""
     if p.degree == 1 or poly_discriminant(p) >= 0:
         return _PASSED[FILTER_TOTALLY_REAL]
-    return FilterResult(FILTER_TOTALLY_REAL, False,
-                        {"real_root_count": p.degree - 2, "distinct_root_count": p.degree})
+    return _keyed_failure(FILTER_TOTALLY_REAL, real_root_count=p.degree - 2,
+                          distinct_root_count=p.degree)
 
 
 def _roots_above(p: IntPolynomial, b: Fraction) -> int:
@@ -276,7 +308,7 @@ def _bound_count(p: IntPolynomial, bounds: tuple[Fraction, ...]) -> FilterResult
 def _filter_cyclotomic(p: IntPolynomial) -> FilterResult:
     if passes_cyclotomic_test(p):
         return _PASSED[FILTER_CYCLOTOMIC]
-    return FilterResult(FILTER_CYCLOTOMIC, False, {"discriminant": str(poly_discriminant(p))})
+    return _FAILED[FILTER_CYCLOTOMIC]
 
 
 def _filter_membership(factors: Sequence[IntPolynomial], conductor: int) -> FilterResult:
@@ -316,6 +348,19 @@ def _filter_subfield_exclusion(
     return _PASSED[FILTER_SUBFIELD]
 
 
+_VERDICTS: dict[tuple[int, ...], tuple[FilterResult, ...]] = {}
+
+
+def _verdict(results: list[FilterResult]) -> tuple[FilterResult, ...]:
+    """results as a certificate stores them.  Only a sequence of shared
+    records enters the table, so the table is bounded by the pipelines'
+    filters and witness keys, never by the candidates."""
+    key = tuple(map(id, results))
+    if not all(map(_SHARED.__contains__, key)):
+        return tuple(results)
+    return _VERDICTS.setdefault(key, tuple(results))
+
+
 def _run_filters(p: IntPolynomial, steps: Sequence[Callable[[IntPolynomial], FilterResult]]) -> Certificate:
     """Apply the filters to p in order, stopping at the first failure."""
     results = []
@@ -324,7 +369,7 @@ def _run_filters(p: IntPolynomial, steps: Sequence[Callable[[IntPolynomial], Fil
         results.append(result)
         if not result.passed:
             break
-    return Certificate(p, tuple(results))
+    return Certificate(p, _verdict(results))
 
 
 def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Certificate:
@@ -350,7 +395,7 @@ def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Ce
             results.append(_filter_membership(factors, instance.membership_conductor))
         if results[-1].passed and instance.excluded_quadratic_subfields:
             results.append(_filter_subfield_exclusion(factors, instance.excluded_quadratic_subfields))
-    return Certificate(p, tuple(results))
+    return Certificate(p, _verdict(results))
 
 
 def _survivors_first(certs: list[Certificate]) -> list[Certificate]:
@@ -437,7 +482,7 @@ def _filter_totally_positive(p: IntPolynomial) -> FilterResult:
     disc = b * b - 4 * c
     if disc >= 0 and -b > 0 and c > 0:
         return _PASSED[FILTER_TOTALLY_POSITIVE]
-    return FilterResult(FILTER_TOTALLY_POSITIVE, False, {"discriminant": str(disc)})
+    return _FAILED[FILTER_TOTALLY_POSITIVE]
 
 
 def _filter_required_field(p: IntPolynomial, n: int) -> FilterResult:
@@ -446,7 +491,7 @@ def _filter_required_field(p: IntPolynomial, n: int) -> FilterResult:
     disc = poly_discriminant(p)
     if disc > 0 and disc % n == 0 and is_perfect_square(disc // n) is not None:
         return _PASSED[FILTER_REQUIRED_FIELD]
-    return FilterResult(FILTER_REQUIRED_FIELD, False, {"discriminant": str(disc)})
+    return _FAILED[FILTER_REQUIRED_FIELD]
 
 
 def _rational_squarefree_part(q: Fraction) -> int:

@@ -5,6 +5,7 @@ import glob
 import io
 import json
 import os
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,14 @@ from fusionarith.casefile import (
     _json_pieces,
     _plain,
 )
-from fusionarith.codegree_enum import DimensionPairInstance, enumerate_dimension_pairs
-from fusionarith.exactcore import IntPolynomial, QuadraticFieldElement
+from fusionarith import codegree_enum
+from fusionarith.codegree_enum import DimensionPairInstance, FilterResult, enumerate_dimension_pairs
+from fusionarith.exactcore import IntPolynomial, QuadraticFieldElement, poly_discriminant
 from fusionarith.smatrix import CandidateSMatrix, DegenerateColumnError
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+QUADRATIC_CASES = sorted(glob.glob(os.path.join(GOLDEN, "quadratic", "*.case.json")))
+CUBIC_CASES = sorted(glob.glob(os.path.join(GOLDEN, "cubic", "*.case.json")))
 
 
 def make_case(**overrides) -> str:
@@ -477,6 +483,36 @@ def test_plain_gives_the_report_entry_of_an_engine_record():
         "name": "d-number", "passed": False, "witness": {"failing_index": 1}}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=2, max_size=3))
+def test_a_discriminant_failure_derives_its_witness_from_the_candidate(low):
+    # such a failure stores no witness; the certificate gives it complete,
+    # and the JSON entry writes exactly the records filter_results gives
+    p = IntPolynomial((*low, 1))
+    steps = ((codegree_enum._filter_cyclotomic,) if p.degree == 3 else
+             (codegree_enum._filter_totally_positive,
+              lambda q: codegree_enum._filter_required_field(q, 5)))
+    cert = codegree_enum._run_filters(p, steps)
+    last = cert.filter_results[-1]
+    if not last.passed:
+        assert cert.verdict[-1].witness is None
+        assert last == FilterResult(last.name, False, {"discriminant": str(poly_discriminant(p))})
+    entry = json.loads(casefile._encode(cert))
+    assert entry["filters"] == [{"name": r.name, "passed": r.passed, "witness": r.witness}
+                                for r in cert.filter_results]
+    assert _plain(cert)["filters"] == cert.filter_results
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_scan_report_renders_the_same_after_a_pickle_round_trip(fmt):
+    # under --jobs each report comes back from its worker pickled
+    for path in QUADRATIC_CASES + CUBIC_CASES:
+        report = run_case(load_case_file(path))
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report
+        assert render_report(copy, fmt) == render_report(report, fmt)
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 2), IntPolynomial((1, 1))])
 def test_plain_rejects_any_other_object(value):
     with pytest.raises(TypeError, match="is not a report value"):
@@ -659,10 +695,6 @@ def test_cli_parallel_run_matches_serial_output(capsys):
     assert main(["run", "--all", "--jobs", "3"]) == 0
     parallel = capsys.readouterr().out
     assert parallel == serial
-
-
-QUADRATIC_CASES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", "quadratic",
-                                                "*.case.json")))
 
 
 @pytest.mark.parametrize("cases", [["--all"], QUADRATIC_CASES], ids=["bundled", "quadratic"])

@@ -555,11 +555,14 @@ def test_dim10_scan_cyclotomic_dim_square_witness():
 ])
 def test_required_field_filter_factors_each_discriminant_at_most_once(
         monkeypatch, candidate, n, passed):
-    # n | D and D/n a square decide it, so no discriminant is factored
+    # n | D and D/n a square decide it, so no discriminant is factored;
+    # the filter's failure stores no witness, and the certificate derives it
     calls = []
     real = codegree_enum.squarefree_part
     monkeypatch.setattr(codegree_enum, "squarefree_part", lambda m: calls.append(m) or real(m))
-    result = codegree_enum._filter_required_field(candidate, n)
+    cert = codegree_enum._run_filters(
+        candidate, (lambda p: codegree_enum._filter_required_field(p, n),))
+    result = cert.filter_results[-1]
     c, b, _ = candidate.coeffs
     disc = b * b - 4 * c
     assert result.passed is passed
@@ -570,6 +573,15 @@ def test_required_field_filter_factors_each_discriminant_at_most_once(
 
 def test_scan_is_deterministic():
     assert enumerate_quadratic_scan(DIM10_SCAN) == enumerate_quadratic_scan(DIM10_SCAN)
+
+
+def test_verdict_table_does_not_grow_with_the_scan():
+    # the table keeps one tuple per sequence of shared records, and the
+    # pipeline fixes those sequences, so a scan seven times longer adds none
+    enumerate_quadratic_scan(QuadraticScanInstance(10, 2000, 1, 1, 5))
+    before = dict(codegree_enum._VERDICTS)
+    assert len(enumerate_quadratic_scan(QuadraticScanInstance(10, 2**6 * 5**4, 1, 1, 5))) == 813
+    assert codegree_enum._VERDICTS == before
 
 
 @settings(max_examples=150, deadline=None)

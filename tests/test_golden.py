@@ -101,6 +101,33 @@ def test_golden_failure_witnesses_follow_from_the_coefficients():
                       "totally-positive": 9, "d-number": 8}
 
 
+CANDIDATE_DETERMINED = ("d-number", "totally-real", "totally-positive", "required-field",
+                        "cyclotomic")
+
+
+def test_golden_scans_keep_one_record_and_one_tuple_per_shared_verdict():
+    # a failure the candidate alone determines is its filter's shared
+    # record, and certificates with equal verdicts of shared records hold
+    # one stored tuple, so a scan stores no copy of either per candidate
+    shared = codegree_enum._SHARED
+    failures = Counter()
+    for path in bundled_case_paths() + EXTRA_CASES + CUBIC_CASES + QUADRATIC_CASES:
+        stored = {}
+        for cert in run_case(load_case_file(path)).results.get("certificates", ()):
+            last = cert.verdict[-1]
+            if not last.passed and last.name in CANDIDATE_DETERMINED:
+                assert shared.get(id(last)) is last
+                failures[last.name] += 1
+            key = tuple(map(id, cert.verdict))
+            if all(map(shared.__contains__, key)):
+                assert stored.setdefault(key, cert.verdict) is cert.verdict
+    assert failures == {"totally-real": 1092, "required-field": 97, "totally-positive": 9,
+                        "d-number": 8}
+    for key, verdict in codegree_enum._VERDICTS.items():
+        assert key == tuple(map(id, verdict))
+        assert all(shared.get(id(r)) is r for r in verdict)
+
+
 def test_golden_cubic_scans_take_each_discriminant_once(monkeypatch):
     # the pipeline hands a totally real candidate straight to the bound
     # count, so the 224 bounded-roots failures and the candidates past
