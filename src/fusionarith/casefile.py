@@ -14,10 +14,12 @@ prints timing to stderr only.
 
 The run command writes reports case by case: each case's report is
 rendered, written and flushed before the next case runs, so a run holds
-one report at a time.  A scan report holds the engine's Certificate
-records themselves; _plain turns each into its JSON entry only as that
-entry is written, and a text report is written line by line.  A write
-to --out that fails stops the run with exit 2.
+one report at a time.  A scan report holds the engine's ScanResult,
+which keeps each candidate's verdict and the survivors' Certificates; a
+failure's Certificate is rebuilt, and _plain turns it into its JSON
+entry, writing a derived witness into the entry itself, only as that
+entry is written.  A text report is written line by line.  A write to
+--out that fails stops the run with exit 2.
 
 Every case kind, and every mode of the class-equation kind, is one
 entry of the _CASE_KINDS table: its parameter spec, the hook that turns
@@ -47,6 +49,7 @@ from .codegree_enum import (
     FilterResult,
     InfeasibleInstanceError,
     QuadraticScanInstance,
+    ScanResult,
     admissible_products,
     enumerate_candidates,
     enumerate_dimension_pairs,
@@ -331,8 +334,8 @@ class _ClassEquation(_CaseKind):
         values.pop("mode", None)
         return {"instance": self.instance(**values)}
 
-    def scan_results(self, certs: list[Certificate]) -> dict:
-        survivors = [str(c.candidate) for c in certs if c.survived]
+    def scan_results(self, certs: ScanResult) -> dict:
+        survivors = [str(c.candidate) for c in certs.survivors]
         return {
             "mode": self.mode,
             "certificates": certs,
@@ -685,10 +688,15 @@ def _plain(obj: Any) -> dict:
     """The report entry of an engine record; the one home of the
     certificate layout."""
     if isinstance(obj, Certificate):
+        witness = obj.derived_witness
         return {"candidate": str(obj.candidate), "coefficients": obj.candidate.coeffs,
-                "filters": obj.filter_results, "survived": obj.survived}
+                "filters": obj.verdict if witness is None else obj.verdict[:-1] + (
+                    {"name": obj.verdict[-1].name, "passed": False, "witness": witness},),
+                "survived": obj.survived}
     if isinstance(obj, FilterResult):
         return {"name": obj.name, "passed": obj.passed, "witness": obj.witness}
+    if isinstance(obj, ScanResult):
+        return list(obj)
     raise TypeError(f"{type(obj).__name__} is not a report value")
 
 
@@ -707,7 +715,7 @@ def _json_pieces(value: Any, indent: str = "") -> Iterator[str]:
             yield from _json_pieces(value[k], inner)
             sep = ",\n"
         yield f"\n{indent}}}"
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, (list, tuple, ScanResult)) and value:
         sep = "[\n"
         for v in value:
             yield sep + inner + _encode(v)

@@ -5,8 +5,15 @@ Galois orbit of unknown ones.  The class equation forces the two
 trailing elementary symmetric functions of that orbit, so candidates
 form a one-parameter family of monic integer polynomials.  This module
 builds them from the admissible products, scans the free coefficient,
-and runs each candidate through one ordered filter pipeline, emitting a
-Certificate that records every verdict up to the first failure.
+and runs each candidate through one ordered filter pipeline, whose
+Certificate records every verdict up to the first failure.
+
+Each scan is a family of candidates, rows of integer ranges fixed by
+its instance, and one shared runner (_scan) that keeps each candidate's
+verdict tuple and only the survivors' whole Certificates; a failure's
+Certificate is rebuilt from the family when it is read.  The cubic and
+sum scans' stepping decides the d-number test, so no candidate of
+theirs runs it.
 
 Three scan shapes cover the branches that occur:
 
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ._record import record
 from .algint import (
@@ -120,11 +127,19 @@ class Certificate:
 
     @property
     def filter_results(self) -> tuple[FilterResult, ...]:
+        witness = self.derived_witness
+        if witness is None:
+            return self.verdict
+        return self.verdict[:-1] + (FilterResult(self.verdict[-1].name, False, witness),)
+
+    @property
+    def derived_witness(self) -> Optional[dict]:
+        """The witness filter_results gives a failure stored without one,
+        or None when the verdict stores every witness itself."""
         last = self.verdict[-1]
         if last.passed or last.witness is not None or last.name not in _FAILED:
-            return self.verdict
-        witness = {"discriminant": str(poly_discriminant(self.candidate))}
-        return self.verdict[:-1] + (FilterResult(last.name, False, witness),)
+            return None
+        return {"discriminant": str(poly_discriminant(self.candidate))}
 
     @property
     def survived(self) -> bool:
@@ -372,16 +387,19 @@ def _run_filters(p: IntPolynomial, steps: Sequence[Callable[[IntPolynomial], Fil
     return Certificate(p, _verdict(results))
 
 
-def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Certificate:
+def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance,
+                        stepped: bool = False) -> Certificate:
     """Run the canonical pipeline on one monic candidate.
 
     Order: d-number, totally-real, per-root lower bounds, cyclotomic,
     then the optional membership and subfield-exclusion filters.
-    Evaluation stops at the first failure.
+    Evaluation stops at the first failure.  stepped says the scan's
+    stepping has already proved p a d-number: the verdict then opens
+    with the shared pass, and the test is not run.
     """
     if not p.is_monic:
         raise ValueError("pipeline candidates must be monic")
-    results = [_filter_d_number(p)]
+    results = [_PASSED[FILTER_D_NUMBER] if stepped else _filter_d_number(p)]
     if results[-1].passed:
         results.append(_filter_totally_real(p))
     if results[-1].passed:
@@ -398,8 +416,47 @@ def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance) -> Ce
     return Certificate(p, _verdict(results))
 
 
-def _survivors_first(certs: list[Certificate]) -> list[Certificate]:
-    return [c for c in certs if c.survived] + [c for c in certs if not c.survived]
+def _candidates(family: tuple) -> Iterator[IntPolynomial]:
+    """The candidates of a scan family, in scan order: each row (low,
+    values, high) gives the coefficients (*low, v, *high) for v in values."""
+    for low, values, high in family:
+        for v in values:
+            yield IntPolynomial((*low, v, *high))
+
+
+@record
+class ScanResult:
+    """The certificates of one scan, survivors first, then the failures in
+    scan order.
+
+    family is the scan's candidates as _candidates reads them, verdicts
+    each candidate's verdict tuple in scan order, and survivors the whole
+    Certificates of the candidates that passed.  len() counts every
+    certificate.  Iterating rebuilds each failure's Certificate from the
+    family as it is reached, so none outlives the entry written from it.
+    A scan result equals another, or a list, of the same certificates.
+    """
+
+    family: tuple
+    verdicts: list
+    survivors: tuple
+
+    def __len__(self) -> int:
+        return len(self.verdicts)
+
+    def __iter__(self) -> Iterator[Certificate]:
+        yield from self.survivors
+        for p, verdict in zip(_candidates(self.family), self.verdicts):
+            if not verdict[-1].passed:
+                yield Certificate(p, verdict)
+
+    def __getitem__(self, i):
+        return list(self)[i]  # rebuilds every certificate; iterate instead
+
+    def __eq__(self, other):
+        if not isinstance(other, (ScanResult, list)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def _assert_survivor_sign_pattern(cert: Certificate) -> None:
@@ -411,7 +468,20 @@ def _assert_survivor_sign_pattern(cert: Certificate) -> None:
         assert c == 0 or (c > 0) == (i % 2 == 0), f"sign pattern broken in {p}"
 
 
-def enumerate_candidates(instance: ClassEquationInstance) -> list[Certificate]:
+def _scan(family: tuple, judge: Callable[[IntPolynomial], Certificate]) -> ScanResult:
+    """Judge every candidate of the family, keeping its verdict, and the
+    whole Certificate only when it survives."""
+    verdicts, survivors = [], []
+    for p in _candidates(family):
+        cert = judge(p)
+        verdicts.append(cert.verdict)
+        if cert.survived:
+            _assert_survivor_sign_pattern(cert)
+            survivors.append(cert)
+    return ScanResult(family, verdicts, tuple(survivors))
+
+
+def enumerate_candidates(instance: ClassEquationInstance) -> ScanResult:
     """Certificates for every candidate of the instance, survivors first.
 
     Each admissible product P forces e = residual * P, an integer, as
@@ -421,30 +491,32 @@ def enumerate_candidates(instance: ClassEquationInstance) -> list[Certificate]:
     d-number.  The polynomial with e1 = e + 1 never has three real
     roots: it is x(x - 1)(x - e) - P with 1 <= e <= P, and the local
     maximum of x(x - 1)(x - e) lies in (0, 1), where it is below e/4 < P,
-    so its discriminant is negative.  e1 steps over the multiples of
-    m = prod p^ceil(k/3) over p^k || P, the e1 with P | e1^3 (the
-    d-number condition at i = 1).
+    so its discriminant is negative.
+
+    The cubic's d-number test is P^i | a_i^3 for i = 1, 2, 3, with a_1 =
+    e1, a_2 = e and a_3 = P.  At i = 3 it always holds.  e1 steps over
+    the multiples of m = prod p^ceil(k/3) over p^k || P, which are
+    exactly the e1 with P | e1^3, so it holds at i = 1 for every stepped
+    e1.  At i = 2 it reads P^2 | e^3, which does not involve e1: it is
+    tested once per product.  A product that fails it has no d-number
+    candidate, builds none and is skipped; every candidate of a product
+    that passes is a d-number, and its verdict opens with the shared
+    pass.  Linear and quadratic candidates run the test itself.
     """
     n = instance.orbit_degree
     if n > 3:
         raise UnsupportedDegreeError(f"orbit degree {n} not supported")
     r = residual_target(instance)
-    certs: list[Certificate] = []
+    family = []
     for product in admissible_products(instance):
         e = int(r * product)
-        if n in (1, 2):
-            p = IntPolynomial((-product, 1) if n == 1 else (product, -e, 1))
-            certs.append(run_filter_pipeline(p, instance))
-            continue
-        step = math.prod(prime ** -(-k // 3) for prime, k in factor_integer(product))
-        for e1 in range(step, e + 1, step):
-            p = IntPolynomial((-product, e, -e1, 1))
-            if is_d_number(p).passes:
-                certs.append(run_filter_pipeline(p, instance))
-    for cert in certs:
-        if cert.survived:
-            _assert_survivor_sign_pattern(cert)
-    return _survivors_first(certs)
+        if n < 3:
+            family.append(((), (-product,), (1,)) if n == 1 else ((product,), (-e,), (1,)))
+        elif e ** 3 % product ** 2 == 0:
+            step = math.prod(prime ** -(-k // 3) for prime, k in factor_integer(product))
+            # -e1 for e1 = step, 2 step, ... up to e
+            family.append(((-product, e), range(-step, -e - 1, -step), (1,)))
+    return _scan(tuple(family), lambda p: run_filter_pipeline(p, instance, stepped=n == 3))
 
 
 # ---------------------------------------------------------------------------
@@ -537,27 +609,28 @@ def _filter_dim_square(p: IntPolynomial, instance: QuadraticScanInstance) -> Fil
     return _PASSED[FILTER_DIM_SQUARE]
 
 
-def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> list[Certificate]:
+def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> ScanResult:
     """Certificates for the quadratic sum scan, survivors first.
 
-    Candidates are generated already satisfying the d-number
-    divisibility (a | b^2), which the certificate records, then pass
-    through totally-positive, required-field, and dim-square filters.
-    a | b^2 exactly when b is a multiple of m = t * isqrt(a / t), t the
-    squarefree part of a (m is the product of p^ceil(e/2) over p^e || a),
-    so b steps over those multiples only.
+    Candidates x^2 - b x + a are generated already d-numbers, which the
+    certificate records with the shared pass, then go through the
+    totally-positive, required-field and dim-square filters.  The
+    d-number test is a | b^2 and a^2 | a^2.  a | b^2 exactly when b is a
+    multiple of m = t * isqrt(a / t), t the squarefree part of a (m is
+    the product of p^ceil(e/2) over p^e || a), and b steps over those
+    multiples only, so no candidate is tested.
     """
-    steps = (_filter_d_number, _filter_totally_positive,
+    steps = (lambda p: _PASSED[FILTER_D_NUMBER], _filter_totally_positive,
              lambda p: _filter_required_field(p, instance.required_field),
              lambda p: _filter_dim_square(p, instance))
-    certs = []
+    family = []
     for a in divisors(instance.product_divides):
         b_top = math.floor(instance.trace_ratio_max * a)
         t = squarefree_part(a)
         m = t * math.isqrt(a // t)
-        for b in range((instance.trace_exceeds // m + 1) * m, b_top + 1, m):
-            certs.append(_run_filters(IntPolynomial((a, -b, 1)), steps))
-    return _survivors_first(certs)
+        # -b for b the multiples of m in trace_exceeds < b <= b_top
+        family.append(((a,), range(-(instance.trace_exceeds // m + 1) * m, -b_top - 1, -m), (1,)))
+    return _scan(tuple(family), lambda p: _run_filters(p, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +652,11 @@ class DimensionPairInstance:
             raise ValueError("constant_range must be a nonempty positive range")
 
 
-def enumerate_dimension_pairs(instance: DimensionPairInstance) -> list[Certificate]:
+def enumerate_dimension_pairs(instance: DimensionPairInstance) -> ScanResult:
     """Certificates x^2 - trace x + m for every m in range, survivors
-    first; the pipeline is d-number then totally-real."""
+    first; the pipeline is d-number, which each candidate runs, then
+    totally-real."""
     steps = (_filter_d_number, _filter_totally_real)
     lo, hi = instance.constant_range
-    certs = [_run_filters(IntPolynomial((m, -instance.trace, 1)), steps)
-             for m in range(lo, hi + 1)]
-    return _survivors_first(certs)
+    family = (((), range(lo, hi + 1), (-instance.trace, 1)),)
+    return _scan(family, lambda p: _run_filters(p, steps))

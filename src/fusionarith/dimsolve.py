@@ -100,10 +100,14 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     order.  A multiset is a non-decreasing run of table indices, so
     each is visited exactly once.  A branch stops as soon as the
     remaining budget cannot hold k more terms from the rest of the
-    table (k times the suffix minimum of q or of p exceeds it).  The
-    last two terms are read from a table of every index pair i <= j
-    inside (A, B), keyed by (q_i + q_j, p_i + p_j); one term alone is
-    looked up by (q, p), since (alpha + beta*sqrt(n))^2 = q + 2p*sqrt(n).
+    table (k times the suffix minimum of q or of p exceeds it).  One term
+    alone is looked up by (q, p), since (alpha + beta*sqrt(n))^2 = q +
+    2p*sqrt(n), and (q, p) names one pair: alpha^2 and n*beta^2 are the
+    roots of t^2 - q t + n p^2, and they cannot swap, as n is not a
+    square.  The last two terms are read from a table of every index
+    pair i <= j inside (A, B), keyed by (q_i + q_j, p_i + p_j) and
+    holding each first index i; j is the one-term entry of the rest.
+    Both tables key a weight sum by one packed integer.
     """
     a_total, b_total = fp_square_constraints(instance)
     n = instance.n
@@ -124,27 +128,35 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     ps = [alpha * beta for alpha, beta in pairs]
     min_q = list(accumulate(reversed(qs), min))[::-1]
     min_p = list(accumulate(reversed(ps), min))[::-1]
-    last = {(q, p): i for i, (q, p) in enumerate(zip(qs, ps))}
-    two: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # a weight sum (q, p) with 0 <= p <= B is packed as q * width + p,
+    # which names it once and adds as the sums do
+    width = b_total + 1
+    keys = [q * width + p for q, p in zip(qs, ps)]
+    last = {key: i for i, key in enumerate(keys)}
+    two: dict[int, tuple[int, ...]] = {}
     for i, (qi, pi) in enumerate(zip(qs, ps)):
         for j in range(i, len(pairs)):
             if qi + min_q[j] > a_total or pi + min_p[j] > b_total:
                 break
             if qi + qs[j] <= a_total and pi + ps[j] <= b_total:
-                two.setdefault((qi + qs[j], pi + ps[j]), []).append((i, j))
+                key = keys[i] + keys[j]
+                two[key] = two.get(key, ()) + (i,)
     out: list[Decomposition] = []
     chosen: list[tuple[int, int]] = []
 
     def extend(a_rem: int, b_rem: int, k: int, start: int) -> None:
-        if k == 1:
-            i = last.get((a_rem, b_rem))
-            if i is not None and i >= start:
-                out.append(Decomposition((*chosen, pairs[i])))
-            return
-        if k == 2:
-            for i, j in two.get((a_rem, b_rem), ()):
+        if k <= 2:
+            if b_rem < 0:  # no key names it, and packed it would alias one
+                return
+            key = a_rem * width + b_rem
+            if k == 1:
+                i = last.get(key)
+                if i is not None and i >= start:
+                    out.append(Decomposition((*chosen, pairs[i])))
+                return
+            for i in two.get(key, ()):
                 if i >= start:
-                    out.append(Decomposition((*chosen, pairs[i], pairs[j])))
+                    out.append(Decomposition((*chosen, pairs[i], pairs[last[key - keys[i]]])))
             return
         for i in range(start, len(pairs)):
             if a_rem < k * min_q[i] or b_rem < k * min_p[i]:

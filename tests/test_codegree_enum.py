@@ -37,6 +37,7 @@ from fusionarith.codegree_enum import (
     _integer_cube_ceiling,
     _real_triple_feasible,
 )
+from fusionarith.algint import is_d_number
 from fusionarith.casefile import bundled_case_paths, load_case_file
 from fusionarith.exactcore import (
     IntPolynomial,
@@ -133,17 +134,23 @@ def test_real_roots_mode_drops_products_whose_cube_root_is_under_the_bound(bound
 
 
 def test_forced_coefficients(monkeypatch):
-    # every polynomial the scan builds, d-number or not, has product P
-    # and next symmetric function residual * P
-    built = []
-    real = codegree_enum.is_d_number
-    monkeypatch.setattr(codegree_enum, "is_d_number", lambda p: built.append(p) or real(p))
-    for instance, forced in ((DIM7, {49: 28, 343: 196}),
-                             (DIM9, {243: 135, 729: 405}),
-                             (DIM6, {12: 8, 18: 12, 36: 24})):
-        built.clear()
+    # every candidate the scan judges has product P and next symmetric
+    # function residual * P; a cubic product with P^2 not dividing e^3
+    # (49 and 243) has no d-number candidate and is skipped, so only the
+    # linear and quadratic candidates run the d-number test
+    judged, tested = [], []
+    pipeline, real = codegree_enum.run_filter_pipeline, codegree_enum.is_d_number
+    monkeypatch.setattr(codegree_enum, "run_filter_pipeline",
+                        lambda p, *args, **kw: judged.append(p) or pipeline(p, *args, **kw))
+    monkeypatch.setattr(codegree_enum, "is_d_number", lambda p: tested.append(p) or real(p))
+    for instance, forced, tests in ((DIM7, {343: 196}, 0),
+                                    (DIM9, {729: 405}, 0),
+                                    (DIM6, {12: 8, 18: 12, 36: 24}, 3)):
+        judged.clear()
+        tested.clear()
         enumerate_candidates(instance)
-        assert {abs(p.coeffs[0]): abs(p.coeffs[1]) for p in built} == forced
+        assert {abs(p.coeffs[0]): abs(p.coeffs[1]) for p in judged} == forced
+        assert len(tested) == tests
 
 
 def test_forced_coefficients_reject_non_integral_products():
@@ -382,12 +389,82 @@ def test_stepped_scan_tests_fewer_d_numbers(monkeypatch):
     monkeypatch.setattr(codegree_enum, "is_d_number", lambda p: tested.append(p) or real(p))
     certs = enumerate_candidates(CUBIC13)
     stepped = len(tested)
-    # e2 = 1690 and m = 13: the scan tests the 130 multiples of 13 and
-    # the pipeline retests each; testing every e1 in 1..e2, as the scan
-    # did before it stepped, takes 1690 + 130 calls
-    assert stepped == 260
+    # e2 = 1690 and m = 13: 2197^2 divides 1690^3, so the 130 multiples
+    # of 13 are all d-numbers and none is tested; testing every e1 in
+    # 1..e2, as the scan did before it stepped, takes 1690 calls, and
+    # the pipeline retests the 130 that pass
+    assert len(certs) == 130
+    assert stepped == 0
     assert certs == _unstepped_certificates(CUBIC13)
     assert len(tested) - stepped == 1820
+
+
+SMALL_PRIMES = (2, 3, 5)
+
+
+def _from_exponents(exponents):
+    return math.prod(q ** k for q, k in zip(SMALL_PRIMES, exponents))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=3, max_size=3),
+       st.lists(st.integers(0, 5), min_size=3, max_size=3), st.integers(1, 7))
+def test_one_test_per_product_decides_every_stepped_e1(p_exponents, e_exponents, cofactor):
+    # the cubic scan's rule: for every e1 it steps over, the d-number
+    # test of x^3 - e1 x^2 + e x - P passes exactly when P^2 | e^3
+    product, e = _from_exponents(p_exponents), cofactor * _from_exponents(e_exponents)
+    step = math.prod(q ** -(-k // 3) for q, k in zip(SMALL_PRIMES, p_exponents))
+    # the step is the least e1 > 0 with P | e1^3, and its multiples the rest
+    assert [x for x in range(1, 2 * step + 1) if x ** 3 % product == 0] == [step, 2 * step]
+    for e1 in range(step, 6 * step, step):
+        assert is_d_number(P(-product, e, -e1, 1)).passes == (e ** 3 % product ** 2 == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=3, max_size=3), st.integers(0, 40))
+def test_every_stepped_b_of_the_sum_scan_is_a_d_number(exponents, exceeds):
+    # a | b^2 holds by the stepping, so every candidate x^2 - b x + a passes
+    # the test it no longer runs, and its verdict opens with the shared pass
+    scan = enumerate_quadratic_scan(QuadraticScanInstance(
+        global_dim=10, product_divides=_from_exponents(exponents), trace_exceeds=exceeds,
+        trace_ratio_max=Fraction(2), required_field=5))
+    for p in codegree_enum._candidates(scan.family):
+        a, b = p.coeffs[0], -p.coeffs[1]
+        assert b * b % a == 0 and is_d_number(p).passes
+    assert all(v[0] is codegree_enum._PASSED[FILTER_D_NUMBER] for v in scan.verdicts)
+
+
+def _scans():
+    yield enumerate_candidates(CUBIC13)
+    yield enumerate_candidates(DIM6)
+    yield enumerate_quadratic_scan(QuadraticScanInstance(10, 2**6 * 5**4, 1, 1, 5))
+    yield enumerate_dimension_pairs(DimensionPairInstance(trace=6, constant_range=(1, 40)))
+
+
+def test_a_scan_stores_one_verdict_per_candidate_and_whole_certificates_for_survivors():
+    for scan in _scans():
+        candidates = list(codegree_enum._candidates(scan.family))
+        assert len(scan) == len(scan.verdicts) == len(candidates) > len(scan.survivors)
+        assert all(type(v) is tuple for v in scan.verdicts)
+        kept = [p for p, v in zip(candidates, scan.verdicts) if v[-1].passed]
+        assert [c.candidate for c in scan.survivors] == kept
+        assert all(c.verdict is v for c, v in zip(
+            scan.survivors, (v for v in scan.verdicts if v[-1].passed)))
+        # the family is rows of ranges, so it grows with the products only
+        assert all(type(values) in (range, tuple) for _, values, _ in scan.family)
+
+
+def test_iterating_a_scan_twice_rebuilds_equal_certificates():
+    for scan in _scans():
+        first, second = list(scan), list(scan)
+        assert first == second and len(first) == len(scan)
+        survivors = len(scan.survivors)
+        assert all(a is b for a, b in zip(first[:survivors], second))
+        assert all(a is not b for a, b in zip(first[survivors:], second[survivors:]))
+        assert [c.survived for c in first] == [True] * survivors + [False] * (len(first) - survivors)
+        assert scan[0] == first[0] and scan[-1] == first[-1]
+        with pytest.raises(IndexError):
+            scan[len(scan)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ solution lists.
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 from collections import Counter
@@ -37,9 +38,16 @@ from collections import Counter
 import pytest
 
 from fusionarith import codegree_enum
-from fusionarith.casefile import bundled_case_paths, load_case_file, main, run_case
+from fusionarith.casefile import (
+    bundled_case_paths,
+    load_case,
+    load_case_file,
+    main,
+    render_report,
+    run_case,
+)
 from fusionarith.codegree_enum import _PASSED
-from witness_check import check_report_set
+from witness_check import check_passes, check_report_set
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 EXTRA_CASES = sorted(glob.glob(os.path.join(GOLDEN, "cases", "*.case.json")))
@@ -99,6 +107,46 @@ def test_golden_failure_witnesses_follow_from_the_coefficients():
             counts += check_report_set(json.load(fh))
     assert counts == {"totally-positive-bounded": 224, "required-field": 97, "totally-real": 1092,
                       "totally-positive": 9, "d-number": 8}
+
+
+def test_golden_d_number_passes_follow_from_the_coefficients():
+    # the cubic and sum scans decide the d-number test by their stepping
+    # and never run it on a candidate, so the checker makes it on every
+    # pass the reports record
+    counts = Counter()
+    for name in ("bundled", "extra", "cubic", "quadratic"):
+        with open(os.path.join(GOLDEN, f"{name}.json"), encoding="utf-8") as fh:
+            counts += check_passes(json.load(fh))
+    assert counts == {"d-number": 1455}
+
+
+# sha256 of render_report(run_case(case), format) for two scans larger than
+# any golden set's, recorded before scan results were stored as verdicts
+# and rebuilt from their family: the field sum scan over a | 2^10 5^6, 17,577
+# candidates in 77 rows with 50 survivors among them, and the cubic scan at
+# N = 44, whose one product with P^2 | e^3 steps over 1,804 candidates while
+# the scan skips every other product
+AT_SCALE = {
+    "sum-scan-2e10-5e6": (
+        {"mode": "sum-scan", "global_dim": 10, "product_divides": 2**10 * 5**6,
+         "trace_exceeds": 1, "trace_ratio_max": "1", "required_field": 5},
+        "9159a785e9356351a4524273ac8aa95539599b108cd723e48a903e7317c736b0",
+        "07cee21290cee42cc36bc11b92ff70859c645dee4d43351854fc6ad3b48261a5"),
+    "cubic-44": (
+        {"mode": "codegree", "global_dim": 44, "fixed_codegrees": ["44", "44", "44"],
+         "orbit_degree": 3, "product_divides": 44**3, "root_lower_bounds": ["44/4", "44/2", "44"]},
+        "200a7ef5ccbacbde9038c8434afb188a541244be0a7893694635519e14bbf34b",
+        "3c6183841a2cd0345b2a2edf539a4b456c5fdfeb1813fa7875d102dc54ec60c1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_SCALE))
+def test_scan_reports_at_scale_keep_their_bytes(name):
+    parameters, text_digest, json_digest = AT_SCALE[name]
+    doc = {"schema": 1, "name": name, "kind": "class-equation", "parameters": parameters}
+    report = run_case(load_case(json.dumps(doc, indent=1) + "\n"))
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        assert hashlib.sha256(render_report(report, fmt).encode()).hexdigest() == digest, fmt
 
 
 CANDIDATE_DETERMINED = ("d-number", "totally-real", "totally-positive", "required-field",

@@ -26,6 +26,7 @@ from fusionarith.codegree_enum import (
     DimensionPairInstance,
     FilterResult,
     QuadraticScanInstance,
+    ScanResult,
 )
 from fusionarith.dimsolve import Decomposition, QuadraticTarget
 from fusionarith._record import _frozen, record
@@ -53,6 +54,8 @@ SAMPLES = [
                              ((5, 1),))),
     (QuadraticScanInstance, (10, 2000, 1, Fraction(1), 5, "cyclotomic", 20)),
     (DimensionPairInstance, (5, (1, 6))),
+    (ScanResult, ((((), range(-6, -4), (1,)),), [(PASS,), (FilterResult("d-number", False),)],
+                  (Certificate(IntPolynomial((-6, 1)), (PASS,)),))),
     (QuadraticTarget, (5, Q(28, 10, 5), 5)),
     (Decomposition, (((1, 1), (3, 1)),)),
     (CandidateSMatrix, ((((2, 0), (0, 2)), ((0, 2), (-2, 0))), 5, Q(12, 0, 5), 0, "modular")),

@@ -21,8 +21,13 @@ the filters below, the failure must follow from those numbers:
   |a_n|^i not dividing |a_i|^n, a_i the coefficient of x^(n-i) and 0
   dividing only 0.
 
-A failure that does not follow raises AssertionError; otherwise the
-counts of checked failures are printed.
+Passes are checked too, starting with the d-number test, which the
+cubic and sum scans decide by their stepping and no longer run per
+candidate: every candidate whose verdict passes d-number must be monic
+with |a_n|^i dividing |a_i|^n for every i.
+
+A failure or pass that does not follow raises AssertionError; otherwise
+the counts of checked failures and of checked passes are printed.
 """
 from __future__ import annotations
 
@@ -61,6 +66,13 @@ def _divides(x: int, y: int) -> bool:
     return y == 0 if x == 0 else y % x == 0
 
 
+def d_number_failures(cs: Sequence[int]) -> list[int]:
+    """Every i with |a_n|^i not dividing |a_i|^n, a_i the coefficient of
+    x^(n-i)."""
+    d, a_n = len(cs) - 1, abs(cs[0])
+    return [i for i in range(1, d + 1) if not _divides(a_n ** i, abs(cs[d - i]) ** d)]
+
+
 def check_failure(parameters: dict, cs: list[int], name: str, witness: dict) -> None:
     d = len(cs) - 1
     if name == "totally-positive-bounded":
@@ -84,8 +96,7 @@ def check_failure(parameters: dict, cs: list[int], name: str, witness: dict) -> 
         assert witness["discriminant"] == str(disc)
         assert disc < 0 or -b <= 0 or c <= 0, "both roots are positive reals"
     elif name == "d-number":
-        a_n = abs(cs[0])
-        failing = [i for i in range(1, d + 1) if not _divides(a_n ** i, abs(cs[d - i]) ** d)]
+        failing = d_number_failures(cs)
         assert failing and witness["failing_index"] == failing[0], f"failing indices {failing}"
 
 
@@ -117,12 +128,29 @@ def check_report_set(doc: dict) -> Counter:
     return counts
 
 
-def main(paths: list[str]) -> int:
+def check_passes(doc: dict) -> Counter:
+    """Check every d-number pass in one report set and count them."""
     counts: Counter = Counter()
+    for report, cert in certificates(doc):
+        cs = cert["coefficients"]
+        for result in cert["filters"]:
+            if result["passed"] and result["name"] == "d-number":
+                assert cs[-1] == 1 and not d_number_failures(cs), \
+                    f"{report['case']} {cert['candidate']}: not a d-number"
+                counts["d-number"] += 1
+    return counts
+
+
+def main(paths: list[str]) -> int:
+    failures: Counter = Counter()
+    passes: Counter = Counter()
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            counts += check_report_set(json.load(fh))
-    print(json.dumps(dict(sorted(counts.items()))))
+            doc = json.load(fh)
+        failures += check_report_set(doc)
+        passes += check_passes(doc)
+    print(json.dumps({"failures": dict(sorted(failures.items())),
+                      "passes": dict(sorted(passes.items()))}))
     return 0
 
 
