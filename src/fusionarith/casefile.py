@@ -15,11 +15,11 @@ prints timing to stderr only.
 The run command writes reports case by case: each case's report is
 rendered, written and flushed before the next case runs, so a run holds
 one report at a time.  A scan report holds the engine's ScanResult,
-which keeps each candidate's verdict and the survivors' Certificates; a
-failure's Certificate is rebuilt, and _plain turns it into its JSON
-entry, writing a derived witness into the entry itself, only as that
-entry is written.  A text report is written line by line.  A write to
---out that fails stops the run with exit 2.
+which keeps each candidate's failing record and the survivors'
+Certificates; a failure's Certificate is rebuilt, and _plain turns it
+into its JSON entry, a derived witness written into the entry itself,
+only as that entry is written.  A text report is written line by line.
+A write to --out that fails stops the run with exit 2.
 
 Every case kind, and every mode of the class-equation kind, is one
 entry of the _CASE_KINDS table: its parameter spec, the hook that turns
@@ -57,6 +57,7 @@ from .codegree_enum import (
     residual_target,
 )
 from .dimsolve import (
+    MAX_TERMS,
     InfeasibleTargetError,
     QuadraticTarget,
     enumerate_decompositions,
@@ -208,11 +209,11 @@ def _get_matrix_kind(value: Any, path: str) -> str:
     return matrix_kind
 
 
-def _get_term_counts(value: Any, path: str, total: int) -> tuple[int, ...]:
-    counts = _list_of(_get_int)(value, path)
+def _get_term_counts(value: Any, path: str, total: Optional[int] = None) -> tuple[int, ...]:
+    counts = _list_of(_int_range(1, MAX_TERMS))(value, path)
     for i, count in enumerate(counts):
-        if not total >= count >= 1:
-            _fail(f"{path}[{i}]", f"need total >= term_count >= 1, got {total}, {count}")
+        if total is not None and count > total:
+            _fail(f"{path}[{i}]", f"need total >= term_count, got {total}, {count}")
     return counts
 
 
@@ -460,7 +461,7 @@ class _Decomposition(_CaseKind):
 
 class _DimDecomposition(_Decomposition):
     spec = {"n": (_get_int, True), "target": (_get_scalar, True, "n"),
-            "term_counts": (_list_of(_get_int), True)}
+            "term_counts": (_get_term_counts, True)}
 
     @staticmethod
     def line(sol: tuple) -> str:

@@ -10,10 +10,10 @@ Certificate records every verdict up to the first failure.
 
 Each scan is a family of candidates, rows of integer ranges fixed by
 its instance, and one shared runner (_scan) that keeps each candidate's
-verdict tuple and only the survivors' whole Certificates; a failure's
-Certificate is rebuilt from the family when it is read.  The cubic and
-sum scans' stepping decides the d-number test, so no candidate of
-theirs runs it.
+failing record and only the survivors' whole Certificates: the instance
+fixes the pipeline, so the passes before a failure follow from its
+filter, and a failure's Certificate is rebuilt when it is read.  The
+cubic and sum scans' stepping decides the d-number test for them.
 
 Three scan shapes cover the branches that occur:
 
@@ -83,30 +83,23 @@ class FilterResult:
     witness: Optional[dict] = None
 
 
-# A verdict the candidate alone determines is one shared record: each
-# filter's pass, a failure keyed by small integers the degree bounds, and
-# a discriminant failure, stored without its witness.  _SHARED holds them
-# by id, so an id names one record while the module lives.
-_SHARED: dict[int, FilterResult] = {}
-
-
-def _share(result: FilterResult) -> FilterResult:
-    return _SHARED.setdefault(id(result), result)
-
-
-_PASSED = {name: _share(FilterResult(name, True)) for name in (
+# A verdict the candidate and the instance's bounds determine is one
+# shared record: each filter's pass, a failure keyed by its witness of
+# small integers and bounds, and a discriminant failure, stored without
+# its witness.
+_PASSED = {name: FilterResult(name, True) for name in (
     FILTER_D_NUMBER, FILTER_TOTALLY_REAL, FILTER_POSITIVE_BOUNDED, FILTER_TOTALLY_POSITIVE,
     FILTER_CYCLOTOMIC, FILTER_MEMBERSHIP, FILTER_SUBFIELD, FILTER_REQUIRED_FIELD,
     FILTER_DIM_SQUARE)}
-_FAILED = {name: _share(FilterResult(name, False)) for name in (
+_FAILED = {name: FilterResult(name, False) for name in (
     FILTER_TOTALLY_POSITIVE, FILTER_REQUIRED_FIELD, FILTER_CYCLOTOMIC)}
 _KEYED: dict[tuple, FilterResult] = {}
 
 
-def _keyed_failure(name: str, **witness: int) -> FilterResult:
+def _keyed_failure(name: str, **witness: int | str) -> FilterResult:
     key = (name, *witness.items())
     if key not in _KEYED:
-        _KEYED[key] = _share(FilterResult(name, False, witness))
+        _KEYED[key] = FilterResult(name, False, witness)
     return _KEYED[key]
 
 
@@ -115,8 +108,8 @@ class Certificate:
     """Audit record for one candidate polynomial.
 
     verdict holds every filter that ran, in pipeline order, ending at the
-    first failure, so survived (none failed) reads the last.  The
-    pipelines keep one verdict tuple for each sequence of shared records.
+    first failure, so survived (none failed) reads the last; a scan keeps
+    only a failure's last record, and rebuilds the passes before it.
     filter_results gives the records complete: a totally-positive,
     required-field or cyclotomic failure is stored without its witness,
     the candidate's discriminant, which it derives here.
@@ -315,8 +308,7 @@ def _bound_count(p: IntPolynomial, bounds: tuple[Fraction, ...]) -> FilterResult
     for i, bound in enumerate(padded):
         above = _roots_above(p, bound)
         if above < d - i:
-            return FilterResult(FILTER_POSITIVE_BOUNDED, False,
-                                {"bound": str(bound), "roots_above": above})
+            return _keyed_failure(FILTER_POSITIVE_BOUNDED, bound=str(bound), roots_above=above)
     return _PASSED[FILTER_POSITIVE_BOUNDED]
 
 
@@ -363,19 +355,6 @@ def _filter_subfield_exclusion(
     return _PASSED[FILTER_SUBFIELD]
 
 
-_VERDICTS: dict[tuple[int, ...], tuple[FilterResult, ...]] = {}
-
-
-def _verdict(results: list[FilterResult]) -> tuple[FilterResult, ...]:
-    """results as a certificate stores them.  Only a sequence of shared
-    records enters the table, so the table is bounded by the pipelines'
-    filters and witness keys, never by the candidates."""
-    key = tuple(map(id, results))
-    if not all(map(_SHARED.__contains__, key)):
-        return tuple(results)
-    return _VERDICTS.setdefault(key, tuple(results))
-
-
 def _run_filters(p: IntPolynomial, steps: Sequence[Callable[[IntPolynomial], FilterResult]]) -> Certificate:
     """Apply the filters to p in order, stopping at the first failure."""
     results = []
@@ -384,7 +363,7 @@ def _run_filters(p: IntPolynomial, steps: Sequence[Callable[[IntPolynomial], Fil
         results.append(result)
         if not result.passed:
             break
-    return Certificate(p, _verdict(results))
+    return Certificate(p, tuple(results))
 
 
 def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance,
@@ -413,7 +392,7 @@ def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance,
             results.append(_filter_membership(factors, instance.membership_conductor))
         if results[-1].passed and instance.excluded_quadratic_subfields:
             results.append(_filter_subfield_exclusion(factors, instance.excluded_quadratic_subfields))
-    return Certificate(p, _verdict(results))
+    return Certificate(p, tuple(results))
 
 
 def _candidates(family: tuple) -> Iterator[IntPolynomial]:
@@ -429,34 +408,27 @@ class ScanResult:
     """The certificates of one scan, survivors first, then the failures in
     scan order.
 
-    family is the scan's candidates as _candidates reads them, verdicts
-    each candidate's verdict tuple in scan order, and survivors the whole
-    Certificates of the candidates that passed.  len() counts every
-    certificate.  Iterating rebuilds each failure's Certificate from the
-    family as it is reached, so none outlives the entry written from it.
-    A scan result equals another, or a list, of the same certificates.
+    family is the scan's candidates as _candidates reads them, failures
+    each one's failing FilterResult (None for a survivor), prefixes the
+    shared passes before each failing filter, by its name, and survivors
+    the survivors' whole Certificates.  len() counts every certificate.
+    Iterating rebuilds each failure's Certificate from the family as it
+    is reached, so none outlives the entry written from it.
     """
 
     family: tuple
-    verdicts: list
+    prefixes: dict
+    failures: list
     survivors: tuple
 
     def __len__(self) -> int:
-        return len(self.verdicts)
+        return len(self.failures)
 
     def __iter__(self) -> Iterator[Certificate]:
         yield from self.survivors
-        for p, verdict in zip(_candidates(self.family), self.verdicts):
-            if not verdict[-1].passed:
-                yield Certificate(p, verdict)
-
-    def __getitem__(self, i):
-        return list(self)[i]  # rebuilds every certificate; iterate instead
-
-    def __eq__(self, other):
-        if not isinstance(other, (ScanResult, list)):
-            return NotImplemented
-        return list(self) == list(other)
+        for p, failure in zip(_candidates(self.family), self.failures):
+            if failure is not None:
+                yield Certificate(p, self.prefixes[failure.name] + (failure,))
 
 
 def _assert_survivor_sign_pattern(cert: Certificate) -> None:
@@ -469,16 +441,20 @@ def _assert_survivor_sign_pattern(cert: Certificate) -> None:
 
 
 def _scan(family: tuple, judge: Callable[[IntPolynomial], Certificate]) -> ScanResult:
-    """Judge every candidate of the family, keeping its verdict, and the
-    whole Certificate only when it survives."""
-    verdicts, survivors = [], []
+    """Judge every candidate of the family, keeping its failing record,
+    the passes before each failing filter from the first certificate
+    that fails there, and the whole Certificate only when it survives."""
+    prefixes, failures, survivors = {}, [], []
     for p in _candidates(family):
         cert = judge(p)
-        verdicts.append(cert.verdict)
         if cert.survived:
             _assert_survivor_sign_pattern(cert)
             survivors.append(cert)
-    return ScanResult(family, verdicts, tuple(survivors))
+            failures.append(None)
+        else:
+            failures.append(cert.verdict[-1])
+            prefixes.setdefault(cert.failed_filter, cert.verdict[:-1])
+    return ScanResult(family, prefixes, failures, tuple(survivors))
 
 
 def enumerate_candidates(instance: ClassEquationInstance) -> ScanResult:

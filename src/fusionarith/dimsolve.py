@@ -31,6 +31,12 @@ class InfeasibleTargetError(ValueError):
     """Target cannot be a sum of half-coordinate squares (parity fails)."""
 
 
+# the most terms either search takes: each recurses once per term, and
+# 256 is far above any rank the paper reaches and far below the
+# interpreter's default limit of 1,000 frames
+MAX_TERMS = 256
+
+
 def algebraic_integer_check(alpha: int, beta: int, n: int) -> bool:
     """True iff (alpha + beta*sqrt(n))/2 is an algebraic integer."""
     if n < 1 or squarefree_part(n) != n:
@@ -55,8 +61,8 @@ class QuadraticTarget:
             raise ValueError(f"n must be squarefree and >= 2, got {self.n}")
         if not (self.target.is_rational or self.target.n == self.n):
             raise ValueError("target lives in a different quadratic field")
-        if self.rank_terms < 1:
-            raise ValueError("rank_terms must be >= 1")
+        if not 1 <= self.rank_terms <= MAX_TERMS:
+            raise ValueError(f"rank_terms must be in 1..{MAX_TERMS}")
 
 
 @record
@@ -179,8 +185,8 @@ def enumerate_integer_square_decompositions(
     """Multisets of term_count positive integers summing to total - 1,
     each dividing divisor_bound.  The unit contributes the subtracted 1.
     """
-    if not total >= term_count >= 1:
-        raise ValueError(f"need total >= term_count >= 1, got {total}, {term_count}")
+    if not min(total, MAX_TERMS) >= term_count >= 1:
+        raise ValueError(f"need total, {MAX_TERMS} >= term_count >= 1, got {total}, {term_count}")
     if divisor_bound < 1:
         raise ValueError("divisor_bound must be positive")
     allowed = divisors(divisor_bound)

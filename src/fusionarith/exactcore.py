@@ -31,7 +31,9 @@ polynomial with no rational and no repeated root, such as an
 irreducible factor of degree 2 or 3, and returns open intervals holding
 one root each; refinement bisects on the sign at the midpoint and needs
 no chain.  Both bisect on integer ends over a doubling denominator, and
-``Fraction`` appears only in the intervals they return.
+``Fraction`` appears only in the intervals they return.  No engine path
+calls ``isolate_real_roots`` or ``refine_interval``; they stay because
+tests and the ``LAYERS`` table of ``perfbench/traced_cli.py`` name them.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from fusionarith.casefile import (
 )
 from fusionarith import codegree_enum
 from fusionarith.codegree_enum import DimensionPairInstance, FilterResult, enumerate_dimension_pairs
+from fusionarith.dimsolve import MAX_TERMS
 from fusionarith.exactcore import IntPolynomial, QuadraticFieldElement, poly_discriminant
 from fusionarith.smatrix import CandidateSMatrix, DegenerateColumnError
 
@@ -232,6 +233,8 @@ def test_smatrix_zero_dimension_is_rejected_at_load(tmp_path, capsys):
     ({"total": 5, "term_counts": [2, 0], "divisor_bound": 4}, "$.parameters.term_counts[1]"),
     ({"total": 0, "term_counts": [1], "divisor_bound": 4}, "$.parameters.total"),
     ({"total": 5, "term_counts": [2], "divisor_bound": 0}, "$.parameters.divisor_bound"),
+    ({"total": 2001, "term_counts": [3, MAX_TERMS + 1], "divisor_bound": 1},
+     "$.parameters.term_counts[1]"),
 ])
 def test_integer_decomposition_bounds_are_rejected_at_load(tmp_path, capsys, params, where):
     doc = make_case(kind="integer-decomposition", parameters=params)
@@ -291,6 +294,15 @@ def test_integer_decomposition_bounds_are_rejected_at_load(tmp_path, capsys, par
     # a declared_dim in another field than n is the declared_dim's fault
     ("smatrix-verify", {"n": 2, "kind": "modular", "declared_dim": "1r3", "entries": [[[2, 0]]]},
      "$.parameters.declared_dim"),
+    # the decomposition searches recurse once per term, and a count past
+    # MAX_TERMS ran out of interpreter frames; a subcase's QuadraticTarget
+    # rejects one at the subcase's path
+    ("dim-decomposition", {"n": 5, "target": "2250+750r5", "term_counts": [MAX_TERMS + 1]},
+     "$.parameters.term_counts[0]"),
+    ("class-equation", {"global_dim": 6, "fixed_codegrees": ["6", "6"], "orbit_degree": 2,
+                        "decomposition_subcases": [
+                            {"n": 5, "target": "2250+750r5", "rank_terms": MAX_TERMS + 1}]},
+     "$.parameters.decomposition_subcases[0]"),
 ])
 def test_inputs_the_engines_reject_are_rejected_at_load(tmp_path, capsys, kind, params, where):
     doc = make_case(kind=kind, parameters=params)
@@ -472,7 +484,7 @@ def test_json_renderer_rejects_what_reports_never_hold(value, depth):
 
 
 def test_plain_gives_the_report_entry_of_an_engine_record():
-    certs = enumerate_dimension_pairs(DimensionPairInstance(4, (3, 4)))
+    certs = list(enumerate_dimension_pairs(DimensionPairInstance(4, (3, 4))))
     assert [_plain(c) for c in certs] == [
         {"candidate": "x^2-4x+4", "coefficients": (4, -4, 1),
          "filters": certs[0].filter_results, "survived": True},
@@ -505,6 +517,21 @@ def test_a_discriminant_failure_derives_its_witness_from_the_candidate(low):
         _plain(r) for r in cert.filter_results]
 
 
+@pytest.mark.parametrize("kind, params, solution", [
+    # MAX_TERMS squares of (1 + sqrt 5)/2, each (3 + sqrt 5)/2, and
+    # MAX_TERMS ones: each target has that one decomposition
+    ("dim-decomposition", {"n": 5, "target": f"{3 * MAX_TERMS // 2}+{MAX_TERMS // 2}r5",
+                           "term_counts": [MAX_TERMS]}, [[1, 1]] * MAX_TERMS),
+    ("integer-decomposition", {"total": MAX_TERMS + 1, "term_counts": [MAX_TERMS],
+                               "divisor_bound": 1}, [1] * MAX_TERMS),
+])
+def test_a_term_count_of_max_terms_runs_to_its_one_solution(kind, params, solution):
+    report = run_case(load_case(make_case(kind=kind, parameters=params)))
+    assert report.error is None
+    assert json.loads(render_report(report, "json"))["results"]["solutions"] == {
+        str(MAX_TERMS): [solution]}
+
+
 SCANS_TO_PICKLE = [
     {"mode": "codegree", "global_dim": 26, "fixed_codegrees": ["26", "26", "26"], "orbit_degree": 3,
      "product_divides": 26**3, "root_lower_bounds": ["13/2", "13", "26"]},
@@ -521,16 +548,16 @@ def test_a_scan_report_renders_the_same_after_a_pickle_round_trip(fmt):
         copy = pickle.loads(pickle.dumps(report))
         assert copy == report
         assert render_report(copy, fmt) == render_report(report, fmt)
-    # a scan's copy keeps its family and one verdict per candidate, and
-    # rebuilds the failures from them as the original does
+    # a scan's copy keeps its family, its prefixes and one failing record
+    # per candidate, and rebuilds the failures from them as the original does
     for i, params in enumerate(SCANS_TO_PICKLE):
         doc = {"schema": 1, "name": f"scan-{i}", "kind": "class-equation", "parameters": params}
         report = run_case(load_case(json.dumps(doc)))
         copy = pickle.loads(pickle.dumps(report))
         assert render_report(copy, fmt) == render_report(report, fmt)
         original, copied = report.results["certificates"], copy.results["certificates"]
-        assert (copied.family, copied.verdicts, copied.survivors) == (
-            original.family, original.verdicts, original.survivors)
+        assert copied == original
+        assert list(copied) == list(original)
         assert len(original) > 10 * len(original.survivors)
 
 

@@ -7,11 +7,12 @@ oracle comparisons live in the acceptance suite.
 from __future__ import annotations
 
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fusionarith import codegree_enum
@@ -130,7 +131,7 @@ def test_real_roots_mode_drops_products_whose_cube_root_is_under_the_bound(bound
     r = residual_target(instance)
     assert not any(_real_triple_feasible(p, r, bound) for p in (3, 9, 27))
     assert admissible_products(instance) == []
-    assert enumerate_candidates(instance) == []
+    assert list(enumerate_candidates(instance)) == []
 
 
 def test_forced_coefficients(monkeypatch):
@@ -279,7 +280,7 @@ def test_dim9_membership_witnesses():
 
 
 def test_dim6_enumeration_keeps_two_survivors_first():
-    certs = enumerate_candidates(DIM6)
+    certs = list(enumerate_candidates(DIM6))
     assert [str(c.candidate) for c in certs] == [
         "x^2-12x+18", "x^2-24x+36", "x^2-8x+12"]
     assert [c.survived for c in certs] == [True, True, False]
@@ -361,7 +362,7 @@ def small_cubic_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_cubic_instances())
 def test_stepped_scan_gives_the_unstepped_certificates(instance):
-    assert enumerate_candidates(instance) == _unstepped_certificates(instance)
+    assert list(enumerate_candidates(instance)) == _unstepped_certificates(instance)
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,7 +396,7 @@ def test_stepped_scan_tests_fewer_d_numbers(monkeypatch):
     # the pipeline retests the 130 that pass
     assert len(certs) == 130
     assert stepped == 0
-    assert certs == _unstepped_certificates(CUBIC13)
+    assert list(certs) == _unstepped_certificates(CUBIC13)
     assert len(tested) - stepped == 1820
 
 
@@ -431,7 +432,7 @@ def test_every_stepped_b_of_the_sum_scan_is_a_d_number(exponents, exceeds):
     for p in codegree_enum._candidates(scan.family):
         a, b = p.coeffs[0], -p.coeffs[1]
         assert b * b % a == 0 and is_d_number(p).passes
-    assert all(v[0] is codegree_enum._PASSED[FILTER_D_NUMBER] for v in scan.verdicts)
+    assert all(cert.verdict[0] is codegree_enum._PASSED[FILTER_D_NUMBER] for cert in scan)
 
 
 def _scans():
@@ -442,14 +443,18 @@ def _scans():
 
 
 def test_a_scan_stores_one_verdict_per_candidate_and_whole_certificates_for_survivors():
+    # the verdict a scan stores for a failure is its failing record; the
+    # passes before it are kept once per failing filter, as shared records
     for scan in _scans():
         candidates = list(codegree_enum._candidates(scan.family))
-        assert len(scan) == len(scan.verdicts) == len(candidates) > len(scan.survivors)
-        assert all(type(v) is tuple for v in scan.verdicts)
-        kept = [p for p, v in zip(candidates, scan.verdicts) if v[-1].passed]
+        assert len(scan) == len(scan.failures) == len(candidates) > len(scan.survivors)
+        kept = [p for p, f in zip(candidates, scan.failures) if f is None]
         assert [c.candidate for c in scan.survivors] == kept
-        assert all(c.verdict is v for c, v in zip(
-            scan.survivors, (v for v in scan.verdicts if v[-1].passed)))
+        failing = {f.name for f in scan.failures if f is not None}
+        assert all(not f.passed for f in scan.failures if f is not None)
+        assert set(scan.prefixes) == failing
+        assert all(r is codegree_enum._PASSED[r.name]
+                   for passes in scan.prefixes.values() for r in passes)
         # the family is rows of ranges, so it grows with the products only
         assert all(type(values) in (range, tuple) for _, values, _ in scan.family)
 
@@ -462,9 +467,73 @@ def test_iterating_a_scan_twice_rebuilds_equal_certificates():
         assert all(a is b for a, b in zip(first[:survivors], second))
         assert all(a is not b for a, b in zip(first[survivors:], second[survivors:]))
         assert [c.survived for c in first] == [True] * survivors + [False] * (len(first) - survivors)
-        assert scan[0] == first[0] and scan[-1] == first[-1]
-        with pytest.raises(IndexError):
-            scan[len(scan)]
+        # no index rebuilds the whole list: a scan is read by iterating it
+        with pytest.raises(TypeError):
+            scan[0]
+
+
+@st.composite
+def codegree_scans(draw):
+    n = draw(st.integers(2, 9))
+    degree = draw(st.integers(1, 3))
+    bounds = draw(st.lists(st.integers(1, 3 * n).map(lambda k: Fraction(k, 4)), max_size=degree))
+    instance = ClassEquationInstance(
+        global_dim=n,
+        fixed_codegrees=(n,) * draw(st.integers(1, n - 1)),
+        orbit_degree=degree,
+        product_divides=draw(st.sampled_from([n ** degree, 4 * n ** degree, 27 * n])),
+        root_lower_bounds=tuple(bounds),
+        product_feasibility=draw(st.sampled_from(["coarse", "real-roots"])),
+        membership_conductor=draw(st.sampled_from([None, 7, 9])),
+        # no real quadratic field lies in the ninth cyclotomic field
+        excluded_quadratic_subfields=tuple((d, 9) for d in draw(
+            st.lists(st.sampled_from([2, 3, 5, 6, 7, 13]), max_size=3, unique=True))),
+    )
+    return enumerate_candidates, instance, lambda p: run_filter_pipeline(p, instance)
+
+
+@st.composite
+def sum_scans(draw):
+    mode = draw(st.sampled_from(["field", "cyclotomic"]))
+    instance = QuadraticScanInstance(
+        global_dim=draw(st.sampled_from([5, 8, 10, 12])),
+        product_divides=draw(st.sampled_from([64, 100, 400, 2000])),
+        trace_exceeds=draw(st.integers(0, 12)),
+        trace_ratio_max=draw(st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=5)),
+        required_field=draw(st.sampled_from([2, 3, 5])),
+        dim_square_mode=mode,
+        cyclotomic_modulus=draw(st.sampled_from([5, 8, 20, 100])) if mode == "cyclotomic" else None,
+    )
+    steps = (codegree_enum._filter_d_number, codegree_enum._filter_totally_positive,
+             lambda p: codegree_enum._filter_required_field(p, instance.required_field),
+             lambda p: codegree_enum._filter_dim_square(p, instance))
+    return enumerate_quadratic_scan, instance, lambda p: codegree_enum._run_filters(p, steps)
+
+
+@st.composite
+def dimension_pair_scans(draw):
+    lo = draw(st.integers(1, 30))
+    instance = DimensionPairInstance(trace=draw(st.integers(1, 12)),
+                                     constant_range=(lo, lo + draw(st.integers(0, 40))))
+    steps = (codegree_enum._filter_d_number, codegree_enum._filter_totally_real)
+    return enumerate_dimension_pairs, instance, lambda p: codegree_enum._run_filters(p, steps)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(codegree_scans(), sum_scans(), dimension_pair_scans()))
+def test_a_scan_rebuilds_the_certificates_a_fresh_pipeline_gives(drawn):
+    # a scan stores failing records and rebuilds each certificate from its
+    # family; the rebuilt list is every candidate run afresh through the
+    # whole pipeline, the d-number test included, survivors first
+    enumerate_scan, instance, judge = drawn
+    try:
+        scan = enumerate_scan(instance)
+    except codegree_enum.UnsupportedSquareClassError:
+        assume(False)
+    fresh = [judge(p) for p in codegree_enum._candidates(scan.family)]
+    rebuilt = list(scan)
+    assert rebuilt == [c for c in fresh if c.survived] + [c for c in fresh if not c.survived]
+    assert list(pickle.loads(pickle.dumps(scan))) == rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +678,7 @@ def test_dim8_scan_dim_square_witness():
 
 
 def test_dim10_scan_keeps_exactly_one_survivor():
-    certs = enumerate_quadratic_scan(DIM10_SCAN)
+    certs = list(enumerate_quadratic_scan(DIM10_SCAN))
     assert len(certs) == 8
     survivors = [str(c.candidate) for c in certs if c.survived]
     assert survivors == ["x^2-30x+100"]
@@ -652,13 +721,26 @@ def test_scan_is_deterministic():
     assert enumerate_quadratic_scan(DIM10_SCAN) == enumerate_quadratic_scan(DIM10_SCAN)
 
 
-def test_verdict_table_does_not_grow_with_the_scan():
-    # the table keeps one tuple per sequence of shared records, and the
-    # pipeline fixes those sequences, so a scan seven times longer adds none
-    enumerate_quadratic_scan(QuadraticScanInstance(10, 2000, 1, 1, 5))
-    before = dict(codegree_enum._VERDICTS)
-    assert len(enumerate_quadratic_scan(QuadraticScanInstance(10, 2**6 * 5**4, 1, 1, 5))) == 813
-    assert codegree_enum._VERDICTS == before
+CUBIC13_WIDE = ClassEquationInstance(
+    global_dim=13, fixed_codegrees=(13, 13, 13), orbit_degree=3,
+    product_divides=4 * 13 ** 3, root_lower_bounds=CUBIC13.root_lower_bounds)
+
+
+@pytest.mark.parametrize("scan, short, long, count", [
+    (enumerate_quadratic_scan, QuadraticScanInstance(10, 2000, 1, 1, 5),
+     QuadraticScanInstance(10, 2**6 * 5**4, 1, 1, 5), 813),
+    (enumerate_dimension_pairs, DimensionPairInstance(6, (1, 40)),
+     DimensionPairInstance(6, (1, 400)), 400),
+    (enumerate_candidates, CUBIC13, CUBIC13_WIDE, 520),
+], ids=["sum-scan", "dimension-pair", "cubic"])
+def test_keyed_failures_do_not_grow_with_the_scan(scan, short, long, count):
+    # a failure keyed by its witness is one record per filter and witness,
+    # and the candidate's degree and the instance's bounds fix those, so a
+    # longer scan of the same pipeline adds none
+    scan(short)
+    before = dict(codegree_enum._KEYED)
+    assert len(scan(long)) == count
+    assert codegree_enum._KEYED == before
 
 
 @settings(max_examples=150, deadline=None)

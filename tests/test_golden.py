@@ -149,31 +149,37 @@ def test_scan_reports_at_scale_keep_their_bytes(name):
         assert hashlib.sha256(render_report(report, fmt).encode()).hexdigest() == digest, fmt
 
 
-CANDIDATE_DETERMINED = ("d-number", "totally-real", "totally-positive", "required-field",
-                        "cyclotomic")
+SHARED_FAILURES = ("d-number", "totally-real", "totally-positive-bounded", "totally-positive",
+                   "required-field", "cyclotomic")
 
 
-def test_golden_scans_keep_one_record_and_one_tuple_per_shared_verdict():
-    # a failure the candidate alone determines is its filter's shared
-    # record, and certificates with equal verdicts of shared records hold
-    # one stored tuple, so a scan stores no copy of either per candidate
-    shared = codegree_enum._SHARED
+def _shared_record(failure):
+    """The module's one record of a failure the candidate and the
+    instance's bounds determine: a witnessless one, or one keyed by its
+    witness."""
+    if failure.witness is None:
+        return codegree_enum._FAILED.get(failure.name)
+    return codegree_enum._KEYED.get((failure.name, *failure.witness.items()))
+
+
+def test_golden_scans_store_each_shared_failure_once():
+    # a scan stores one failing record per candidate; a failure of these
+    # filters is its filter's shared record, and the passes before each
+    # failing filter are one stored tuple of shared passes
     failures = Counter()
     for path in bundled_case_paths() + EXTRA_CASES + CUBIC_CASES + QUADRATIC_CASES:
-        stored = {}
-        for cert in run_case(load_case_file(path)).results.get("certificates", ()):
-            last = cert.verdict[-1]
-            if not last.passed and last.name in CANDIDATE_DETERMINED:
-                assert shared.get(id(last)) is last
-                failures[last.name] += 1
-            key = tuple(map(id, cert.verdict))
-            if all(map(shared.__contains__, key)):
-                assert stored.setdefault(key, cert.verdict) is cert.verdict
-    assert failures == {"totally-real": 1092, "required-field": 97, "totally-positive": 9,
-                        "d-number": 8}
-    for key, verdict in codegree_enum._VERDICTS.items():
-        assert key == tuple(map(id, verdict))
-        assert all(shared.get(id(r)) is r for r in verdict)
+        scan = run_case(load_case_file(path)).results.get("certificates")
+        if scan is None:
+            continue
+        assert len(scan.failures) == len(scan)
+        for failure in scan.failures:
+            if failure is not None and failure.name in SHARED_FAILURES:
+                assert _shared_record(failure) is failure
+                failures[failure.name] += 1
+        assert set(scan.prefixes) == {f.name for f in scan.failures if f is not None}
+        assert all(r is _PASSED[r.name] for passes in scan.prefixes.values() for r in passes)
+    assert failures == {"totally-real": 1092, "totally-positive-bounded": 224,
+                        "required-field": 97, "totally-positive": 9, "d-number": 8}
 
 
 def test_golden_cubic_scans_take_each_discriminant_once(monkeypatch):

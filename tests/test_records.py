@@ -54,7 +54,8 @@ SAMPLES = [
                              ((5, 1),))),
     (QuadraticScanInstance, (10, 2000, 1, Fraction(1), 5, "cyclotomic", 20)),
     (DimensionPairInstance, (5, (1, 6))),
-    (ScanResult, ((((), range(-6, -4), (1,)),), [(PASS,), (FilterResult("d-number", False),)],
+    (ScanResult, ((((), range(-6, -4), (1,)),), {"d-number": ()},
+                  [None, FilterResult("d-number", False)],
                   (Certificate(IntPolynomial((-6, 1)), (PASS,)),))),
     (QuadraticTarget, (5, Q(28, 10, 5), 5)),
     (Decomposition, (((1, 1), (3, 1)),)),
