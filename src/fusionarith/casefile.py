@@ -16,10 +16,11 @@ The run command writes reports case by case: each case's report is
 rendered, written and flushed before the next case runs, so a run holds
 one report at a time.  A scan report holds the engine's ScanResult,
 which keeps each candidate's failing record and the survivors'
-Certificates; a failure's Certificate is rebuilt, and _plain turns it
-into its JSON entry, a derived witness written into the entry itself,
-only as that entry is written.  A text report is written line by line.
-A write to --out that fails stops the run with exit 2.
+Certificates.  _scan_entries, the one home of the certificate layout,
+writes each failure's JSON entry, a derived witness included, from its
+coefficients in the scan's family and its stored record, with no
+Certificate or polynomial rebuilt, and a text line is written the same
+way.  A write to --out that fails stops the run with exit 2.
 
 Every case kind, and every mode of the class-equation kind, is one
 entry of the _CASE_KINDS table: its parameter spec, the hook that turns
@@ -43,7 +44,6 @@ from . import __version__
 from ._record import record
 from .algint import _CUBIC_FIELDS, cyclotomic_galois_structure, in_cyclic_cubic_field
 from .codegree_enum import (
-    Certificate,
     ClassEquationInstance,
     DimensionPairInstance,
     FilterResult,
@@ -51,6 +51,7 @@ from .codegree_enum import (
     QuadraticScanInstance,
     ScanResult,
     admissible_products,
+    derived_witness,
     enumerate_candidates,
     enumerate_dimension_pairs,
     enumerate_quadratic_scan,
@@ -64,7 +65,7 @@ from .dimsolve import (
     enumerate_integer_square_decompositions,
     fp_square_constraints,
 )
-from .exactcore import IntPolynomial, QuadraticFieldElement, rational_roots
+from .exactcore import IntPolynomial, QuadraticFieldElement, poly_text, rational_roots
 from .smatrix import (
     CandidateSMatrix,
     VerlindeReport,
@@ -357,9 +358,10 @@ class _ClassEquation(_CaseKind):
         # certificate lines are made as they are written; written as a
         # generator function, this method raised the CLI's peak RSS by about
         # 0.15 MiB at import (CPython 3.11.7, x86-64 Linux)
-        certs = (f"{cert.candidate}  {cert.failed_filter or 'SURVIVES'}"
-                 for cert in results["certificates"])
-        return itertools.chain(head, certs, tail)
+        scan = results["certificates"]
+        survivors = (f"{cert.candidate}  SURVIVES" for cert in scan.survivors)
+        failures = (f"{poly_text(coeffs)}  {failure.name}" for coeffs, failure in scan.failed())
+        return itertools.chain(head, survivors, failures, tail)
 
 
 def _get_subcase(value: Any, path: str) -> QuadraticTarget:
@@ -686,22 +688,38 @@ def run_case(case: Case) -> Report:
 
 
 def _plain(obj: Any) -> dict:
-    """The report entry of an engine record; the one home of the
-    certificate layout."""
-    if isinstance(obj, Certificate):
-        witness = obj.derived_witness
-        return {"candidate": str(obj.candidate), "coefficients": obj.candidate.coeffs,
-                "filters": obj.verdict if witness is None else obj.verdict[:-1] + (
-                    {"name": obj.verdict[-1].name, "passed": False, "witness": witness},),
-                "survived": obj.survived}
+    """The report entry of a filter's record."""
     if isinstance(obj, FilterResult):
         return {"name": obj.name, "passed": obj.passed, "witness": obj.witness}
-    if isinstance(obj, ScanResult):
-        return list(obj)
     raise TypeError(f"{type(obj).__name__} is not a report value")
 
 
 _encode = json.JSONEncoder(sort_keys=True, default=_plain).encode
+
+
+def _scan_entries(scan: ScanResult) -> Iterator[str]:
+    """Each certificate's report entry, one line of sorted JSON, in scan
+    order.  The passes before each failing filter, and its record around
+    a placeholder for a derived witness (the candidate's discriminant),
+    are encoded once per scan, and so is each other stored record."""
+    def entry(coeffs: tuple, filters: str, survived: str) -> str:
+        return (f'{{"candidate": "{poly_text(coeffs)}", '
+                f'"coefficients": [{", ".join(map(str, coeffs))}], '
+                f'"filters": [{filters}], "survived": {survived}}}')
+
+    for cert in scan.survivors:
+        yield entry(cert.candidate.coeffs, ", ".join(map(_encode, cert.verdict)), "true")
+    heads = {name: "".join(_encode(r) + ", " for r in passes) for name, passes in scan.prefixes.items()}
+    derived = {name: _encode(FilterResult(name, False, {"discriminant": "%s"}))
+               for name in scan.prefixes}
+    encoded: dict[int, str] = {}  # by id: the scan holds every failure it encodes
+    for coeffs, failure in scan.failed():
+        witness = derived_witness(coeffs, failure)
+        if witness is None:
+            last = encoded.get(id(failure)) or encoded.setdefault(id(failure), _encode(failure))
+        else:
+            last = derived[failure.name] % witness["discriminant"]
+        yield entry(coeffs, heads[failure.name] + last, "false")
 
 
 def _json_pieces(value: Any, indent: str = "") -> Iterator[str]:
@@ -716,12 +734,12 @@ def _json_pieces(value: Any, indent: str = "") -> Iterator[str]:
             yield from _json_pieces(value[k], inner)
             sep = ",\n"
         yield f"\n{indent}}}"
-    elif isinstance(value, (list, tuple, ScanResult)) and value:
+    elif isinstance(value, (list, tuple, ScanResult)):
         sep = "[\n"
-        for v in value:
-            yield sep + inner + _encode(v)
+        for entry in _scan_entries(value) if isinstance(value, ScanResult) else map(_encode, value):
+            yield sep + inner + entry
             sep = ",\n"
-        yield f"\n{indent}]"
+        yield "[]" if sep == "[\n" else f"\n{indent}]"
     else:
         yield _encode(value)
 

@@ -9,11 +9,12 @@ and runs each candidate through one ordered filter pipeline, whose
 Certificate records every verdict up to the first failure.
 
 Each scan is a family of candidates, rows of integer ranges fixed by
-its instance, and one shared runner (_scan) that keeps each candidate's
-failing record and only the survivors' whole Certificates: the instance
-fixes the pipeline, so the passes before a failure follow from its
-filter, and a failure's Certificate is rebuilt when it is read.  The
-cubic and sum scans' stepping decides the d-number test for them.
+its instance, and one shared runner (_scan) that judges each candidate
+by its coefficients, keeping its failing record and only the survivors'
+whole Certificates: the instance fixes the pipeline, so the passes
+before a failure follow from its filter.  A report is written from a
+failure's coefficients and record; iterating rebuilds its Certificate.
+The cubic and sum scans' stepping decides the d-number test for them.
 
 Three scan shapes cover the branches that occur:
 
@@ -110,9 +111,7 @@ class Certificate:
     verdict holds every filter that ran, in pipeline order, ending at the
     first failure, so survived (none failed) reads the last; a scan keeps
     only a failure's last record, and rebuilds the passes before it.
-    filter_results gives the records complete: a totally-positive,
-    required-field or cyclotomic failure is stored without its witness,
-    the candidate's discriminant, which it derives here.
+    filter_results gives the records complete, with derived_witness.
     """
 
     candidate: IntPolynomial
@@ -120,19 +119,10 @@ class Certificate:
 
     @property
     def filter_results(self) -> tuple[FilterResult, ...]:
-        witness = self.derived_witness
+        witness = derived_witness(self.candidate.coeffs, self.verdict[-1])
         if witness is None:
             return self.verdict
         return self.verdict[:-1] + (FilterResult(self.verdict[-1].name, False, witness),)
-
-    @property
-    def derived_witness(self) -> Optional[dict]:
-        """The witness filter_results gives a failure stored without one,
-        or None when the verdict stores every witness itself."""
-        last = self.verdict[-1]
-        if last.passed or last.witness is not None or last.name not in _FAILED:
-            return None
-        return {"discriminant": str(poly_discriminant(self.candidate))}
 
     @property
     def survived(self) -> bool:
@@ -141,6 +131,15 @@ class Certificate:
     @property
     def failed_filter(self) -> Optional[str]:
         return None if self.survived else self.verdict[-1].name
+
+
+def derived_witness(coeffs: tuple[int, ...], last: FilterResult) -> Optional[dict]:
+    """The witness of a totally-positive, required-field or cyclotomic
+    failure, stored without one: the candidate's discriminant.  None for
+    any other last record, which holds its witness itself."""
+    if last.passed or last.witness is not None or last.name not in _FAILED:
+        return None
+    return {"discriminant": str(poly_discriminant(coeffs))}
 
 
 @record
@@ -290,14 +289,6 @@ def _roots_above(p: IntPolynomial, b: Fraction) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _filter_positive_bounded(p: IntPolynomial, bounds: tuple[Fraction, ...]) -> FilterResult:
-    """The bound filter on its own: non-real roots fail it, and a p whose
-    roots are all real goes to _bound_count."""
-    if not _filter_totally_real(p).passed:
-        return FilterResult(FILTER_POSITIVE_BOUNDED, False, {"reason": "non-real roots"})
-    return _bound_count(p, bounds)
-
-
 def _bound_count(p: IntPolynomial, bounds: tuple[Fraction, ...]) -> FilterResult:
     """The i-th smallest root of p exceeds the i-th smallest bound, the
     bounds padded with 0 to the degree d.  With roots r_0 <= ... <= r_(d-1)
@@ -355,15 +346,16 @@ def _filter_subfield_exclusion(
     return _PASSED[FILTER_SUBFIELD]
 
 
-def _run_filters(p: IntPolynomial, steps: Sequence[Callable[[IntPolynomial], FilterResult]]) -> Certificate:
-    """Apply the filters to p in order, stopping at the first failure."""
+def _run_filters(p, steps: Sequence[Callable[..., FilterResult]]) -> tuple[FilterResult, ...]:
+    """The verdict of the filters applied to p, a polynomial or its
+    coefficients as the filters take it, in order up to the first failure."""
     results = []
     for step in steps:
         result = step(p)
         results.append(result)
         if not result.passed:
             break
-    return Certificate(p, tuple(results))
+    return tuple(results)
 
 
 def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance,
@@ -395,12 +387,12 @@ def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance,
     return Certificate(p, tuple(results))
 
 
-def _candidates(family: tuple) -> Iterator[IntPolynomial]:
-    """The candidates of a scan family, in scan order: each row (low,
-    values, high) gives the coefficients (*low, v, *high) for v in values."""
+def _coefficients(family: tuple) -> Iterator[tuple[int, ...]]:
+    """The candidates' coefficients of a scan family, in scan order: each
+    row (low, values, high) gives (*low, v, *high) for v in values."""
     for low, values, high in family:
         for v in values:
-            yield IntPolynomial((*low, v, *high))
+            yield (*low, v, *high)
 
 
 @record
@@ -408,12 +400,12 @@ class ScanResult:
     """The certificates of one scan, survivors first, then the failures in
     scan order.
 
-    family is the scan's candidates as _candidates reads them, failures
+    family is the scan's candidates as _coefficients reads them, failures
     each one's failing FilterResult (None for a survivor), prefixes the
     shared passes before each failing filter, by its name, and survivors
     the survivors' whole Certificates.  len() counts every certificate.
-    Iterating rebuilds each failure's Certificate from the family as it
-    is reached, so none outlives the entry written from it.
+    failed() gives each failure's coefficients and record, from which a
+    report is written and iterating rebuilds its Certificate.
     """
 
     family: tuple
@@ -426,9 +418,12 @@ class ScanResult:
 
     def __iter__(self) -> Iterator[Certificate]:
         yield from self.survivors
-        for p, failure in zip(_candidates(self.family), self.failures):
-            if failure is not None:
-                yield Certificate(p, self.prefixes[failure.name] + (failure,))
+        for coeffs, failure in self.failed():
+            yield Certificate(IntPolynomial(coeffs), self.prefixes[failure.name] + (failure,))
+
+    def failed(self) -> Iterator[tuple[tuple[int, ...], FilterResult]]:
+        """Each failure's coefficients and failing record, in scan order."""
+        return ((c, f) for c, f in zip(_coefficients(self.family), self.failures) if f is not None)
 
 
 def _assert_survivor_sign_pattern(cert: Certificate) -> None:
@@ -440,20 +435,22 @@ def _assert_survivor_sign_pattern(cert: Certificate) -> None:
         assert c == 0 or (c > 0) == (i % 2 == 0), f"sign pattern broken in {p}"
 
 
-def _scan(family: tuple, judge: Callable[[IntPolynomial], Certificate]) -> ScanResult:
-    """Judge every candidate of the family, keeping its failing record,
-    the passes before each failing filter from the first certificate
-    that fails there, and the whole Certificate only when it survives."""
+def _scan(family: tuple, judge: Callable[[tuple[int, ...]], tuple[FilterResult, ...]]) -> ScanResult:
+    """Judge every candidate of the family by its coefficients, keeping its
+    failing record, the passes before each failing filter from the first
+    verdict that fails there, and a whole Certificate only for a survivor."""
     prefixes, failures, survivors = {}, [], []
-    for p in _candidates(family):
-        cert = judge(p)
-        if cert.survived:
+    for coeffs in _coefficients(family):
+        verdict = judge(coeffs)
+        last = verdict[-1]
+        if last.passed:
+            cert = Certificate(IntPolynomial(coeffs), verdict)
             _assert_survivor_sign_pattern(cert)
             survivors.append(cert)
             failures.append(None)
         else:
-            failures.append(cert.verdict[-1])
-            prefixes.setdefault(cert.failed_filter, cert.verdict[:-1])
+            failures.append(last)
+            prefixes.setdefault(last.name, verdict[:-1])
     return ScanResult(family, prefixes, failures, tuple(survivors))
 
 
@@ -492,7 +489,8 @@ def enumerate_candidates(instance: ClassEquationInstance) -> ScanResult:
             step = math.prod(prime ** -(-k // 3) for prime, k in factor_integer(product))
             # -e1 for e1 = step, 2 step, ... up to e
             family.append(((-product, e), range(-step, -e - 1, -step), (1,)))
-    return _scan(tuple(family), lambda p: run_filter_pipeline(p, instance, stepped=n == 3))
+    return _scan(tuple(family), lambda coeffs: run_filter_pipeline(
+        IntPolynomial(coeffs), instance, stepped=n == 3).verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -525,18 +523,19 @@ class QuadraticScanInstance:
             raise ValueError("cyclotomic mode needs cyclotomic_modulus")
 
 
-def _filter_totally_positive(p: IntPolynomial) -> FilterResult:
-    c, b, _ = p.coeffs
-    disc = b * b - 4 * c
-    if disc >= 0 and -b > 0 and c > 0:
+# the sum scan's filters take the coefficients (c, b, 1) of x^2 + b x + c
+def _filter_totally_positive(coeffs: tuple[int, int, int]) -> FilterResult:
+    c, b, _ = coeffs
+    if b * b - 4 * c >= 0 and -b > 0 and c > 0:
         return _PASSED[FILTER_TOTALLY_POSITIVE]
     return _FAILED[FILTER_TOTALLY_POSITIVE]
 
 
-def _filter_required_field(p: IntPolynomial, n: int) -> FilterResult:
+def _filter_required_field(coeffs: tuple[int, int, int], n: int) -> FilterResult:
     """The discriminant D has squarefree part n, itself squarefree,
     exactly when D > 0, n | D and D/n is a perfect square."""
-    disc = poly_discriminant(p)
+    c, b, _ = coeffs
+    disc = b * b - 4 * c
     if disc > 0 and disc % n == 0 and is_perfect_square(disc // n) is not None:
         return _PASSED[FILTER_REQUIRED_FIELD]
     return _FAILED[FILTER_REQUIRED_FIELD]
@@ -546,13 +545,13 @@ def _rational_squarefree_part(q: Fraction) -> int:
     return squarefree_part(q.numerator * q.denominator)
 
 
-def _filter_dim_square(p: IntPolynomial, instance: QuadraticScanInstance) -> FilterResult:
+def _filter_dim_square(coeffs: tuple[int, int, int], instance: QuadraticScanInstance) -> FilterResult:
     n = instance.required_field
-    c, b, _ = p.coeffs
-    disc = b * b - 4 * c
-    s = math.isqrt(disc // n)
-    largest_root = QuadraticFieldElement(Fraction(-b), Fraction(s), n)
-    q = QuadraticFieldElement.from_rational(Fraction(instance.global_dim), n) / largest_root
+    c, b, _ = coeffs
+    s, dim = math.isqrt((b * b - 4 * c) // n), instance.global_dim
+    # dim over the largest root (-b + s sqrt(n))/2 is dim (-b - s sqrt(n))/(2c),
+    # as b^2 - n s^2 = 4c
+    q = QuadraticFieldElement(Fraction(-dim * b, c), Fraction(-dim * s, c), n)
     if q.sqrt() is not None:
         if (instance.dim_square_mode == "field"
                 or quadratic_subfield_in_cyclotomic(n, instance.cyclotomic_modulus)):
@@ -590,15 +589,18 @@ def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> ScanResult:
 
     Candidates x^2 - b x + a are generated already d-numbers, which the
     certificate records with the shared pass, then go through the
-    totally-positive, required-field and dim-square filters.  The
-    d-number test is a | b^2 and a^2 | a^2.  a | b^2 exactly when b is a
-    multiple of m = t * isqrt(a / t), t the squarefree part of a (m is
-    the product of p^ceil(e/2) over p^e || a), and b steps over those
+    totally-positive, required-field and dim-square filters, each judged
+    on the coefficients as plain integers: the first two return shared
+    records, only the few candidates that reach dim-square build field
+    elements, and only a survivor's Certificate holds an IntPolynomial.
+    The d-number test is a | b^2 and a^2 | a^2.  a | b^2 exactly when b
+    is a multiple of m = t * isqrt(a / t), t the squarefree part of a (m
+    is the product of p^ceil(e/2) over p^e || a), and b steps over those
     multiples only, so no candidate is tested.
     """
-    steps = (lambda p: _PASSED[FILTER_D_NUMBER], _filter_totally_positive,
-             lambda p: _filter_required_field(p, instance.required_field),
-             lambda p: _filter_dim_square(p, instance))
+    steps = (lambda coeffs: _PASSED[FILTER_D_NUMBER], _filter_totally_positive,
+             lambda coeffs: _filter_required_field(coeffs, instance.required_field),
+             lambda coeffs: _filter_dim_square(coeffs, instance))
     family = []
     for a in divisors(instance.product_divides):
         b_top = math.floor(instance.trace_ratio_max * a)
@@ -606,7 +608,7 @@ def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> ScanResult:
         m = t * math.isqrt(a // t)
         # -b for b the multiples of m in trace_exceeds < b <= b_top
         family.append(((a,), range(-(instance.trace_exceeds // m + 1) * m, -b_top - 1, -m), (1,)))
-    return _scan(tuple(family), lambda p: _run_filters(p, steps))
+    return _scan(tuple(family), lambda coeffs: _run_filters(coeffs, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -635,4 +637,4 @@ def enumerate_dimension_pairs(instance: DimensionPairInstance) -> ScanResult:
     steps = (_filter_d_number, _filter_totally_real)
     lo, hi = instance.constant_range
     family = (((), range(lo, hi + 1), (-instance.trace, 1)),)
-    return _scan(family, lambda p: _run_filters(p, steps))
+    return _scan(family, lambda coeffs: _run_filters(IntPolynomial(coeffs), steps))

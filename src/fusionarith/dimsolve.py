@@ -13,8 +13,9 @@ Both searches are exhaustive over explicit integer boxes and return
 canonically sorted multisets, so results are reproducible and easy to
 diff against an independent brute-force pass.  The quadratic search
 runs over a table of admissible pairs built once per target: it prunes
-a branch by the smallest weights left in the table and reads the last
-two terms from a table of two-term weight sums rather than a loop.
+a branch by the smallest weights left in the table and by the sign of
+the remainder's conjugate, and reads the last two terms from a table of
+two-term weight sums rather than a loop.
 """
 
 from __future__ import annotations
@@ -77,8 +78,10 @@ class Decomposition:
 
     def value(self, n: int) -> QuadraticFieldElement:
         """Re-expand the decomposition: sum of ((alpha + beta*sqrt(n))/2)^2."""
-        q = sum(alpha * alpha + n * beta * beta for alpha, beta in self.terms)
-        p = sum(alpha * beta for alpha, beta in self.terms)
+        q = p = 0
+        for alpha, beta in self.terms:
+            q += alpha * alpha + n * beta * beta
+            p += alpha * beta
         return QuadraticFieldElement(Fraction(q, 2), p, n)
 
 
@@ -97,6 +100,19 @@ def fp_square_constraints(instance: QuadraticTarget) -> tuple[int, int]:
     return int(a4), int(b2)
 
 
+def _pair_table(a_total: int, b_total: int, n: int) -> list[tuple[int, int]]:
+    """The admissible pairs of enumerate_decompositions, in (beta, alpha)
+    order; n is squarefree, so algebraic_integer_check's parity test
+    applies as is."""
+    return [
+        (alpha, beta)
+        for beta in range(1, math.isqrt(a_total // n) + 1)
+        for alpha in range(1, math.isqrt(a_total - n * beta * beta) + 1)
+        if alpha * beta <= b_total
+        and (alpha * alpha - n * beta * beta) % 4 == 0
+    ]
+
+
 def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     """All multisets of rank_terms positive pairs reproducing the target.
 
@@ -106,14 +122,21 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     order.  A multiset is a non-decreasing run of table indices, so
     each is visited exactly once.  A branch stops as soon as the
     remaining budget cannot hold k more terms from the rest of the
-    table (k times the suffix minimum of q or of p exceeds it).  One term
-    alone is looked up by (q, p), since (alpha + beta*sqrt(n))^2 = q +
-    2p*sqrt(n), and (q, p) names one pair: alpha^2 and n*beta^2 are the
-    roots of t^2 - q t + n p^2, and they cannot swap, as n is not a
-    square.  The last two terms are read from a table of every index
-    pair i <= j inside (A, B), keyed by (q_i + q_j, p_i + p_j) and
-    holding each first index i; j is the one-term entry of the rest.
-    Both tables key a weight sum by one packed integer.
+    table (k times the suffix minimum of q or of p exceeds it), and a
+    term is skipped when the remainder (A', B') it leaves has B' < 0 or
+    A'^2 < 4n B'^2.  That is exact: every term's conjugate (q -
+    2p*sqrt(n))/4 is positive, as q = alpha^2 + n*beta^2 >=
+    2*sqrt(n)*alpha*beta = 2*sqrt(n)*p with equality only at alpha =
+    beta*sqrt(n), which no integers reach, so the conjugate (A' -
+    2B'*sqrt(n))/4 of the rest must be positive too.
+    One term alone is looked up by (q, p), since (alpha + beta*sqrt(n))^2
+    = q + 2p*sqrt(n), and (q, p) names one pair: alpha^2 and n*beta^2 are
+    the roots of t^2 - q t + n p^2, and they cannot swap, as n is not a
+    square.  The last two terms are read, in the loop that picks the
+    third from last, from a table of every index pair i <= j inside
+    (A, B), keyed by (q_i + q_j, p_i + p_j) and holding each first index
+    i; j is the one-term entry of the rest.  Both tables key a weight sum
+    by one packed integer.
     """
     a_total, b_total = fp_square_constraints(instance)
     n = instance.n
@@ -121,15 +144,7 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
     # a negative conjugate admits no decomposition at all
     if not instance.target.is_totally_positive():
         return []
-    # n is squarefree (checked by QuadraticTarget), so the parity test of
-    # algebraic_integer_check applies as is
-    pairs = [
-        (alpha, beta)
-        for beta in range(1, math.isqrt(a_total // n) + 1)
-        for alpha in range(1, math.isqrt(a_total - n * beta * beta) + 1)
-        if alpha * beta <= b_total
-        and (alpha * alpha - n * beta * beta) % 4 == 0
-    ]
+    pairs = _pair_table(a_total, b_total, n)
     qs = [alpha * alpha + n * beta * beta for alpha, beta in pairs]
     ps = [alpha * beta for alpha, beta in pairs]
     min_q = list(accumulate(reversed(qs), min))[::-1]
@@ -149,29 +164,34 @@ def enumerate_decompositions(instance: QuadraticTarget) -> list[Decomposition]:
                 two[key] = two.get(key, ()) + (i,)
     out: list[Decomposition] = []
     chosen: list[tuple[int, int]] = []
+    n4 = 4 * n
 
     def extend(a_rem: int, b_rem: int, k: int, start: int) -> None:
-        if k <= 2:
-            if b_rem < 0:  # no key names it, and packed it would alias one
-                return
-            key = a_rem * width + b_rem
-            if k == 1:
-                i = last.get(key)
-                if i is not None and i >= start:
-                    out.append(Decomposition((*chosen, pairs[i])))
-                return
-            for i in two.get(key, ()):
-                if i >= start:
-                    out.append(Decomposition((*chosen, pairs[i], pairs[last[key - keys[i]]])))
-            return
         for i in range(start, len(pairs)):
             if a_rem < k * min_q[i] or b_rem < k * min_p[i]:
                 break
-            chosen.append(pairs[i])
-            extend(a_rem - qs[i], b_rem - ps[i], k - 1, i)
-            chosen.pop()
+            a, b = a_rem - qs[i], b_rem - ps[i]
+            # the rest's conjugate must be positive; a negative b names no
+            # key, and packed it would alias one
+            if b < 0 or a * a < n4 * b * b:
+                continue
+            if k > 3:
+                chosen.append(pairs[i])
+                extend(a, b, k - 1, i)
+                chosen.pop()
+                continue
+            key = a * width + b  # k = 3: the last two terms, from the table
+            for j in two.get(key, ()):
+                if j >= i:
+                    out.append(Decomposition((*chosen, pairs[i], pairs[j], pairs[last[key - keys[j]]])))
 
-    extend(a_total, b_total, instance.rank_terms, 0)
+    k, key = instance.rank_terms, a_total * width + b_total
+    if k > 2:
+        extend(a_total, b_total, k, 0)
+    elif k == 2:
+        out.extend(Decomposition((pairs[i], pairs[last[key - keys[i]]])) for i in two.get(key, ()))
+    elif key in last:
+        out.append(Decomposition((pairs[last[key]],)))
     del extend  # extend refers to itself; free the tables without a gc pass
     for dec in out:
         assert dec.value(n) == instance.target

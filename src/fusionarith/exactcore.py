@@ -232,22 +232,20 @@ class IntPolynomial:
         return _exact_quotient(self, IntPolynomial(_prs(self)[-1])).primitive()
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                x = "x" if k == 1 else f"x^{k}"
-                body = x if mag == 1 else f"{mag}{x}"
-            parts.append(sign + body)
-        return "".join(parts)
+        return poly_text(self.coeffs)
+
+
+def poly_text(cs: Sequence[int]) -> str:
+    """The polynomial with coefficients cs, constant term first, as text,
+    highest power first: (-392, 308, -14, 1) is x^3-14x^2+308x-392."""
+    parts: list[str] = []
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
+        if c:
+            x = "" if not k else "x" if k == 1 else f"x^{k}"
+            body = x if k and abs(c) == 1 else f"{abs(c)}{x}"
+            parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
 
 
 def _divide_content(cs: list[int]) -> list[int]:
@@ -301,15 +299,17 @@ def _exact_quotient(p: IntPolynomial, d: IntPolynomial) -> IntPolynomial:
 # discriminants
 
 
-def poly_discriminant(p: IntPolynomial) -> int:
-    """Discriminant of a quadratic or a cubic, by the closed forms;
-    other degrees raise UnsupportedDegreeError."""
-    n = p.degree
+def poly_discriminant(p: IntPolynomial | Sequence[int]) -> int:
+    """Discriminant of a quadratic or a cubic, given as a polynomial or
+    by its coefficients, by the closed forms; other degrees raise
+    UnsupportedDegreeError."""
+    cs = p.coeffs if isinstance(p, IntPolynomial) else p
+    n = len(cs) - 1
     if n == 2:
-        c, b, a = p.coeffs
+        c, b, a = cs
         return b * b - 4 * a * c
     if n == 3:
-        d, c, b, a = p.coeffs
+        d, c, b, a = cs
         return (
             18 * a * b * c * d
             - 4 * b ** 3 * d

@@ -25,6 +25,7 @@ from fusionarith.casefile import (
     run_case,
     _json_pieces,
     _plain,
+    _scan_entries,
 )
 from fusionarith import codegree_enum
 from fusionarith.codegree_enum import DimensionPairInstance, FilterResult, enumerate_dimension_pairs
@@ -484,12 +485,23 @@ def test_json_renderer_rejects_what_reports_never_hold(value, depth):
 
 
 def test_plain_gives_the_report_entry_of_an_engine_record():
-    certs = list(enumerate_dimension_pairs(DimensionPairInstance(4, (3, 4))))
-    assert [_plain(c) for c in certs] == [
-        {"candidate": "x^2-4x+4", "coefficients": (4, -4, 1),
-         "filters": certs[0].filter_results, "survived": True},
-        {"candidate": "x^2-4x+3", "coefficients": (3, -4, 1),
-         "filters": certs[1].filter_results, "survived": False},
+    # the writer gives each certificate's entry, survivors first, with each
+    # record as _plain gives it
+    scan = enumerate_dimension_pairs(DimensionPairInstance(4, (3, 4)))
+    certs = list(scan)
+    entries = list(_scan_entries(scan))
+    assert entries == [
+        '{"candidate": "x^2-4x+4", "coefficients": [4, -4, 1], "filters": '
+        '[{"name": "d-number", "passed": true, "witness": null}, '
+        '{"name": "totally-real", "passed": true, "witness": null}], "survived": true}',
+        '{"candidate": "x^2-4x+3", "coefficients": [3, -4, 1], "filters": '
+        '[{"name": "d-number", "passed": false, "witness": {"failing_index": 1}}], "survived": false}',
+    ]
+    assert [json.loads(e) for e in entries] == [
+        {"candidate": "x^2-4x+4", "coefficients": [4, -4, 1],
+         "filters": [_plain(r) for r in certs[0].filter_results], "survived": True},
+        {"candidate": "x^2-4x+3", "coefficients": [3, -4, 1],
+         "filters": [_plain(r) for r in certs[1].filter_results], "survived": False},
     ]
     assert _plain(certs[1].filter_results[-1]) == {
         "name": "d-number", "passed": False, "witness": {"failing_index": 1}}
@@ -499,22 +511,33 @@ def test_plain_gives_the_report_entry_of_an_engine_record():
 @given(st.lists(st.integers(-40, 40), min_size=2, max_size=3))
 def test_a_discriminant_failure_derives_its_witness_from_the_candidate(low):
     # such a failure stores no witness; the certificate gives it complete,
-    # and the JSON entry writes exactly the records filter_results gives
+    # and the writer's entry, made from the coefficients and the stored
+    # record, writes exactly the records filter_results gives
     p = IntPolynomial((*low, 1))
-    steps = ((codegree_enum._filter_cyclotomic,) if p.degree == 3 else
-             (codegree_enum._filter_totally_positive,
-              lambda q: codegree_enum._filter_required_field(q, 5)))
-    cert = codegree_enum._run_filters(p, steps)
+    if p.degree == 3:
+        verdict = codegree_enum._run_filters(p, (codegree_enum._filter_cyclotomic,))
+    else:
+        verdict = codegree_enum._run_filters(p.coeffs, (
+            codegree_enum._filter_totally_positive,
+            lambda coeffs: codegree_enum._filter_required_field(coeffs, 5)))
+    cert = codegree_enum.Certificate(p, verdict)
     last = cert.filter_results[-1]
     if not last.passed:
         assert cert.verdict[-1].witness is None
         assert last == FilterResult(last.name, False, {"discriminant": str(poly_discriminant(p))})
-    entry = json.loads(casefile._encode(cert))
+    # a scan of the one candidate, stored as a scan stores it
+    failed = not cert.survived
+    scan = codegree_enum.ScanResult(
+        (((), (low[0],), (*low[1:], 1)),), {verdict[-1].name: verdict[:-1]} if failed else {},
+        [verdict[-1] if failed else None], () if failed else (cert,))
+    assert list(scan) == [cert]
+    [line] = _scan_entries(scan)
+    entry = json.loads(line)
     assert entry["filters"] == [{"name": r.name, "passed": r.passed, "witness": r.witness}
                                 for r in cert.filter_results]
-    # _plain writes a derived witness's entry itself, and each stored record as it is
-    assert [r if isinstance(r, dict) else _plain(r) for r in _plain(cert)["filters"]] == [
-        _plain(r) for r in cert.filter_results]
+    assert line == json.dumps({"candidate": str(p), "coefficients": list(p.coeffs),
+                               "filters": [_plain(r) for r in cert.filter_results],
+                               "survived": cert.survived}, sort_keys=True)
 
 
 @pytest.mark.parametrize("kind, params, solution", [

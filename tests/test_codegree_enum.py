@@ -6,6 +6,7 @@ oracle comparisons live in the acceptance suite.
 """
 from __future__ import annotations
 
+import json
 import math
 import pickle
 from collections import Counter
@@ -25,8 +26,10 @@ from fusionarith.codegree_enum import (
     FILTER_REQUIRED_FIELD,
     FILTER_SUBFIELD,
     FILTER_TOTALLY_REAL,
+    Certificate,
     ClassEquationInstance,
     DimensionPairInstance,
+    FilterResult,
     InfeasibleInstanceError,
     QuadraticScanInstance,
     admissible_products,
@@ -39,7 +42,7 @@ from fusionarith.codegree_enum import (
     _real_triple_feasible,
 )
 from fusionarith.algint import is_d_number
-from fusionarith.casefile import bundled_case_paths, load_case_file
+from fusionarith.casefile import _scan_entries, bundled_case_paths, load_case_file
 from fusionarith.exactcore import (
     IntPolynomial,
     UnsupportedDegreeError,
@@ -201,10 +204,15 @@ def test_pipeline_bound_failure_witness():
     assert cert.filter_results[-1].witness == {"bound": "7/4", "roots_above": 0}
 
 
-def test_bound_filter_on_its_own_rejects_non_real_roots():
-    # x^3 - 2 has one real root and a discriminant of -108
-    result = codegree_enum._filter_positive_bounded(P(-2, 0, 0, 1), ())
-    assert (result.passed, result.witness) == (False, {"reason": "non-real roots"})
+def test_non_real_roots_fail_before_the_bound_count(monkeypatch):
+    # x^3 - 2 has one real root and a discriminant of -108: the totally-real
+    # filter rejects it, so the bound count, which needs every root real,
+    # is never reached
+    result = codegree_enum._filter_totally_real(P(-2, 0, 0, 1))
+    assert (result.passed, result.witness) == (False, {"real_root_count": 1, "distinct_root_count": 3})
+    monkeypatch.setattr(codegree_enum, "_bound_count",
+                        lambda p, bounds: pytest.fail("bound count reached"))
+    assert run_filter_pipeline(P(-2, 0, 0, 1), DIM7).failed_filter == FILTER_TOTALLY_REAL
 
 
 def test_pipeline_factors_only_for_the_optional_filters(monkeypatch):
@@ -429,9 +437,9 @@ def test_every_stepped_b_of_the_sum_scan_is_a_d_number(exponents, exceeds):
     scan = enumerate_quadratic_scan(QuadraticScanInstance(
         global_dim=10, product_divides=_from_exponents(exponents), trace_exceeds=exceeds,
         trace_ratio_max=Fraction(2), required_field=5))
-    for p in codegree_enum._candidates(scan.family):
-        a, b = p.coeffs[0], -p.coeffs[1]
-        assert b * b % a == 0 and is_d_number(p).passes
+    for coeffs in codegree_enum._coefficients(scan.family):
+        a, b = coeffs[0], -coeffs[1]
+        assert b * b % a == 0 and is_d_number(P(*coeffs)).passes
     assert all(cert.verdict[0] is codegree_enum._PASSED[FILTER_D_NUMBER] for cert in scan)
 
 
@@ -446,7 +454,7 @@ def test_a_scan_stores_one_verdict_per_candidate_and_whole_certificates_for_surv
     # the verdict a scan stores for a failure is its failing record; the
     # passes before it are kept once per failing filter, as shared records
     for scan in _scans():
-        candidates = list(codegree_enum._candidates(scan.family))
+        candidates = [P(*coeffs) for coeffs in codegree_enum._coefficients(scan.family)]
         assert len(scan) == len(scan.failures) == len(candidates) > len(scan.survivors)
         kept = [p for p, f in zip(candidates, scan.failures) if f is None]
         assert [c.candidate for c in scan.survivors] == kept
@@ -504,10 +512,12 @@ def sum_scans(draw):
         dim_square_mode=mode,
         cyclotomic_modulus=draw(st.sampled_from([5, 8, 20, 100])) if mode == "cyclotomic" else None,
     )
-    steps = (codegree_enum._filter_d_number, codegree_enum._filter_totally_positive,
+    # the d-number test takes the polynomial, the sum scan's filters its coefficients
+    steps = (lambda p: codegree_enum._filter_d_number(P(*p)), codegree_enum._filter_totally_positive,
              lambda p: codegree_enum._filter_required_field(p, instance.required_field),
              lambda p: codegree_enum._filter_dim_square(p, instance))
-    return enumerate_quadratic_scan, instance, lambda p: codegree_enum._run_filters(p, steps)
+    return enumerate_quadratic_scan, instance, lambda p: Certificate(
+        p, codegree_enum._run_filters(p.coeffs, steps))
 
 
 @st.composite
@@ -516,7 +526,8 @@ def dimension_pair_scans(draw):
     instance = DimensionPairInstance(trace=draw(st.integers(1, 12)),
                                      constant_range=(lo, lo + draw(st.integers(0, 40))))
     steps = (codegree_enum._filter_d_number, codegree_enum._filter_totally_real)
-    return enumerate_dimension_pairs, instance, lambda p: codegree_enum._run_filters(p, steps)
+    return enumerate_dimension_pairs, instance, lambda p: Certificate(
+        p, codegree_enum._run_filters(p, steps))
 
 
 @settings(max_examples=120, deadline=None)
@@ -530,10 +541,32 @@ def test_a_scan_rebuilds_the_certificates_a_fresh_pipeline_gives(drawn):
         scan = enumerate_scan(instance)
     except codegree_enum.UnsupportedSquareClassError:
         assume(False)
-    fresh = [judge(p) for p in codegree_enum._candidates(scan.family)]
+    fresh = [judge(P(*coeffs)) for coeffs in codegree_enum._coefficients(scan.family)]
     rebuilt = list(scan)
     assert rebuilt == [c for c in fresh if c.survived] + [c for c in fresh if not c.survived]
     assert list(pickle.loads(pickle.dumps(scan))) == rebuilt
+
+
+def _reference_entry(cert) -> str:
+    """A certificate's report entry, built from its complete records."""
+    return json.dumps({
+        "candidate": str(cert.candidate), "coefficients": list(cert.candidate.coeffs),
+        "filters": [{"name": r.name, "passed": r.passed, "witness": r.witness}
+                    for r in cert.filter_results],
+        "survived": cert.survived}, sort_keys=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(codegree_scans(), sum_scans(), dimension_pair_scans()))
+def test_the_writer_gives_every_certificate_its_reference_entry(drawn):
+    # the report writer makes each entry from the family's coefficients and
+    # the stored records, encoding shared passes and records once per scan
+    enumerate_scan, instance, _ = drawn
+    try:
+        scan = enumerate_scan(instance)
+    except codegree_enum.UnsupportedSquareClassError:
+        assume(False)
+    assert list(_scan_entries(scan)) == [_reference_entry(cert) for cert in scan]
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +577,12 @@ def _verdicts(p, instance):
     """Each filter the instance enables, applied to p on its own, in
     pipeline order; the pipeline records these up to the first failure."""
     factors = factor_over_rationals(p)
-    verdicts = [codegree_enum._filter_d_number(p), codegree_enum._filter_totally_real(p),
-                codegree_enum._filter_positive_bounded(p, instance.root_lower_bounds),
-                codegree_enum._filter_cyclotomic(p)]
+    real = codegree_enum._filter_totally_real(p)
+    # the bound count needs every root real; on its own, the bound check
+    # fails a p with non-real roots
+    bounded = (codegree_enum._bound_count(p, instance.root_lower_bounds) if real.passed
+               else FilterResult(FILTER_POSITIVE_BOUNDED, False))
+    verdicts = [codegree_enum._filter_d_number(p), real, bounded, codegree_enum._filter_cyclotomic(p)]
     if instance.membership_conductor is not None:
         verdicts.append(codegree_enum._filter_membership(factors, instance.membership_conductor))
     if instance.excluded_quadratic_subfields:
@@ -706,8 +742,8 @@ def test_required_field_filter_factors_each_discriminant_at_most_once(
     calls = []
     real = codegree_enum.squarefree_part
     monkeypatch.setattr(codegree_enum, "squarefree_part", lambda m: calls.append(m) or real(m))
-    cert = codegree_enum._run_filters(
-        candidate, (lambda p: codegree_enum._filter_required_field(p, n),))
+    cert = Certificate(candidate, codegree_enum._run_filters(
+        candidate.coeffs, (lambda coeffs: codegree_enum._filter_required_field(coeffs, n),)))
     result = cert.filter_results[-1]
     c, b, _ = candidate.coeffs
     disc = b * b - 4 * c

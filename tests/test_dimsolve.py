@@ -226,6 +226,44 @@ def test_search_does_not_repeat_the_squarefree_check(monkeypatch):
         assert calls == [5]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 6, 7, 13, 15, 21)), st.integers(1, 3000), st.integers(0, 600))
+def test_every_table_pair_has_a_positive_conjugate(n, a_total, b_total):
+    # q = alpha^2 + n beta^2 > 2 sqrt(n) alpha beta = 2 sqrt(n) p, as sqrt(n)
+    # is irrational, so every term's conjugate (q - 2p sqrt(n))/4 is
+    # positive: the search may drop a remainder whose conjugate is not
+    for alpha, beta in dimsolve._pair_table(a_total, b_total, n):
+        q, p = alpha * alpha + n * beta * beta, alpha * beta
+        assert q * q > 4 * n * p * p
+
+
+def _extend_calls(instance: QuadraticTarget) -> tuple[int, list]:
+    """The search's solutions and the calls it made to its extend."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "extend" and code.co_filename == dimsolve.__file__:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        found = enumerate_decompositions(instance)
+    finally:
+        sys.setprofile(None)
+    return calls, found
+
+
+def test_the_conjugate_cut_prunes_the_search():
+    # the cut drops each remainder whose conjugate is not positive, and the
+    # last two terms below depth 3 are read from the two-term table in the
+    # loop; without either, this search made 56,259 extend calls
+    calls, found = _extend_calls(QuadraticTarget(5, target("112+40r5", 5), 8))
+    assert len(found) == 1151
+    assert calls == 7320
+
+
 # ---------------------------------------------------------------------------
 # integer square decompositions
 

@@ -120,30 +120,38 @@ def test_golden_d_number_passes_follow_from_the_coefficients():
     assert counts == {"d-number": 1455}
 
 
-# sha256 of render_report(run_case(case), format) for two scans larger than
-# any golden set's, recorded before scan results were stored as verdicts
-# and rebuilt from their family: the field sum scan over a | 2^10 5^6, 17,577
-# candidates in 77 rows with 50 survivors among them, and the cubic scan at
-# N = 44, whose one product with P^2 | e^3 steps over 1,804 candidates while
-# the scan skips every other product
+# sha256 of render_report(run_case(case), format) for reports larger than
+# any golden set's.  Two scans, recorded before scan results were stored as
+# verdicts and rebuilt from their family: the field sum scan over
+# a | 2^10 5^6, 17,577 candidates in 77 rows with 50 survivors among them,
+# and the cubic scan at N = 44, whose one product with P^2 | e^3 steps over
+# 1,804 candidates while the scan skips every other product.  And the
+# 10,878 decompositions of (14+5r5)*12 into 8 terms, recorded before the
+# search dropped remainders with a negative conjugate
 AT_SCALE = {
     "sum-scan-2e10-5e6": (
+        "class-equation",
         {"mode": "sum-scan", "global_dim": 10, "product_divides": 2**10 * 5**6,
          "trace_exceeds": 1, "trace_ratio_max": "1", "required_field": 5},
         "9159a785e9356351a4524273ac8aa95539599b108cd723e48a903e7317c736b0",
         "07cee21290cee42cc36bc11b92ff70859c645dee4d43351854fc6ad3b48261a5"),
     "cubic-44": (
+        "class-equation",
         {"mode": "codegree", "global_dim": 44, "fixed_codegrees": ["44", "44", "44"],
          "orbit_degree": 3, "product_divides": 44**3, "root_lower_bounds": ["44/4", "44/2", "44"]},
         "200a7ef5ccbacbde9038c8434afb188a541244be0a7893694635519e14bbf34b",
         "3c6183841a2cd0345b2a2edf539a4b456c5fdfeb1813fa7875d102dc54ec60c1"),
+    "dim-decomposition-168-60r5": (
+        "dim-decomposition", {"n": 5, "target": "168+60r5", "term_counts": [8]},
+        "407a7830cc2631d9f2b0dc5c4bdf045004ab0bdc7889d2e15b91ad9a6e2e08d2",
+        "f81f2ccb7e5bcf85032e8b761439b3b9da9742886bef9d03c840abfe2c93a27e"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(AT_SCALE))
 def test_scan_reports_at_scale_keep_their_bytes(name):
-    parameters, text_digest, json_digest = AT_SCALE[name]
-    doc = {"schema": 1, "name": name, "kind": "class-equation", "parameters": parameters}
+    kind, parameters, text_digest, json_digest = AT_SCALE[name]
+    doc = {"schema": 1, "name": name, "kind": kind, "parameters": parameters}
     report = run_case(load_case(json.dumps(doc, indent=1) + "\n"))
     for fmt, digest in (("text", text_digest), ("json", json_digest)):
         assert hashlib.sha256(render_report(report, fmt).encode()).hexdigest() == digest, fmt

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from fusionarith import exactcore
 from fusionarith.codegree_enum import (
-    _filter_positive_bounded,
+    _bound_count,
     _filter_totally_real,
     _roots_above,
 )
@@ -310,7 +310,9 @@ def test_bound_filter_fails_where_the_sorted_roots_first_fall_short(poly, data):
     padded = sorted(bounds)[:d]
     padded += [Fraction(0)] * (d - len(padded))
     failing = next((b for (_, _, root), b in zip(roots, padded) if not _exceeds(base, root, b)), None)
-    result = _filter_positive_bounded(IntPolynomial(tuple(cs)), bounds)
+    p = IntPolynomial(tuple(cs))
+    assert _filter_totally_real(p).passed
+    result = _bound_count(p, bounds)
     assert result.passed == (failing is None)
     if failing is not None:
         above = sum(r > failing for r in rational) + sum(_exceeds(base, h, failing) for h in handles)
