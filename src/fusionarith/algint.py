@@ -3,7 +3,7 @@
 The tests here decide, with integer arithmetic only:
 
 * the d-number divisibility criterion on a monic polynomial, whose
-  verdict keeps only the least failing index (passes is derived),
+  verdict is the least failing index, or None for a d-number,
 * whether a cubic has an abelian splitting field,
 * whether the roots of an irreducible cubic lie in one of the two
   supported cyclic cubic fields (conductor 7 or 9),
@@ -28,7 +28,6 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from ._record import record
 from .exactcore import (
     IntPolynomial,
     UnsupportedDegreeError,
@@ -41,18 +40,6 @@ from .exactcore import (
 )
 
 
-@record
-class DNumberVerdict:
-    """Outcome of the d-number test: failing_index is the least bad i,
-    None when the test passes."""
-
-    failing_index: Optional[int] = None
-
-    @property
-    def passes(self) -> bool:
-        return self.failing_index is None
-
-
 def _divides(x: int, y: int) -> bool:
     # convention: everything divides 0; 0 divides only 0
     if x == 0:
@@ -60,8 +47,9 @@ def _divides(x: int, y: int) -> bool:
     return y % x == 0
 
 
-def is_d_number(p: IntPolynomial) -> DNumberVerdict:
-    """Divisibility test a_n^i | a_i^n for i = 1..n on a monic polynomial.
+def is_d_number(p: IntPolynomial) -> Optional[int]:
+    """Divisibility test a_n^i | a_i^n for i = 1..n on a monic polynomial:
+    the least i that fails, or None when p is a d-number.
 
     a_i denotes the coefficient of x^(n-i), so a_n is the constant term.
     Divisibility is taken on absolute values.
@@ -75,8 +63,8 @@ def is_d_number(p: IntPolynomial) -> DNumberVerdict:
     for i in range(1, n + 1):
         a_i = abs(p.coeffs[n - i])
         if not _divides(a_n ** i, a_i ** n):
-            return DNumberVerdict(i)
-    return DNumberVerdict()
+            return i
+    return None
 
 
 def passes_cyclotomic_test(p: IntPolynomial) -> bool:

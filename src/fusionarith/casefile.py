@@ -15,12 +15,11 @@ prints timing to stderr only.
 The run command writes reports case by case: each case's report is
 rendered, written and flushed before the next case runs, so a run holds
 one report at a time.  A scan report holds the engine's ScanResult,
-which keeps each candidate's failing record and the survivors'
-Certificates.  _scan_entries, the one home of the certificate layout,
-writes each failure's JSON entry, a derived witness included, from its
-coefficients in the scan's family and its stored record, with no
-Certificate or polynomial rebuilt, and a text line is written the same
-way.  A write to --out that fails stops the run with exit 2.
+which keeps each candidate's deciding record.  _scan_entries, the one
+home of the certificate layout, writes each candidate's JSON entry, a
+derived witness included, from its coefficients in the scan's family
+and its record, with no polynomial built, and a text line is written
+the same way.  A write to --out that fails stops the run with exit 2.
 
 Every case kind, and every mode of the class-equation kind, is one
 entry of the _CASE_KINDS table: its parameter spec, the hook that turns
@@ -42,7 +41,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
 from . import __version__
 from ._record import record
-from .algint import _CUBIC_FIELDS, cyclotomic_galois_structure, in_cyclic_cubic_field
+from .algint import (_CUBIC_FIELDS, cyclotomic_galois_structure, in_cyclic_cubic_field,
+                     quadratic_subfield_in_cyclotomic)
 from .codegree_enum import (
     ClassEquationInstance,
     DimensionPairInstance,
@@ -191,7 +191,12 @@ def _get_irreducible_cubic(value: Any, path: str) -> IntPolynomial:
 
 def _get_excluded_pair(value: Any, path: str) -> tuple[int, int]:
     d, modulus = _get_int_pair(value, path)
-    return d, _int_range(1)(modulus, f"{path}[1]")
+    modulus = _int_range(1)(modulus, f"{path}[1]")
+    try:  # the filter compares squarefree parts, so no other d can match
+        quadratic_subfield_in_cyclotomic(d, modulus)
+    except ValueError as exc:
+        _fail(f"{path}[0]", str(exc))
+    return d, modulus
 
 
 def _integral_target(path: str, **values) -> QuadraticTarget:
@@ -215,6 +220,8 @@ def _get_term_counts(value: Any, path: str, total: Optional[int] = None) -> tupl
     for i, count in enumerate(counts):
         if total is not None and count > total:
             _fail(f"{path}[{i}]", f"need total >= term_count, got {total}, {count}")
+        if count in counts[:i]:
+            _fail(f"{path}[{i}]", f"term count {count} is repeated")
     return counts
 
 
@@ -336,12 +343,12 @@ class _ClassEquation(_CaseKind):
         values.pop("mode", None)
         return {"instance": self.instance(**values)}
 
-    def scan_results(self, certs: ScanResult) -> dict:
-        survivors = [str(c.candidate) for c in certs.survivors]
+    def scan_results(self, scan: ScanResult) -> dict:
+        survivors = [poly_text(coeffs) for coeffs, _ in scan.survived()]
         return {
             "mode": self.mode,
-            "certificates": certs,
-            "certificate_count": len(certs),
+            "certificates": scan,
+            "certificate_count": len(scan),
             "survivors": survivors,
             "survivor_count": len(survivors),
         }
@@ -359,7 +366,7 @@ class _ClassEquation(_CaseKind):
         # generator function, this method raised the CLI's peak RSS by about
         # 0.15 MiB at import (CPython 3.11.7, x86-64 Linux)
         scan = results["certificates"]
-        survivors = (f"{cert.candidate}  SURVIVES" for cert in scan.survivors)
+        survivors = (f"{poly_text(coeffs)}  SURVIVES" for coeffs, _ in scan.survived())
         failures = (f"{poly_text(coeffs)}  {failure.name}" for coeffs, failure in scan.failed())
         return itertools.chain(head, survivors, failures, tail)
 
@@ -698,28 +705,25 @@ _encode = json.JSONEncoder(sort_keys=True, default=_plain).encode
 
 
 def _scan_entries(scan: ScanResult) -> Iterator[str]:
-    """Each certificate's report entry, one line of sorted JSON, in scan
-    order.  The passes before each failing filter, and its record around
-    a placeholder for a derived witness (the candidate's discriminant),
-    are encoded once per scan, and so is each other stored record."""
-    def entry(coeffs: tuple, filters: str, survived: str) -> str:
-        return (f'{{"candidate": "{poly_text(coeffs)}", '
-                f'"coefficients": [{", ".join(map(str, coeffs))}], '
-                f'"filters": [{filters}], "survived": {survived}}}')
-
-    for cert in scan.survivors:
-        yield entry(cert.candidate.coeffs, ", ".join(map(_encode, cert.verdict)), "true")
+    """Each certificate's report entry, one line of sorted JSON, survivors
+    first, then the failures, each in scan order.  The passes before each
+    deciding filter, and its failure around a placeholder for a derived
+    witness (the candidate's discriminant), are encoded once per scan,
+    and so is each other stored record."""
     heads = {name: "".join(_encode(r) + ", " for r in passes) for name, passes in scan.prefixes.items()}
     derived = {name: _encode(FilterResult(name, False, {"discriminant": "%s"}))
                for name in scan.prefixes}
-    encoded: dict[int, str] = {}  # by id: the scan holds every failure it encodes
-    for coeffs, failure in scan.failed():
-        witness = derived_witness(coeffs, failure)
+    encoded: dict[int, str] = {}  # by id: the scan holds every record it encodes
+    for coeffs, deciding in itertools.chain(scan.survived(), scan.failed()):
+        witness = derived_witness(coeffs, deciding)
         if witness is None:
-            last = encoded.get(id(failure)) or encoded.setdefault(id(failure), _encode(failure))
+            last = encoded.get(id(deciding)) or encoded.setdefault(id(deciding), _encode(deciding))
         else:
-            last = derived[failure.name] % witness["discriminant"]
-        yield entry(coeffs, heads[failure.name] + last, "false")
+            last = derived[deciding.name] % witness["discriminant"]
+        yield (f'{{"candidate": "{poly_text(coeffs)}", '
+               f'"coefficients": [{", ".join(map(str, coeffs))}], '
+               f'"filters": [{heads[deciding.name]}{last}], '
+               f'"survived": {"true" if deciding.passed else "false"}}}')
 
 
 def _json_pieces(value: Any, indent: str = "") -> Iterator[str]:

@@ -6,15 +6,15 @@ trailing elementary symmetric functions of that orbit, so candidates
 form a one-parameter family of monic integer polynomials.  This module
 builds them from the admissible products, scans the free coefficient,
 and runs each candidate through one ordered filter pipeline, whose
-Certificate records every verdict up to the first failure.
+verdict is the tuple of every filter's record up to the first failure.
 
 Each scan is a family of candidates, rows of integer ranges fixed by
 its instance, and one shared runner (_scan) that judges each candidate
-by its coefficients, keeping its failing record and only the survivors'
-whole Certificates: the instance fixes the pipeline, so the passes
-before a failure follow from its filter.  A report is written from a
-failure's coefficients and record; iterating rebuilds its Certificate.
-The cubic and sum scans' stepping decides the d-number test for them.
+by its coefficients and keeps only its deciding record, the verdict's
+last: the instance fixes the pipeline, so the passes before that record
+follow from its filter, for a survivor as for a failure.  A report is
+written from each candidate's coefficients and record.  The cubic and
+sum scans' stepping decides the d-number test for them.
 
 Three scan shapes cover the branches that occur:
 
@@ -31,6 +31,7 @@ All arithmetic is exact; no filter ever sees a floating-point number.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -53,6 +54,7 @@ from .exactcore import (
     fraction_sqrt,
     is_perfect_square,
     poly_discriminant,
+    poly_text,
     squarefree_part,
     sturm_real_root_count,
 )
@@ -102,35 +104,6 @@ def _keyed_failure(name: str, **witness: int | str) -> FilterResult:
     if key not in _KEYED:
         _KEYED[key] = FilterResult(name, False, witness)
     return _KEYED[key]
-
-
-@record
-class Certificate:
-    """Audit record for one candidate polynomial.
-
-    verdict holds every filter that ran, in pipeline order, ending at the
-    first failure, so survived (none failed) reads the last; a scan keeps
-    only a failure's last record, and rebuilds the passes before it.
-    filter_results gives the records complete, with derived_witness.
-    """
-
-    candidate: IntPolynomial
-    verdict: tuple[FilterResult, ...]
-
-    @property
-    def filter_results(self) -> tuple[FilterResult, ...]:
-        witness = derived_witness(self.candidate.coeffs, self.verdict[-1])
-        if witness is None:
-            return self.verdict
-        return self.verdict[:-1] + (FilterResult(self.verdict[-1].name, False, witness),)
-
-    @property
-    def survived(self) -> bool:
-        return self.verdict[-1].passed
-
-    @property
-    def failed_filter(self) -> Optional[str]:
-        return None if self.survived else self.verdict[-1].name
 
 
 def derived_witness(coeffs: tuple[int, ...], last: FilterResult) -> Optional[dict]:
@@ -262,10 +235,10 @@ def admissible_products(instance: ClassEquationInstance) -> list[int]:
 # the codegree filter pipeline
 
 def _filter_d_number(p: IntPolynomial) -> FilterResult:
-    verdict = is_d_number(p)
-    if verdict.passes:
+    failing = is_d_number(p)
+    if failing is None:
         return _PASSED[FILTER_D_NUMBER]
-    return _keyed_failure(FILTER_D_NUMBER, failing_index=verdict.failing_index)
+    return _keyed_failure(FILTER_D_NUMBER, failing_index=failing)
 
 
 def _filter_totally_real(p: IntPolynomial) -> FilterResult:
@@ -359,14 +332,14 @@ def _run_filters(p, steps: Sequence[Callable[..., FilterResult]]) -> tuple[Filte
 
 
 def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance,
-                        stepped: bool = False) -> Certificate:
-    """Run the canonical pipeline on one monic candidate.
+                        stepped: bool = False) -> tuple[FilterResult, ...]:
+    """The verdict of the canonical pipeline on one monic candidate, as
+    _run_filters gives it: each filter's record up to the first failure.
 
     Order: d-number, totally-real, per-root lower bounds, cyclotomic,
-    then the optional membership and subfield-exclusion filters.
-    Evaluation stops at the first failure.  stepped says the scan's
-    stepping has already proved p a d-number: the verdict then opens
-    with the shared pass, and the test is not run.
+    then the optional membership and subfield-exclusion filters.  stepped
+    says the scan's stepping has already proved p a d-number: the verdict
+    then opens with the shared pass, and the test is not run.
     """
     if not p.is_monic:
         raise ValueError("pipeline candidates must be monic")
@@ -384,7 +357,7 @@ def run_filter_pipeline(p: IntPolynomial, instance: ClassEquationInstance,
             results.append(_filter_membership(factors, instance.membership_conductor))
         if results[-1].passed and instance.excluded_quadratic_subfields:
             results.append(_filter_subfield_exclusion(factors, instance.excluded_quadratic_subfields))
-    return Certificate(p, tuple(results))
+    return tuple(results)
 
 
 def _coefficients(family: tuple) -> Iterator[tuple[int, ...]]:
@@ -397,65 +370,61 @@ def _coefficients(family: tuple) -> Iterator[tuple[int, ...]]:
 
 @record
 class ScanResult:
-    """The certificates of one scan, survivors first, then the failures in
-    scan order.
+    """The verdicts of one scan, as plain values.
 
-    family is the scan's candidates as _coefficients reads them, failures
-    each one's failing FilterResult (None for a survivor), prefixes the
-    shared passes before each failing filter, by its name, and survivors
-    the survivors' whole Certificates.  len() counts every certificate.
-    failed() gives each failure's coefficients and record, from which a
-    report is written and iterating rebuilds its Certificate.
+    family is the scan's candidates as _coefficients reads them and
+    records[i] candidate i's deciding record: its failing FilterResult,
+    or for a survivor the shared pass of the last filter.  prefixes[name]
+    holds the shared passes before the filter of that name, the same for
+    survivors and failures, as the instance fixes the pipeline.  len()
+    counts the candidates; survived() and failed() give each one's
+    coefficients and record, in scan order, and iterating gives each
+    one's coefficients and verdict, survivors first.
     """
 
     family: tuple
     prefixes: dict
-    failures: list
-    survivors: tuple
+    records: list
 
     def __len__(self) -> int:
-        return len(self.failures)
+        return len(self.records)
 
-    def __iter__(self) -> Iterator[Certificate]:
-        yield from self.survivors
-        for coeffs, failure in self.failed():
-            yield Certificate(IntPolynomial(coeffs), self.prefixes[failure.name] + (failure,))
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], tuple[FilterResult, ...]]]:
+        for coeffs, last in itertools.chain(self.survived(), self.failed()):
+            yield coeffs, self.prefixes[last.name] + (last,)
+
+    def survived(self) -> Iterator[tuple[tuple[int, ...], FilterResult]]:
+        return ((c, r) for c, r in zip(_coefficients(self.family), self.records) if r.passed)
 
     def failed(self) -> Iterator[tuple[tuple[int, ...], FilterResult]]:
-        """Each failure's coefficients and failing record, in scan order."""
-        return ((c, f) for c, f in zip(_coefficients(self.family), self.failures) if f is not None)
+        return ((c, r) for c, r in zip(_coefficients(self.family), self.records) if not r.passed)
 
 
-def _assert_survivor_sign_pattern(cert: Certificate) -> None:
+def _assert_survivor_sign_pattern(coeffs: tuple[int, ...]) -> None:
     # totally positive degree-n polynomials alternate coefficient signs
-    p = cert.candidate
-    n = p.degree
+    n = len(coeffs) - 1
     for i in range(n + 1):
-        c = p.coeffs[n - i]
-        assert c == 0 or (c > 0) == (i % 2 == 0), f"sign pattern broken in {p}"
+        c = coeffs[n - i]
+        assert c == 0 or (c > 0) == (i % 2 == 0), f"sign pattern broken in {poly_text(coeffs)}"
 
 
 def _scan(family: tuple, judge: Callable[[tuple[int, ...]], tuple[FilterResult, ...]]) -> ScanResult:
     """Judge every candidate of the family by its coefficients, keeping its
-    failing record, the passes before each failing filter from the first
-    verdict that fails there, and a whole Certificate only for a survivor."""
-    prefixes, failures, survivors = {}, [], []
+    deciding record and the passes before each deciding filter from the
+    first verdict that ends there."""
+    prefixes, records = {}, []
     for coeffs in _coefficients(family):
         verdict = judge(coeffs)
         last = verdict[-1]
         if last.passed:
-            cert = Certificate(IntPolynomial(coeffs), verdict)
-            _assert_survivor_sign_pattern(cert)
-            survivors.append(cert)
-            failures.append(None)
-        else:
-            failures.append(last)
-            prefixes.setdefault(last.name, verdict[:-1])
-    return ScanResult(family, prefixes, failures, tuple(survivors))
+            _assert_survivor_sign_pattern(coeffs)
+        records.append(last)
+        prefixes.setdefault(last.name, verdict[:-1])
+    return ScanResult(family, prefixes, records)
 
 
 def enumerate_candidates(instance: ClassEquationInstance) -> ScanResult:
-    """Certificates for every candidate of the instance, survivors first.
+    """The scan of every candidate of the instance.
 
     Each admissible product P forces e = residual * P, an integer, as
     the next symmetric function: the candidates are x - P, x^2 - e x + P
@@ -490,7 +459,7 @@ def enumerate_candidates(instance: ClassEquationInstance) -> ScanResult:
             # -e1 for e1 = step, 2 step, ... up to e
             family.append(((-product, e), range(-step, -e - 1, -step), (1,)))
     return _scan(tuple(family), lambda coeffs: run_filter_pipeline(
-        IntPolynomial(coeffs), instance, stepped=n == 3).verdict)
+        IntPolynomial(coeffs), instance, stepped=n == 3))
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +554,14 @@ def _filter_dim_square(coeffs: tuple[int, int, int], instance: QuadraticScanInst
 
 
 def enumerate_quadratic_scan(instance: QuadraticScanInstance) -> ScanResult:
-    """Certificates for the quadratic sum scan, survivors first.
+    """The quadratic sum scan.
 
     Candidates x^2 - b x + a are generated already d-numbers, which the
-    certificate records with the shared pass, then go through the
+    verdict records with the shared pass, then go through the
     totally-positive, required-field and dim-square filters, each judged
     on the coefficients as plain integers: the first two return shared
-    records, only the few candidates that reach dim-square build field
-    elements, and only a survivor's Certificate holds an IntPolynomial.
+    records, and only the few candidates that reach dim-square build
+    field elements.  No candidate builds an IntPolynomial.
     The d-number test is a | b^2 and a^2 | a^2.  a | b^2 exactly when b
     is a multiple of m = t * isqrt(a / t), t the squarefree part of a (m
     is the product of p^ceil(e/2) over p^e || a), and b steps over those
@@ -631,9 +600,8 @@ class DimensionPairInstance:
 
 
 def enumerate_dimension_pairs(instance: DimensionPairInstance) -> ScanResult:
-    """Certificates x^2 - trace x + m for every m in range, survivors
-    first; the pipeline is d-number, which each candidate runs, then
-    totally-real."""
+    """The scan of x^2 - trace x + m for every m in range; the pipeline
+    is d-number, which each candidate runs, then totally-real."""
     steps = (_filter_d_number, _filter_totally_real)
     lo, hi = instance.constant_range
     family = (((), range(lo, hi + 1), (-instance.trace, 1)),)

@@ -193,9 +193,6 @@ class IntPolynomial:
             a, b = b, a
         return IntPolynomial(tuple(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)))
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial(tuple(c * other for c in self.coeffs))

@@ -33,6 +33,7 @@ from fusionarith.exactcore import (
     IntPolynomial,
     QuadraticFieldElement,
     factor_over_rationals,
+    poly_text,
     sturm_real_root_count,
 )
 from fusionarith.smatrix import (
@@ -89,11 +90,11 @@ def scalar(text: str, n: int) -> QuadraticFieldElement:
 
 def test_global_dim_7_orbit_is_fully_excluded():
     assert admissible_products(DIM7) == [49, 343]
-    certs = enumerate_candidates(DIM7)
-    assert [c for c in certs if c.survived] == []
-    final = {str(c.candidate): c for c in certs}["x^3-28x^2+196x-343"]
-    assert final.failed_filter == FILTER_SUBFIELD
-    assert final.filter_results[-1].witness == {
+    scan = enumerate_candidates(DIM7)
+    assert list(scan.survived()) == []
+    final = {poly_text(cs): record for cs, record in scan.failed()}["x^3-28x^2+196x-343"]
+    assert final.name == FILTER_SUBFIELD
+    assert final.witness == {
         "rational_roots": ["7"],
         "quadratic_factor": [49, -21, 1],
         "field_squarefree_part": 5,
@@ -104,26 +105,26 @@ def test_global_dim_7_orbit_is_fully_excluded():
 def test_global_dim_9_orbit_fails_conductor_9_membership():
     assert admissible_products(DIM9) == [243, 729]
     assert {residual_target(DIM9) * p for p in (243, 729)} == {135, 405}
-    certs = enumerate_candidates(DIM9)
-    assert [c for c in certs if c.survived] == []
-    reaching = [c for c in certs
-                if any(r.name == FILTER_MEMBERSHIP for r in c.filter_results)]
+    scan = enumerate_candidates(DIM9)
+    assert list(scan.survived()) == []
+    reaching = [(cs, verdict) for cs, verdict in scan
+                if any(r.name == FILTER_MEMBERSHIP for r in verdict)]
     # two candidates clear d-number, realness, bounds, and the cyclotomic
     # test; only the irreducible one actually defines a cubic orbit
-    assert sorted(str(c.candidate) for c in reaching) == [
+    assert sorted(poly_text(cs) for cs, _ in reaching) == [
         "x^3-45x^2+405x-729", "x^3-54x^2+405x-729"]
-    irreducible = [c for c in reaching
-                   if len(factor_over_rationals(c.candidate)) == 1]
-    assert [str(c.candidate) for c in irreducible] == ["x^3-54x^2+405x-729"]
-    cert = irreducible[0]
-    assert cert.failed_filter == FILTER_MEMBERSHIP
-    assert cert.filter_results[-1].witness == {"conductor": 9}
+    irreducible = [(cs, verdict) for cs, verdict in reaching
+                   if len(factor_over_rationals(IntPolynomial(cs))) == 1]
+    assert [poly_text(cs) for cs, _ in irreducible] == ["x^3-54x^2+405x-729"]
+    last = irreducible[0][1][-1]
+    assert (last.name, last.passed) == (FILTER_MEMBERSHIP, False)
+    assert last.witness == {"conductor": 9}
     assert not in_cyclic_cubic_field(IntPolynomial((-729, 405, -54, 1)), 9)
 
 
 def test_global_dim_6_spherical_branch():
     assert admissible_products(DIM6) == [12, 18, 36]
-    survivors = [str(c.candidate) for c in enumerate_candidates(DIM6) if c.survived]
+    survivors = [poly_text(cs) for cs, _ in enumerate_candidates(DIM6).survived()]
     assert "x^2-12x+18" in survivors
     for root in (scalar("6+3r2", 2), scalar("6-3r2", 2)):
         assert root * root - 12 * root + 18 == 0
@@ -179,10 +180,10 @@ def test_squared_dimension_56_other_term_counts_are_empty():
 
 
 def test_trace_three_pair_scan_keeps_only_unit_constant():
-    certs = enumerate_dimension_pairs(DimensionPairInstance(trace=3, constant_range=(1, 9)))
-    passing = {c.candidate.coeffs[0] for c in certs if c.survived}
+    scan = enumerate_dimension_pairs(DimensionPairInstance(trace=3, constant_range=(1, 9)))
+    passing = {cs[0] for cs, _ in scan.survived()}
     assert passing == {1}
-    assert [str(c.candidate) for c in certs if c.survived] == ["x^2-3x+1"]
+    assert [poly_text(cs) for cs, _ in scan.survived()] == ["x^2-3x+1"]
 
 
 RANK3_HAT = CandidateSMatrix(
@@ -222,8 +223,8 @@ def test_rank_4_braiding_trace_matrix_verifies_with_conjugation_swap():
 
 
 def test_global_dim_10_quadratic_scan_pins_the_unique_field():
-    certs = enumerate_quadratic_scan(DIM10_SCAN)
-    assert [str(c.candidate) for c in certs if c.survived] == ["x^2-30x+100"]
+    scan = enumerate_quadratic_scan(DIM10_SCAN)
+    assert [poly_text(cs) for cs, _ in scan.survived()] == ["x^2-30x+100"]
     larger = scalar("15+5r5", 5)
     assert larger * larger - 30 * larger + 100 == 0
     assert larger > scalar("15-5r5", 5)
@@ -244,8 +245,7 @@ def test_sturm_counts_match_bisection_oracle_on_1000_cubics():
 
 def test_enumeration_matches_brute_force_oracle():
     def survivor_coeffs(instance):
-        return frozenset(c.candidate.coeffs
-                         for c in enumerate_candidates(instance) if c.survived)
+        return frozenset(cs for cs, _ in enumerate_candidates(instance).survived())
 
     oracle6 = brute_force_survivors((6, 6), 2, 36, (Fraction(1), Fraction(1)),
                                     distinct_real_required=True)
@@ -264,7 +264,7 @@ def test_d_number_agrees_with_definitional_oracle_on_all_small_quadratics():
     for b in range(-30, 31):
         for c in range(-30, 31):
             p = IntPolynomial((c, b, 1))
-            assert is_d_number(p).passes == d_number_oracle((c, b, 1)), str(p)
+            assert (is_d_number(p) is None) == d_number_oracle((c, b, 1)), str(p)
 
 
 def test_full_case_suite_renders_are_byte_identical():

